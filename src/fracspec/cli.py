@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 2 when a condition check inside the task fails
 (the artifacts are still written), 1 on hard errors with a one-line
 diagnostic on stderr.  Byte-identical outputs for identical inputs: all
-floats are written as ``f"{x:.16e}"``, JSON keys are sorted, newlines are
+floats are written as ``%.16e``, JSON keys are sorted, newlines are
 Unix, and random draws come from a seeded generator.
 """
 
@@ -56,38 +56,60 @@ __all__ = ["main"]
 FLOOR = 1e-11
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.16e}"
+# Rows formatted per write in _write_csv; bounds the text held in memory.
+CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write one CSV table given as equal-length 1-D columns.
+
+    Each column's format follows its dtype: integers as ``%d``, floats as
+    ``%.16e``, anything else verbatim.  Rows are formatted and written
+    ``CSV_BLOCK_ROWS`` at a time, so the file is never held whole.
+    """
+    columns = [np.asarray(c) for c in columns]
+    rows = columns[0].size
+    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
+        shapes = [c.shape for c in columns]
+        raise ValueError(f"{path.name}: columns {header} have unequal shapes {shapes}")
+    fmts = [
+        "%d" if np.issubdtype(c.dtype, np.integer)
+        else "%.16e" if np.issubdtype(c.dtype, np.floating)
+        else "%s"
+        for c in columns
+    ]
+    line = ",".join(fmts) + "\n"
+    width = len(columns)
+    with path.open("w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            flat = [None] * ((stop - start) * width)
+            for k, col in enumerate(columns):
+                flat[k::width] = col[start:stop].tolist()
+            fh.write(line * (stop - start) % tuple(flat))
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
-def _solution_header(dim: int, lead: list[str]) -> list[str]:
-    if dim == 1:
-        return lead + ["re_u", "im_u"]
-    cols: list[str] = []
-    for c in range(dim):
-        cols += [f"re_u_{c + 1}", f"im_u_{c + 1}"]
-    return lead + cols
+def _write_solution(path: Path, lead: list[str], lead_cols: list, values: np.ndarray) -> None:
+    """Solution CSV: the lead columns, then the real and imaginary part of
+    each component of ``values`` (last axis; the others flatten to rows)."""
+    flat = values.reshape(-1, values.shape[-1])
+    names = ["u"] if flat.shape[1] == 1 else [f"u_{c + 1}" for c in range(flat.shape[1])]
+    header, cols = list(lead), list(lead_cols)
+    for c, name in enumerate(names):
+        header += [f"re_{name}", f"im_{name}"]
+        cols += [flat[:, c].real, flat[:, c].imag]
+    _write_csv(path, header, cols)
 
 
-def _value_cols(row: np.ndarray) -> list[float]:
-    cols: list[float] = []
-    for v in row:
-        cols += [v.real, v.imag]
-    return cols
+def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
+    times, points = u.times, u.grid.points
+    lead = [np.repeat(times, points.size), np.tile(points, times.size)]
+    _write_solution(path, ["t", "x"], lead, u.values)
 
 
 def _s_set(cfg: RunConfig, gamma: float) -> list[float]:
@@ -135,17 +157,15 @@ def _task_solve_elliptic(run: _Run) -> bool:
         s_set=_s_set(cfg, prob.order.gamma),
         p=cfg.get_float("parameters", "p", 2.0),
     )
-    u = rep.solution
-    rows = ([x] + _value_cols(u.values[j]) for j, x in enumerate(prob.grid.points))
-    _write_csv(run.out / "solution.csv", _solution_header(prob.dim, ["x"]), rows)
+    _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     run.report(rep.to_jsonable(), [])
     return False
 
 
-def _space_time_forcing(cfg: RunConfig, pprob: ParabolicProblem, rng) -> SpaceTimeFunction:
-    spatial = build_forcing(cfg, pprob.core.grid, pprob.core.dim, rng)
+def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTimeFunction:
+    """Spatial forcing times the ``[parameters] time_profile`` weight at each time."""
+    spatial = build_forcing(cfg, grid, dim, rng)
     profile = cfg.get_str("parameters", "time_profile", "constant")
-    times = pprob.times
     if profile == "constant":
         weights = np.ones(times.size)
     elif profile == "sine":
@@ -157,7 +177,7 @@ def _space_time_forcing(cfg: RunConfig, pprob: ParabolicProblem, rng) -> SpaceTi
             f"[parameters] time_profile must be 'constant', 'sine' or 'ramp', got {profile!r}"
         )
     vals = weights[:, None, None] * spatial.values[None, :, :]
-    return SpaceTimeFunction(pprob.core.grid, times, vals)
+    return SpaceTimeFunction(grid, times, vals)
 
 
 def _task_solve_parabolic(run: _Run) -> bool:
@@ -168,7 +188,7 @@ def _task_solve_parabolic(run: _Run) -> bool:
         horizon=cfg.get_float("parameters", "t", 1.0),
         steps=cfg.get_int("parameters", "nt", 64),
     )
-    f = _space_time_forcing(cfg, pprob, run.rng())
+    f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
     scheme = cfg.get_str("parameters", "scheme", "exact")
     if scheme == "exact":
         u = solve_parabolic(pprob, f)
@@ -181,12 +201,7 @@ def _task_solve_parabolic(run: _Run) -> bool:
         p=cfg.get_float("parameters", "p", 2.0),
         p1=cfg.get_float("parameters", "p1", 2.0),
     )
-    rows = (
-        [t, x] + _value_cols(u.values[m, j])
-        for m, t in enumerate(u.times)
-        for j, x in enumerate(prob.grid.points)
-    )
-    _write_csv(run.out / "solution.csv", _solution_header(prob.dim, ["t", "x"]), rows)
+    _write_space_time_solution(run.out / "solution.csv", u)
     run.report(rep.to_jsonable(), [])
     return False
 
@@ -210,16 +225,13 @@ def _task_resolvent_sweep(run: _Run) -> bool:
         refine=cfg.get_bool("parameters", "refine", True),
         threads=run.threads,
     )
-    if rep.probe_values is None:
-        header = ["re_lambda", "im_lambda", "value"]
-        rows = [[lam.real, lam.imag, val] for lam, val in zip(rep.lambdas, rep.values)]
-    else:
-        header = ["re_lambda", "im_lambda", "value", "probe_lower"]
-        rows = [
-            [lam.real, lam.imag, val, probe]
-            for lam, val, probe in zip(rep.lambdas, rep.values, rep.probe_values)
-        ]
-    _write_csv(run.out / "sweep.csv", header, rows)
+    lams = np.array(rep.lambdas, dtype=complex)
+    header = ["re_lambda", "im_lambda", "value"]
+    columns = [lams.real, lams.imag, np.array(rep.values, dtype=float)]
+    if rep.probe_values is not None:
+        header.append("probe_lower")
+        columns.append(np.array(rep.probe_values, dtype=float))
+    _write_csv(run.out / "sweep.csv", header, columns)
     failed = []
     if rep.stable is False:
         failed.append("refinement-stability")
@@ -264,8 +276,8 @@ def _task_separability(run: _Run) -> bool:
         s_set=_s_set(cfg, prob.order.gamma),
         seed=run.seed,
     )
-    rows = ([i + 1, r] for i, r in enumerate(rep.meta["ratios"]))
-    _write_csv(run.out / "ratios.csv", ["trial", "ratio"], rows)
+    ratios = np.array(rep.meta["ratios"], dtype=float)
+    _write_csv(run.out / "ratios.csv", ["trial", "ratio"], [np.arange(1, ratios.size + 1), ratios])
     run.report(rep.to_jsonable(), [] if rep.passed else [rep.name])
     return not rep.passed
 
@@ -284,17 +296,18 @@ def _task_embedding_probe(run: _Run) -> bool:
         mu=cfg.get_float("parameters", "mu", 0.0),
         h_set=h_set,
     )
-    rows = []
+    ratios = []
     reports = []
     max_ratio = 0.0
-    for i in range(draws):
+    for _ in range(draws):
         u = random_band_limited(prob.grid, prob.dim, rng)
         rep = embedding_probe(prob, u, **kwargs)
         reports.append(rep.to_jsonable())
-        for h in h_set:
-            rows.append([i + 1, h, rep.meta["ratios_by_h"][f"{h:g}"]])
+        ratios += [rep.meta["ratios_by_h"][f"{h:g}"] for h in h_set]
         max_ratio = max(max_ratio, rep.constants["max_ratio"])
-    _write_csv(run.out / "ratios.csv", ["draw", "h", "ratio"], rows)
+    draw = np.repeat(np.arange(1, draws + 1), len(h_set))
+    columns = [draw, np.tile(np.array(h_set, dtype=float), draws), np.array(ratios, dtype=float)]
+    _write_csv(run.out / "ratios.csv", ["draw", "h", "ratio"], columns)
     run.report({"draws": reports, "max_ratio": max_ratio}, [])
     return False
 
@@ -335,13 +348,8 @@ def _task_bvp(run: _Run) -> bool:
     rep = solve_anisotropic(
         coeffs, prob.order, prob.a, lam, f, grid, p=cfg.get_float("parameters", "p", 2.0)
     )
-    u = rep.solution
-    rows = (
-        [x, y, u.values[j, i].real, u.values[j, i].imag]
-        for j, x in enumerate(grid.points)
-        for i, y in enumerate(coeffs.mesh)
-    )
-    _write_csv(run.out / "solution.csv", ["x", "y", "re_u", "im_u"], rows)
+    lead = [np.repeat(grid.points, coeffs.mesh.size), np.tile(coeffs.mesh, grid.size)]
+    _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
     failed = [] if ell.passed else [ell.name]
     run.report({"ellipticity": ell.to_jsonable(), "solve": rep.to_jsonable()}, failed)
     return bool(failed)
@@ -361,38 +369,18 @@ def _task_system(run: _Run) -> bool:
             mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
             literal_shift=literal, p=p,
         )
-        u = rep.solution
-        rows = ([x] + _value_cols(u.values[j]) for j, x in enumerate(prob.grid.points))
-        _write_csv(run.out / "solution.csv", _solution_header(mat.size, ["x"]), rows)
+        _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     elif mode == "parabolic":
         horizon = cfg.get_float("parameters", "t", 1.0)
         steps = cfg.get_int("parameters", "nt", 64)
-        spatial = build_forcing(cfg, prob.grid, mat.size, run.rng())
-        profile = cfg.get_str("parameters", "time_profile", "constant")
         times = np.linspace(0.0, horizon, steps + 1)
-        if profile == "constant":
-            weights = np.ones(times.size)
-        elif profile == "sine":
-            weights = np.sin(times)
-        elif profile == "ramp":
-            weights = times.copy()
-        else:
-            raise ConfigError(
-                f"[parameters] time_profile must be 'constant', 'sine' or 'ramp', got {profile!r}"
-            )
-        f = SpaceTimeFunction(prob.grid, times, weights[:, None, None] * spatial.values[None, :, :])
+        f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
         rep = solve_system(
             mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
             horizon=horizon, steps=steps, literal_shift=literal, p=p,
             p1=cfg.get_float("parameters", "p1", 2.0),
         )
-        u = rep.solution
-        rows = (
-            [t, x] + _value_cols(u.values[m, j])
-            for m, t in enumerate(u.times)
-            for j, x in enumerate(prob.grid.points)
-        )
-        _write_csv(run.out / "solution.csv", _solution_header(mat.size, ["t", "x"]), rows)
+        _write_space_time_solution(run.out / "solution.csv", rep.solution)
     else:
         raise ConfigError(f"[parameters] mode must be 'elliptic' or 'parabolic', got {mode!r}")
     run.report(rep.to_jsonable(), [])
@@ -412,7 +400,8 @@ def _task_convergence(run: _Run) -> bool:
 
     def final_state(steps: int, integrator: str) -> GridFunction:
         pprob = ParabolicProblem(core=prob, horizon=horizon, steps=steps)
-        f = _space_time_forcing(cfg, pprob, np.random.default_rng(run.seed))
+        rng = np.random.default_rng(run.seed)
+        f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, rng)
         if integrator == "exact":
             u = solve_parabolic(pprob, f)
         else:
@@ -425,18 +414,17 @@ def _task_convergence(run: _Run) -> bool:
         diff = final_state(steps, scheme).values - reference.values
         errors.append(lp_norm(GridFunction(prob.grid, diff), 2.0))
 
-    rows = []
     orders: list[str] = []
-    for i, (steps, err) in enumerate(zip(levels, errors)):
+    for i, err in enumerate(errors):
         if err < FLOOR:
             order = "floor"
         elif i == 0 or errors[i - 1] < FLOOR:
             order = "-"
         else:
-            order = _fmt(math.log2(errors[i - 1] / err) / math.log2(levels[i] / levels[i - 1]))
+            order = "%.16e" % (math.log2(errors[i - 1] / err) / math.log2(levels[i] / levels[i - 1]))
         orders.append(order)
-        rows.append([steps, err, order])
-    _write_csv(run.out / "convergence.csv", ["steps", "error", "order"], rows)
+    columns = [np.array(levels), np.array(errors, dtype=float), np.array(orders)]
+    _write_csv(run.out / "convergence.csv", ["steps", "error", "order"], columns)
     run.report(
         {"scheme": scheme, "levels": levels, "errors": errors, "orders": orders}, []
     )
@@ -496,6 +484,8 @@ def main(argv=None) -> int:
         threads = _resolve(args.threads, "FRACSPEC_THREADS", int, None)
         if threads is None:
             threads = cfg.get_int("output", "threads", 1)
+        if threads < 0:
+            raise ConfigError(f"[output] threads must be >= 0 (0 = all cores), got {threads}")
         if threads == 0:
             threads = os.cpu_count() or 1
         out_dir = Path(out_name)

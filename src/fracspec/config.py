@@ -173,13 +173,13 @@ class RunConfig:
 
 
 def build_grid(cfg: RunConfig) -> SpatialGrid:
+    half_width = cfg.get_float("problem", "l", 10.0)
+    if not 0.0 < half_width < math.inf:
+        raise ConfigError(f"[problem] l must be finite and positive, got {half_width}")
     try:
-        return SpatialGrid(
-            half_width=cfg.get_float("problem", "l", 10.0),
-            size=cfg.get_int("problem", "n", 256),
-        )
+        return SpatialGrid(half_width=half_width, size=cfg.get_int("problem", "n", 256))
     except ValueError as exc:
-        raise ConfigError(f"[problem] grid: {exc}") from exc
+        raise ConfigError(f"[problem] n: {exc}") from exc
 
 
 def build_order(cfg: RunConfig) -> FractionalOrder:

@@ -51,7 +51,7 @@ class SpatialGrid:
     Parameters
     ----------
     half_width : float
-        L > 0; the interval is [-L, L).
+        Finite L > 0; the interval is [-L, L).
     size : int
         Number of samples N; must be even and at least 4.
     """
@@ -60,8 +60,8 @@ class SpatialGrid:
     size: int
 
     def __post_init__(self) -> None:
-        if not self.half_width > 0.0:
-            raise ValueError(f"grid half-width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"grid half-width must be finite and positive, got {self.half_width}")
         if self.size < 4 or self.size % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {self.size}")
 

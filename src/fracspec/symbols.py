@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -412,18 +412,18 @@ def check_mikhlin_bounds(prob: EllipticProblem, use_fd: bool = False) -> Conditi
 
 
 def symbol_resolvent_bound(
-    prob: EllipticProblem, lam_values: Sequence[complex]
+    prob: EllipticProblem, lam_values: Iterable[complex]
 ) -> ConditionReport:
     """Empirical C = sup ||Q(xi, lambda)^{-1}|| (1 + |lambda| + xi^2).
 
     Every lambda must lie in the problem sector; a singular Q is a hard
     error naming the offending (xi, lambda).
     """
+    lam_values = [complex(lam) for lam in lam_values]
     xi = prob.grid.spectral().frequencies
     best = -math.inf
     argmax = {"xi": 0.0, "lambda": 0j}
     for lam in lam_values:
-        lam = complex(lam)
         if not prob.sector.contains(lam):
             raise ValueError(f"lambda {lam} lies outside the problem sector")
         q = _q_stack(prob, xi, lam)
@@ -443,7 +443,7 @@ def symbol_resolvent_bound(
         passed=True,
         constants={"C": best},
         witnesses=(),
-        meta={"argmax": argmax, "lambda_count": len(list(lam_values))},
+        meta={"argmax": argmax, "lambda_count": len(lam_values)},
     )
 
 

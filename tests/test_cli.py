@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import warnings
 
+import numpy as np
 import pytest
 
-from fracspec.cli import main
+from fracspec.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 BASE = """\
 [problem]
@@ -257,3 +259,69 @@ def test_bad_sweep_angle_is_a_config_error(tmp_path, capsys):
     ini, _ = _write_ini(tmp_path, "resolvent-sweep", params=f"sweep_angle = {math.pi}")
     assert main(["--config", str(ini)]) == 1
     assert "sweep_angle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, argv, key",
+    [
+        (("l = 10.0", "l = inf"), [], "[problem] l"),
+        (("n = 64", "n = 63"), [], "[problem] n"),
+        (("directory =", "threads = -3\ndirectory ="), [], "[output] threads"),
+        (None, ["--threads", "-3"], "[output] threads"),
+    ],
+)
+def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
+    ini, out = _write_ini(tmp_path, "solve-elliptic")
+    if edit is not None:
+        ini.write_text(ini.read_text().replace(*edit))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(ini), *argv]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not (out / "report.json").exists()
+
+
+def _oracle_csv(header, columns) -> bytes:
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, np.integer):
+            return str(int(v))
+        return f"{float(v):.16e}"
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(col[i]) for col in columns) for i in range(len(columns[0]))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+)
+def test_write_csv_matches_per_value_oracle(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    k = min(rows, len(special))
+    floats[:k] = special[:k]
+    solution = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    columns = [
+        np.arange(1, rows + 1),
+        rng.integers(-(2**62), 2**62, rows),
+        floats,
+        solution.real,
+        solution.imag,
+        np.array(["floor", "-", "%s", "1.5e+00"] * rows)[:rows],
+    ]
+    header = ["i", "big", "f", "re_u", "im_u", "order"]
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == _oracle_csv(header, columns)
+
+
+def test_write_csv_checks_column_lengths_before_opening(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="unequal shapes"):
+        _write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+    assert not path.exists()

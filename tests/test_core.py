@@ -21,6 +21,9 @@ def test_grid_validation():
         fs.SpatialGrid(0.0, 8)
     with pytest.raises(ValueError):
         fs.SpatialGrid(-1.0, 8)
+    for half_width in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            fs.SpatialGrid(half_width, 16)
 
 
 def test_grid_points_and_frequencies():

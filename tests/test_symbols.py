@@ -193,6 +193,14 @@ def test_symbol_resolvent_bound_canonical():
         fs.symbol_resolvent_bound(prob, [-1.0])
 
 
+def test_symbol_resolvent_bound_counts_a_generator():
+    prob = make_problem(fs.SpatialGrid(10.0, 64), gamma=2.0)
+    listed = fs.symbol_resolvent_bound(prob, [0.0, 1.0, 10.0])
+    streamed = fs.symbol_resolvent_bound(prob, (lam for lam in (0.0, 1.0, 10.0)))
+    assert streamed.meta["lambda_count"] == listed.meta["lambda_count"] == 3
+    assert streamed.constants == listed.constants
+
+
 def test_symbol_resolvent_bound_singular_is_hard_error():
     g = fs.SpatialGrid(math.pi, 8)  # integer frequencies, so xi = 1 is on the grid
     prob = make_problem(g, gamma=2.0, mat=np.array([[-1.0]]))
