@@ -19,8 +19,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridFunction, Sector, SpatialGrid, lp_norm
-from .elliptic import SolveReport, solve_elliptic, _apply_scalar_multiplier
+from .core import (
+    GridFunction,
+    Sector,
+    SpatialGrid,
+    apply_multiplier,
+    forward_transform,
+    lp_norm,
+)
+from .elliptic import SolveReport, solve_elliptic
 from .fractional import FractionalOrder, frac_power_i_xi
 from .symbols import (
     CoefficientSymbol,
@@ -240,13 +247,11 @@ def solve_anisotropic(
         raise ValueError(
             f"forcing carries {f.dim} components, expected mesh size {coeffs.mesh_size}"
         )
-    if sector is None:
-        sector = Sector(min(abs(np.angle(lam)) + 1e-12, math.pi - 1e-9)) if lam != 0 else Sector(0.0)
     core = EllipticProblem(
         order=order,
         a=a,
         A=constant_operator(mat, name="boundary-operator"),
-        sector=sector,
+        sector=Sector.enclosing(lam) if sector is None else sector,
         grid=grid,
     )
     rep = solve_elliptic(core, f, lam, p=p)
@@ -259,11 +264,12 @@ def solve_anisotropic(
         s_set = (0.0, gamma / 2.0, gamma)
 
     xi = grid.spectral().frequencies
+    u_spec = forward_transform(u)
     terms: dict[str, float] = {}
     lhs = 0.0
     for s in s_set:
         mult = core.a(xi) * frac_power_i_xi(xi, s)
-        val = sqrt_hy * lp_norm(_apply_scalar_multiplier(u, mult), p)
+        val = sqrt_hy * lp_norm(apply_multiplier(u_spec, mult), p)
         terms[f"a*Dx^{s:g} u"] = val
         lhs += abs(lam) ** (1.0 - s / gamma) * val
     d0, d1, d2 = _y_derivative_stencils(u.values, hy)

@@ -19,16 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import BVPCoefficients, check_ellipticity, solve_anisotropic
-from .config import (
+from .config import ConfigError, RunConfig, build_forcing, build_problem, parse_matrix
+from .core import (
     DEFAULT_SEED,
-    ConfigError,
-    RunConfig,
-    build_forcing,
-    build_problem,
-    parse_float_list,
-    parse_matrix,
+    GridFunction,
+    Sector,
+    SpaceTimeFunction,
+    lp_norm,
+    random_band_limited,
 )
-from .core import GridFunction, Sector, SpaceTimeFunction, lp_norm, random_band_limited
 from .elliptic import (
     coercive_report,
     embedding_probe,
@@ -113,10 +112,9 @@ def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
 
 
 def _s_set(cfg: RunConfig, gamma: float) -> list[float]:
-    raw = cfg.sections.get("parameters", {}).get("s_set")
-    if raw is None:
+    if "s_set" not in cfg.sections.get("parameters", {}):
         return [0.0, gamma / 2.0, gamma]
-    return [float(c) for c in raw.split(",") if c.strip()]
+    return cfg.get_list("parameters", "s_set", "")
 
 
 class _Run:
@@ -213,7 +211,7 @@ def _task_resolvent_sweep(run: _Run) -> bool:
         sweep_sector = Sector(cfg.get_float("parameters", "sweep_angle", prob.sector.angle))
     except ValueError as exc:
         raise ConfigError(f"[parameters] sweep_angle: {exc}") from exc
-    radii = parse_float_list(cfg.get_str("parameters", "radii", "1e-3:1e3:25"))
+    radii = cfg.get_list("parameters", "radii", "1e-3:1e3:25", log_range=True)
     rep = resolvent_sweep(
         prob,
         sweep_sector,
@@ -248,8 +246,7 @@ def _task_verify_conditions(run: _Run) -> bool:
         phi1 = Sector(cfg.get_float("parameters", "phi1", prob.sector.angle))
     except ValueError as exc:
         raise ConfigError(f"[parameters] phi1: {exc}") from exc
-    lam_raw = cfg.get_str("parameters", "lambda_set", "0,1,10")
-    lams = [complex(c.strip()) for c in lam_raw.split(",") if c.strip()]
+    lams = cfg.get_list("parameters", "lambda_set", "0,1,10", cast=complex)
     reports = [
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
@@ -285,7 +282,7 @@ def _task_separability(run: _Run) -> bool:
 def _task_embedding_probe(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    h_set = [float(c) for c in cfg.get_str("parameters", "h_set", "0.1,0.3,1.0").split(",") if c.strip()]
+    h_set = cfg.get_list("parameters", "h_set", "0.1,0.3,1.0")
     draws = cfg.get_int("parameters", "draws", 8)
     rng = run.rng()
     kwargs = dict(
@@ -312,9 +309,9 @@ def _task_embedding_probe(run: _Run) -> bool:
     return False
 
 
-def _poly(text: str):
-    """Polynomial in y from ascending coefficients "c0,c1,c2"."""
-    coeffs = [float(c) for c in text.split(",") if c.strip()]
+def _poly(cfg: RunConfig, key: str, default: str):
+    """Polynomial in y from the ascending coefficients "c0,c1,c2" of ``[parameters] key``."""
+    coeffs = cfg.get_list("parameters", key, default)
 
     def func(y):
         y = np.asarray(y, dtype=float)
@@ -330,9 +327,9 @@ def _task_bvp(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     coeffs = BVPCoefficients(
-        b2=_poly(cfg.get_str("parameters", "b2", "1")),
-        b1=_poly(cfg.get_str("parameters", "b1", "0")),
-        b0=_poly(cfg.get_str("parameters", "b0", "0")),
+        b2=_poly(cfg, "b2", "1"),
+        b1=_poly(cfg, "b1", "0"),
+        b0=_poly(cfg, "b0", "0"),
         mesh_size=cfg.get_int("parameters", "mesh_size", 31),
     )
     try:
@@ -389,7 +386,7 @@ def _task_system(run: _Run) -> bool:
 
 def _task_convergence(run: _Run) -> bool:
     cfg = run.cfg
-    levels = [int(c) for c in cfg.get_str("parameters", "levels", "64,128,256").split(",") if c.strip()]
+    levels = cfg.get_list("parameters", "levels", "64,128,256", cast=int)
     if len(levels) < 3:
         raise ConfigError(f"[parameters] levels needs at least 3 entries, got {levels}")
     if sorted(levels) != levels or len(set(levels)) != len(levels):

@@ -41,8 +41,6 @@ TASKS = (
     "convergence",
 )
 
-DEFAULT_SEED = 0xF5EC
-
 
 class ConfigError(ValueError):
     """A run config is missing, malformed, or inconsistent."""
@@ -68,22 +66,15 @@ def parse_matrix(text: str) -> np.ndarray:
     return mat
 
 
-def parse_float_list(text: str) -> list[float]:
-    """Comma list of floats, or a log range "start:stop:count"."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"log range must be start:stop:count, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if lo <= 0.0 or hi <= 0.0 or n < 1:
-            raise ConfigError(f"log range endpoints must be positive, got {text!r}")
-        return list(np.logspace(math.log10(lo), math.log10(hi), n))
-    return [float(c) for c in text.split(",") if c.strip()]
-
-
-def parse_int_list(text: str) -> list[int]:
-    return [int(c) for c in text.split(",") if c.strip()]
+def _log_range(text: str) -> list[float]:
+    """"start:stop:count" as ``count`` log-spaced floats from start to stop."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError("log range must be start:stop:count")
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if lo <= 0.0 or hi <= 0.0 or n < 1:
+        raise ConfigError("log range endpoints and count must be positive")
+    return list(np.logspace(math.log10(lo), math.log10(hi), n))
 
 
 @dataclass
@@ -167,6 +158,19 @@ class RunConfig:
             return parse_complex(raw)
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+    def get_list(
+        self, section: str, key: str, default: str, cast=float, log_range: bool = False
+    ) -> list:
+        """Comma list with every entry converted by ``cast``; with
+        ``log_range`` the value may also be a "start:stop:count" log range."""
+        raw = self.get_str(section, key, default)
+        try:
+            if log_range and ":" in raw:
+                return _log_range(raw)
+            return [cast(c.strip()) for c in raw.split(",") if c.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
 
     def to_jsonable(self) -> dict:
         return {name: dict(vals) for name, vals in self.sections.items()}

@@ -34,14 +34,16 @@ __all__ = [
     "SpectralFunction",
     "SpaceTimeFunction",
     "Sector",
-    "LebesgueExponents",
     "forward_transform",
     "inverse_transform",
+    "apply_multiplier",
     "lp_norm",
     "mixed_norm",
-    "sector_contains",
     "random_band_limited",
 ]
+
+# Seed of every random draw (probes, forcings, samples) unless one is given.
+DEFAULT_SEED = 0xF5EC
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,14 @@ class SpatialGrid:
 
     def spectral(self) -> "SpectralGrid":
         return SpectralGrid(self)
+
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """Forward transform along the grid axis -2 of an (..., N, d) array."""
+        return self.spacing * np.fft.fft(values, axis=-2) * self.spectral().parity[:, None]
+
+    def to_physical(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_spectral`; carries the 1/(2L) weight."""
+        return np.fft.ifft(values * self.spectral().parity[:, None], axis=-2) / self.spacing
 
 
 @dataclass(frozen=True)
@@ -233,16 +243,26 @@ class SpaceTimeFunction:
 
 def forward_transform(f: GridFunction) -> SpectralFunction:
     """h-weighted DFT approximating the continuum transform on [-L, L)."""
-    sg = f.grid.spectral()
-    vals = f.grid.spacing * np.fft.fft(f.values, axis=0) * sg.parity[:, None]
-    return SpectralFunction(sg, vals)
+    return SpectralFunction(f.grid.spectral(), f.grid.to_spectral(f.values))
 
 
 def inverse_transform(g: SpectralFunction) -> GridFunction:
     """Inverse of :func:`forward_transform`; carries the 1/(2L) weight."""
-    grid = g.grid.spatial
-    vals = np.fft.ifft(g.values * g.grid.parity[:, None], axis=0) / grid.spacing
-    return GridFunction(grid, vals)
+    return GridFunction(g.grid.spatial, g.grid.spatial.to_physical(g.values))
+
+
+def apply_multiplier(spec: SpectralFunction, mult: np.ndarray) -> GridFunction:
+    """Inverse transform of a multiplier times ``spec``.
+
+    ``mult`` is either a scalar multiplier of shape (N,), scaling every
+    component, or a symbol stack of shape (N, d, d) acting on the vector
+    at each frequency.
+    """
+    if np.ndim(mult) == 1:
+        vals = mult[:, None] * spec.values
+    else:
+        vals = np.einsum("kij,kj->ki", mult, spec.values)
+    return inverse_transform(SpectralFunction(spec.grid, vals))
 
 
 def _check_exponent(p: float) -> float:
@@ -250,19 +270,6 @@ def _check_exponent(p: float) -> float:
     if not (1.0 < p < math.inf):
         raise ValueError(f"Lebesgue exponent must lie in (1, inf), got {p}")
     return p
-
-
-@dataclass(frozen=True)
-class LebesgueExponents:
-    """Exponent bundle (p, p1) for spatial and space-time norms."""
-
-    p: float
-    p1: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_exponent(self.p)
-        if self.p1 is not None:
-            _check_exponent(self.p1)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -313,9 +320,12 @@ class Sector:
             return True
         return abs(cmath.phase(z)) <= self.angle + tol
 
-
-def sector_contains(sector: Sector, z: complex) -> bool:
-    return sector.contains(z)
+    @classmethod
+    def enclosing(cls, lam: complex) -> "Sector":
+        """Narrowest sector holding ``lam``, with 1e-12 slack and kept below pi."""
+        if lam == 0:
+            return cls(0.0)
+        return cls(min(abs(cmath.phase(lam)) + 1e-12, math.pi - 1e-9))
 
 
 def random_band_limited(

@@ -18,10 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     GridFunction,
     Sector,
     SpatialGrid,
     SpectralFunction,
+    apply_multiplier,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -34,6 +36,7 @@ from .symbols import (
     Witness,
     _json_value,
     q_matrices,
+    smallest_singular_values,
 )
 
 __all__ = [
@@ -47,9 +50,6 @@ __all__ = [
     "separability_check",
     "embedding_probe",
 ]
-
-DEFAULT_SEED = 0xF5EC
-
 
 class SolveError(RuntimeError):
     """A solve could not be completed or failed its residual gate."""
@@ -106,40 +106,11 @@ class SectorialityReport:
         }
 
 
-def _apply_stack(grid: SpatialGrid, mats: np.ndarray, u: GridFunction) -> GridFunction:
-    """Multiply the transform of u by the (N, d, d) symbol stack."""
-    spec = forward_transform(u)
-    vals = np.einsum("kij,kj->ki", mats, spec.values)
-    return inverse_transform(SpectralFunction(spec.grid, vals))
-
-
-def _apply_scalar_multiplier(u: GridFunction, mult: np.ndarray) -> GridFunction:
-    spec = forward_transform(u)
-    return inverse_transform(SpectralFunction(spec.grid, mult[:, None] * spec.values))
-
-
-def _conv_a_frac(prob: EllipticProblem, u: GridFunction, s: float) -> GridFunction:
-    """a * D^s u as a scalar multiplier a(xi) (i xi)^s."""
-    xi = prob.grid.spectral().frequencies
-    return _apply_scalar_multiplier(u, prob.a(xi) * frac_power_i_xi(xi, s))
-
-
-def _conv_operator(prob: EllipticProblem, u: GridFunction) -> GridFunction:
-    return _apply_stack(prob.grid, prob.A(prob.grid.spectral().frequencies), u)
-
-
-def _singular_frequencies(q: np.ndarray, xi: np.ndarray):
-    svals = np.linalg.svd(q, compute_uv=False)
-    smin, smax = svals[:, -1], svals[:, 0]
-    bad = smin <= 1e-14 * np.maximum(smax, 1.0)
-    return smin, (float(xi[int(np.nonzero(bad)[0][0])]) if bad.any() else None)
-
-
 def apply_operator(prob: EllipticProblem, u: GridFunction) -> GridFunction:
     """Apply the lambda-free operator O, i.e. the assembled symbol at lambda = 0."""
     if u.grid != prob.grid:
         raise ValueError("grid mismatch between function and problem")
-    return _apply_stack(prob.grid, q_matrices(prob, 0.0), u)
+    return apply_multiplier(forward_transform(u), q_matrices(prob, 0.0))
 
 
 def _lambda_coupling(prob: EllipticProblem, lam: complex, u: GridFunction) -> GridFunction:
@@ -147,7 +118,7 @@ def _lambda_coupling(prob: EllipticProblem, lam: complex, u: GridFunction) -> Gr
     if prob.q_form == "unfactored":
         return lam * u
     xi = prob.grid.spectral().frequencies
-    return lam * _apply_scalar_multiplier(u, prob.a(xi))
+    return lam * apply_multiplier(forward_transform(u), prob.a(xi))
 
 
 def solve_elliptic(
@@ -174,9 +145,9 @@ def solve_elliptic(
 
     xi = prob.grid.spectral().frequencies
     q = q_matrices(prob, lam)
-    _, bad_xi = _singular_frequencies(q, xi)
-    if bad_xi is not None:
-        raise SolveError(f"singular symbol at frequency xi={bad_xi:.6g} for lambda={lam}")
+    _, bad = smallest_singular_values(q, 1e-14)
+    if bad is not None:
+        raise SolveError(f"singular symbol at frequency xi={xi[bad]:.6g} for lambda={lam}")
 
     spec = forward_transform(f)
     uhat = np.linalg.solve(q, spec.values[:, :, None])[:, :, 0]
@@ -191,9 +162,11 @@ def solve_elliptic(
         )
 
     gamma = prob.order.gamma
+    u_spec = forward_transform(u)
+    frac_mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     term_norms = {
-        f"a*D^{gamma:g} u": lp_norm(_conv_a_frac(prob, u, gamma), p),
-        "A*u": lp_norm(_conv_operator(prob, u), p),
+        f"a*D^{gamma:g} u": lp_norm(apply_multiplier(u_spec, frac_mult), p),
+        "A*u": lp_norm(apply_multiplier(u_spec, prob.A(xi)), p),
         "lambda*u": abs(lam) * lp_norm(u, p),
     }
     return SolveReport(
@@ -237,12 +210,15 @@ def coercive_report(
     u = rep.solution
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
+    xi = prob.grid.spectral().frequencies
+    u_spec = forward_transform(u)
     term_norms = dict(rep.term_norms)
     conv_sum = 0.0
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
-        n_conv = lp_norm(_conv_a_frac(prob, u, s), p)
-        n_plain = lp_norm(_apply_scalar_multiplier(u, frac_power_i_xi(prob.grid.spectral().frequencies, s)), p)
+        frac = frac_power_i_xi(xi, s)
+        n_conv = lp_norm(apply_multiplier(u_spec, prob.a(xi) * frac), p)
+        n_plain = lp_norm(apply_multiplier(u_spec, frac), p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain
         conv_sum += w * n_conv
@@ -277,13 +253,12 @@ def _exact_l2_values(prob: EllipticProblem, lams: np.ndarray):
     values = []
     witnesses = []
     for lam in lams:
-        q = q_matrices(prob, complex(lam))
-        smin, bad_xi = _singular_frequencies(q, xi)
-        if bad_xi is not None:
+        smin, bad = smallest_singular_values(q_matrices(prob, complex(lam)), 1e-14)
+        if bad is not None:
             witnesses.append(
                 Witness(
                     label="singular-symbol",
-                    location={"xi": bad_xi, "lambda": complex(lam)},
+                    location={"xi": float(xi[bad]), "lambda": complex(lam)},
                     magnitude=math.inf,
                 )
             )
@@ -311,7 +286,9 @@ def resolvent_sweep(
     spectral matrix norm ||lambda Q(xi, lambda)^{-1}||.  With ``probes`` > 0,
     random band-limited forcings give L_p lower bounds alongside.  With
     ``refine`` the sweep reruns on a grid with doubled N; the sup must move
-    by at most 5% to be flagged stable.
+    by at most 5% to be flagged stable.  If every lambda is singular on the
+    refined grid, the sweep is unstable with no drift and carries the
+    refined grid's singular-symbol witnesses.
     """
     if angles < 2:
         raise ValueError("angle count must be at least 2")
@@ -351,10 +328,15 @@ def resolvent_sweep(
     stable = None
     if refine and finite:
         fine = prob.with_grid(SpatialGrid(prob.grid.half_width, prob.grid.size * 2))
-        fine_values, _ = _exact_l2_values(fine, lams)
-        fine_bound = max(v for v in fine_values if not math.isnan(v))
-        drift = abs(fine_bound - bound) / bound if bound > 0.0 else 0.0
-        stable = drift <= 0.05
+        fine_values, fine_witnesses = _exact_l2_values(fine, lams)
+        fine_finite = [v for v in fine_values if not math.isnan(v)]
+        if fine_finite:
+            drift = abs(max(fine_finite) - bound) / bound if bound > 0.0 else 0.0
+            stable = drift <= 0.05
+        else:
+            # every refined lambda is singular: no drift to measure
+            stable = False
+            witnesses = witnesses + fine_witnesses
 
     return SectorialityReport(
         lambdas=tuple(complex(l) for l in lams),
@@ -396,14 +378,19 @@ def separability_check(
     gamma = prob.order.gamma
     if s_set is None:
         s_set = (0.0, gamma / 2.0, gamma)
+    xi = prob.grid.spectral().frequencies
+    q0 = q_matrices(prob, 0.0)
+    a_mats = prob.A(xi)
+    frac_mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
     rng = np.random.default_rng(seed)
     ratios = []
     witnesses: list[Witness] = []
     for t in range(trials):
         u = random_band_limited(prob.grid, prob.dim, rng)
-        ou_norm = lp_norm(apply_operator(prob, u), p)
-        term_sum = sum(lp_norm(_conv_a_frac(prob, u, s), p) for s in s_set)
-        term_sum += lp_norm(_conv_operator(prob, u), p)
+        u_spec = forward_transform(u)
+        ou_norm = lp_norm(apply_multiplier(u_spec, q0), p)
+        term_sum = sum(lp_norm(apply_multiplier(u_spec, m), p) for m in frac_mults)
+        term_sum += lp_norm(apply_multiplier(u_spec, a_mats), p)
         ratio = term_sum / ou_norm
         ratios.append(ratio)
         if term_sum < ou_norm:
@@ -463,11 +450,12 @@ def embedding_probe(
     power = matrix_fractional_power(a_mat, 1.0 - kappa - mu)
 
     xi = prob.grid.spectral().frequencies
-    du = _apply_scalar_multiplier(u, frac_power_i_xi(xi, alpha))
+    u_spec = forward_transform(u)
+    du = apply_multiplier(u_spec, frac_power_i_xi(xi, alpha))
     lhs = lp_norm(GridFunction(u.grid, du.values @ power.T), q)
 
     au = GridFunction(u.grid, u.values @ np.asarray(a_mat, dtype=complex).T)
-    bessel = _apply_scalar_multiplier(u, (1.0 + xi**2) ** (s / 2.0) + 0j)
+    bessel = apply_multiplier(u_spec, (1.0 + xi**2) ** (s / 2.0) + 0j)
     w_norm = lp_norm(au, p) + lp_norm(bessel, p)
     u_norm = lp_norm(u, p)
 

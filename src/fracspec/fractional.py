@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, SpectralFunction, forward_transform, inverse_transform
+from .core import GridFunction, apply_multiplier, forward_transform
 
 __all__ = [
     "FractionalOrder",
@@ -68,9 +68,7 @@ def liouville_derivative(f: GridFunction, s: float) -> GridFunction:
     """Spectral derivative of order s >= 0: conjugate (i*xi)^s by the transform."""
     if s < 0.0:
         raise ValueError(f"derivative order must be >= 0, got {s}")
-    spec = forward_transform(f)
-    mult = frac_power_i_xi(spec.grid.frequencies, s)
-    return inverse_transform(SpectralFunction(spec.grid, mult[:, None] * spec.values))
+    return apply_multiplier(forward_transform(f), frac_power_i_xi(f.grid.spectral().frequencies, s))
 
 
 def gl_weights(gamma: float, n: int) -> np.ndarray:

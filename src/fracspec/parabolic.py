@@ -13,9 +13,8 @@ operator symbol after gating on symmetry and positive definiteness.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,17 +95,6 @@ def _dissipative_gate(prob: ParabolicProblem) -> np.ndarray:
     return q0
 
 
-def _spectral_slices(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Forward transform applied to every time slice of an (M, N, d) stack."""
-    sg = grid.spectral()
-    return grid.spacing * np.fft.fft(values, axis=1) * sg.parity[None, :, None]
-
-
-def _physical_slices(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    sg = grid.spectral()
-    return np.fft.ifft(values * sg.parity[None, :, None], axis=1) / grid.spacing
-
-
 def _step_matrices(q0: np.ndarray, dt: float):
     """Per-frequency e^Z, phi1(Z), phi2(Z) for Z = -dt*Q via one augmented expm."""
     n, d, _ = q0.shape
@@ -136,7 +124,7 @@ def solve_parabolic(prob: ParabolicProblem, f: SpaceTimeFunction) -> SpaceTimeFu
     q0 = _dissipative_gate(prob)
     dt = prob.horizon / prob.steps
     e, p1, p2 = _step_matrices(q0, dt)
-    fhat = _spectral_slices(prob.core.grid, f.values)
+    fhat = prob.core.grid.to_spectral(f.values)
 
     uhat = np.zeros_like(fhat)
     for m in range(prob.steps):
@@ -145,7 +133,7 @@ def solve_parabolic(prob: ParabolicProblem, f: SpaceTimeFunction) -> SpaceTimeFu
             np.einsum("kij,kj->ki", e, uhat[m])
             + dt * (np.einsum("kij,kj->ki", p1, fhat[m]) + np.einsum("kij,kj->ki", p2, df))
         )
-    return SpaceTimeFunction(prob.core.grid, prob.times, _physical_slices(prob.core.grid, uhat))
+    return SpaceTimeFunction(prob.core.grid, prob.times, prob.core.grid.to_physical(uhat))
 
 
 def solve_parabolic_stepped(
@@ -162,7 +150,7 @@ def solve_parabolic_stepped(
     dt = prob.horizon / prob.steps
     n, d, _ = q0.shape
     eye = np.eye(d)[None, :, :]
-    fhat = _spectral_slices(prob.core.grid, f.values)
+    fhat = prob.core.grid.to_spectral(f.values)
     uhat = np.zeros_like(fhat)
 
     if scheme == "implicit-euler":
@@ -176,7 +164,7 @@ def solve_parabolic_stepped(
         for m in range(prob.steps):
             rhs = np.einsum("kij,kj->ki", fwd, uhat[m]) + 0.5 * dt * (fhat[m] + fhat[m + 1])
             uhat[m + 1] = np.einsum("kij,kj->ki", back, rhs)
-    return SpaceTimeFunction(prob.core.grid, prob.times, _physical_slices(prob.core.grid, uhat))
+    return SpaceTimeFunction(prob.core.grid, prob.times, prob.core.grid.to_physical(uhat))
 
 
 def parabolic_coercive_report(
@@ -206,11 +194,9 @@ def parabolic_coercive_report(
     xi = grid.spectral().frequencies
     gamma = prob.core.order.gamma
     mult = prob.core.a(xi) * frac_power_i_xi(xi, gamma)
-    uhat = _spectral_slices(grid, u.values)
-    frac_term = _physical_slices(grid, mult[None, :, None] * uhat)
-    op_term = _physical_slices(
-        grid, np.einsum("kij,mkj->mki", prob.core.A(xi), uhat)
-    )
+    uhat = grid.to_spectral(u.values)
+    frac_term = grid.to_physical(mult[None, :, None] * uhat)
+    op_term = grid.to_physical(np.einsum("kij,mkj->mki", prob.core.A(xi), uhat))
 
     def _mixed(vals: np.ndarray) -> float:
         return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
@@ -307,64 +293,33 @@ def solve_system(
         raise ValueError(f"mode must be 'elliptic' or 'parabolic', got {mode!r}")
     if grid is None:
         grid = f.grid
-    sector = Sector(min(abs(cmath.phase(lam)) + 1e-12, math.pi - 1e-9)) if lam != 0 else Sector(0.0)
-    shifted = _shifted_coupling(mat, lam, literal_shift)
-    weight = np.asarray(mat.entries, dtype=complex)
-
-    if mode == "elliptic":
-        if not isinstance(f, GridFunction):
-            raise ValueError("elliptic mode takes a GridFunction forcing")
-        core = EllipticProblem(
-            order=order,
-            a=a,
-            A=constant_operator(shifted, name="coupling+shift"),
-            sector=sector,
-            grid=grid,
-        )
-        rep = solve_elliptic(core, f, 0.0, p=p)
-        u = rep.solution
-        weighted = lp_norm(GridFunction(grid, u.values @ weight.T), p)
-        terms = dict(rep.term_norms)
-        terms["A-weighted u"] = weighted
-        meta = dict(rep.meta)
-        meta.update({"mode": mode, "lambda": lam, "literal_shift": literal_shift,
-                     "coercivity": mat.coercivity})
-        return SolveReport(
-            solution=u,
-            residual=rep.residual,
-            residual_rel=rep.residual_rel,
-            term_norms=terms,
-            coercive_ratio=rep.coercive_ratio,
-            meta=meta,
-        )
-
-    if not isinstance(f, SpaceTimeFunction):
-        raise ValueError("parabolic mode takes a SpaceTimeFunction forcing")
-    if horizon is None or steps is None:
-        raise ValueError("parabolic mode needs horizon and steps")
+    if mode == "elliptic" and not isinstance(f, GridFunction):
+        raise ValueError("elliptic mode takes a GridFunction forcing")
+    if mode == "parabolic":
+        if not isinstance(f, SpaceTimeFunction):
+            raise ValueError("parabolic mode takes a SpaceTimeFunction forcing")
+        if horizon is None or steps is None:
+            raise ValueError("parabolic mode needs horizon and steps")
     core = EllipticProblem(
         order=order,
         a=a,
-        A=constant_operator(shifted, name="coupling+shift"),
-        sector=sector,
+        A=constant_operator(_shifted_coupling(mat, lam, literal_shift), name="coupling+shift"),
+        sector=Sector.enclosing(lam),
         grid=grid,
     )
-    pprob = ParabolicProblem(core, horizon, steps)
-    rep = parabolic_coercive_report(pprob, f, p=p, p1=p1)
-    u = rep.solution
-    weighted = mixed_norm(
-        SpaceTimeFunction(grid, u.times, np.einsum("ij,mkj->mki", weight, u.values)), p, p1
-    )
-    terms = dict(rep.term_norms)
-    terms["A-weighted u"] = weighted
-    meta = dict(rep.meta)
-    meta.update({"mode": mode, "lambda": lam, "literal_shift": literal_shift,
-                 "coercivity": mat.coercivity})
-    return SolveReport(
-        solution=u,
-        residual=rep.residual,
-        residual_rel=rep.residual_rel,
-        term_norms=terms,
-        coercive_ratio=rep.coercive_ratio,
-        meta=meta,
+    weight = np.asarray(mat.entries, dtype=complex)
+    if mode == "elliptic":
+        rep = solve_elliptic(core, f, 0.0, p=p)
+        weighted = lp_norm(GridFunction(grid, rep.solution.values @ weight.T), p)
+    else:
+        rep = parabolic_coercive_report(ParabolicProblem(core, horizon, steps), f, p=p, p1=p1)
+        u = rep.solution
+        weighted = mixed_norm(
+            SpaceTimeFunction(grid, u.times, np.einsum("ij,mkj->mki", weight, u.values)), p, p1
+        )
+    return replace(
+        rep,
+        term_norms={**rep.term_norms, "A-weighted u": weighted},
+        meta={**rep.meta, "mode": mode, "lambda": lam, "literal_shift": literal_shift,
+              "coercivity": mat.coercivity},
     )

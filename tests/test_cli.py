@@ -261,6 +261,11 @@ def test_bad_sweep_angle_is_a_config_error(tmp_path, capsys):
     assert "sweep_angle" in capsys.readouterr().err
 
 
+def _task_edit(task, line):
+    """Config edit that switches the task to ``task`` and adds one parameter line."""
+    return ("solve-elliptic\n\n[parameters]", f"{task}\n\n[parameters]\n{line}")
+
+
 @pytest.mark.parametrize(
     "edit, argv, key",
     [
@@ -268,6 +273,16 @@ def test_bad_sweep_angle_is_a_config_error(tmp_path, capsys):
         (("n = 64", "n = 63"), [], "[problem] n"),
         (("directory =", "threads = -3\ndirectory ="), [], "[output] threads"),
         (None, ["--threads", "-3"], "[output] threads"),
+        (_task_edit("solve-elliptic", "s_set = 0,y"), [], "[parameters] s_set"),
+        (_task_edit("verify-conditions", "lambda_set = 1,foo"), [], "[parameters] lambda_set"),
+        (_task_edit("embedding-probe", "h_set = 0.5,z"), [], "[parameters] h_set"),
+        (_task_edit("convergence", "levels = 32,x,128"), [], "[parameters] levels"),
+        (_task_edit("bvp", "b2 = 1,q"), [], "[parameters] b2"),
+        (_task_edit("bvp", "b1 = 0;1"), [], "[parameters] b1"),
+        (_task_edit("bvp", "b0 = nope"), [], "[parameters] b0"),
+        (_task_edit("resolvent-sweep", "radii = 1,x"), [], "[parameters] radii"),
+        (_task_edit("resolvent-sweep", "radii = 1:2"), [], "[parameters] radii"),
+        (_task_edit("resolvent-sweep", "radii = a:b:3"), [], "[parameters] radii"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

@@ -1,5 +1,6 @@
 """Grids, transforms, norms, sectors."""
 
+import importlib
 import math
 
 import numpy as np
@@ -192,15 +193,13 @@ def test_sector():
         fs.Sector(-0.1)
     assert fs.Sector(0.0).contains(5.0)
     assert not fs.Sector(0.0).contains(5.0 + 1e-6j)
-
-
-def test_lebesgue_exponents():
-    fs.LebesgueExponents(2.0)
-    fs.LebesgueExponents(2.0, 4.0)
-    with pytest.raises(ValueError):
-        fs.LebesgueExponents(1.0)
-    with pytest.raises(ValueError):
-        fs.LebesgueExponents(2.0, math.inf)
+    # the narrowest sector around a given lambda
+    assert fs.Sector.enclosing(0.0).angle == 0.0
+    assert fs.Sector.enclosing(2.0).angle == 1e-12
+    assert fs.Sector.enclosing(1.0j).angle == math.pi / 2.0 + 1e-12
+    assert fs.Sector.enclosing(-1.0).angle == math.pi - 1e-9
+    for lam in (3.0, 1.0 + 2.0j, -1.0 - 1e-3j):
+        assert fs.Sector.enclosing(lam).contains(lam)
 
 
 def test_random_band_limited():
@@ -217,3 +216,57 @@ def test_random_band_limited():
     a = fs.random_band_limited(g, 1, rng)
     b = fs.random_band_limited(g, 1, rng)
     assert np.max(np.abs(a.values - b.values)) > 1e-3
+
+
+def test_export_surface_has_no_stale_entries():
+    layers = ("core", "fractional", "symbols", "elliptic", "parabolic", "bvp")
+    union = set()
+    for layer in layers:
+        mod = importlib.import_module(f"fracspec.{layer}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == [], (layer, missing)
+        assert len(set(mod.__all__)) == len(mod.__all__), layer
+        union |= set(mod.__all__)
+    assert len(set(fs.__all__)) == len(fs.__all__)
+    assert set(fs.__all__) == union | {"DEFAULT_SEED", "__version__"}
+    assert all(hasattr(fs, name) for name in fs.__all__)
+
+
+def test_one_transform_for_slices_and_stacks():
+    # (N, d) and (M, N, d) arrays share one implementation on axis -2, with
+    # the arithmetic of the per-axis formulas: h * fft * parity.
+    g = fs.SpatialGrid(5.0, 32)
+    rng = np.random.default_rng(8)
+    parity = g.spectral().parity
+    single = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+    stack = rng.standard_normal((3, 32, 2)) + 1j * rng.standard_normal((3, 32, 2))
+    f = fs.GridFunction(g, single)
+    np.testing.assert_array_equal(
+        fs.forward_transform(f).values, g.spacing * np.fft.fft(single, axis=0) * parity[:, None]
+    )
+    np.testing.assert_array_equal(
+        g.to_spectral(stack), g.spacing * np.fft.fft(stack, axis=1) * parity[None, :, None]
+    )
+    np.testing.assert_array_equal(
+        g.to_physical(stack), np.fft.ifft(stack * parity[None, :, None], axis=1) / g.spacing
+    )
+
+
+def test_apply_multiplier_scalar_and_stack():
+    g = fs.SpatialGrid(5.0, 32)
+    rng = np.random.default_rng(9)
+    u = fs.random_band_limited(g, 2, rng)
+    spec = fs.forward_transform(u)
+    xi = g.spectral().frequencies
+    # a scalar multiplier equals the same multiplier as a diagonal stack
+    scalar = np.exp(-(xi**2)) + 1j * xi
+    diag = scalar[:, None, None] * np.eye(2)
+    np.testing.assert_allclose(
+        fs.apply_multiplier(spec, scalar).values,
+        fs.apply_multiplier(spec, diag).values,
+        atol=1e-14,
+    )
+    # the constant symbol stack M acts as u -> u M^T in physical space
+    mat = rng.standard_normal((2, 2))
+    got = fs.apply_multiplier(spec, np.broadcast_to(mat, (32, 2, 2))).values
+    np.testing.assert_allclose(got, u.values @ mat.T, atol=1e-13)

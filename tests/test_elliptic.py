@@ -152,6 +152,23 @@ def test_resolvent_sweep_probes_are_lower_bounds():
     assert max(rep.probe_values) > 0.0
 
 
+def test_resolvent_sweep_refined_grid_entirely_singular():
+    # xi_k = k on [-pi, pi); Q = xi^2 - 26 + lambda vanishes at xi = +-5, a
+    # frequency only the refined N = 16 grid carries.
+    g = fs.SpatialGrid(math.pi, 8)
+    prob = make_problem(g, gamma=2.0, mat=np.array([[-26.0]]), sector_angle=0.0)
+    rep = fs.resolvent_sweep(prob, fs.Sector(0.0), radii=[1.0], angles=2)
+    assert all(math.isfinite(v) for v in rep.values)
+    assert rep.bound == max(rep.values)
+    assert rep.stable is False
+    assert rep.refinement_drift is None
+    assert [w.label for w in rep.witnesses] == ["singular-symbol"] * 2
+    for w in rep.witnesses:
+        assert abs(w.location["xi"]) == 5.0
+        assert w.location["lambda"] == 1.0
+        assert w.magnitude == math.inf
+
+
 def test_resolvent_sweep_threaded_matches_serial():
     g = fs.SpatialGrid(10.0, 32)
     prob = make_problem(g, gamma=1.5)

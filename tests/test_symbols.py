@@ -94,6 +94,16 @@ def test_operator_symbol_validation():
         fs.perturbed_operator(np.eye(2), np.eye(3))
 
 
+def test_smallest_singular_values_gate():
+    stack = np.array([np.diag([3.0, 2.0]), np.diag([4.0, 1e-15]), np.diag([5e-13, 1e-13])])
+    smin, bad = fs.smallest_singular_values(stack, 1e-14)
+    np.testing.assert_allclose(smin, [2.0, 1e-15, 1e-13])
+    # relative to max(largest, 1): 1e-15 <= 1e-14 * 4 fails, 1e-13 > 1e-14 * 1 passes
+    assert bad == 1
+    assert fs.smallest_singular_values(stack[[0, 2]], 1e-14)[1] is None
+    assert fs.smallest_singular_values(stack[[0, 2]], 1e-12)[1] == 1
+
+
 def test_sector_growth_constant_coefficient_diverges():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=1.5)
