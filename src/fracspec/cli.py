@@ -105,16 +105,44 @@ def _write_solution(path: Path, lead: list[str], lead_cols: list, values: np.nda
     _write_csv(path, header, cols)
 
 
+def _float_text(values) -> np.ndarray:
+    """The ``%.16e`` text of each value of a 1-D float array, as an object array."""
+    return np.array(["%.16e" % v for v in np.asarray(values, dtype=float).tolist()], dtype=object)
+
+
+def _product_lead(outer, inner) -> list:
+    """Lead columns of the grid ``outer`` x ``inner``, outer varying slowest.
+
+    Each distinct value is formatted once and its text repeated;
+    ``_write_csv`` writes text columns verbatim, so the bytes are those of
+    formatting every row.
+    """
+    outer_text, inner_text = _float_text(outer), _float_text(inner)
+    return [np.repeat(outer_text, inner_text.size), np.tile(inner_text, outer_text.size)]
+
+
 def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
-    times, points = u.times, u.grid.points
-    lead = [np.repeat(times, points.size), np.tile(points, times.size)]
-    _write_solution(path, ["t", "x"], lead, u.values)
+    _write_solution(path, ["t", "x"], _product_lead(u.times, u.grid.points), u.values)
 
 
 def _s_set(cfg: RunConfig, gamma: float) -> list[float]:
     if "s_set" not in cfg.sections.get("parameters", {}):
         return [0.0, gamma / 2.0, gamma]
     return cfg.get_list("parameters", "s_set", "")
+
+
+def _horizon(cfg: RunConfig) -> float:
+    horizon = cfg.get_float("parameters", "t", 1.0)
+    if not 0.0 < horizon < math.inf:
+        raise ConfigError(f"[parameters] t must be finite and positive, got {horizon}")
+    return horizon
+
+
+def _steps(cfg: RunConfig) -> int:
+    steps = cfg.get_int("parameters", "nt", 64)
+    if steps < 2:
+        raise ConfigError(f"[parameters] nt must be at least 2, got {steps}")
+    return steps
 
 
 class _Run:
@@ -183,8 +211,8 @@ def _task_solve_parabolic(run: _Run) -> bool:
     prob = build_problem(cfg)
     pprob = ParabolicProblem(
         core=prob,
-        horizon=cfg.get_float("parameters", "t", 1.0),
-        steps=cfg.get_int("parameters", "nt", 64),
+        horizon=_horizon(cfg),
+        steps=_steps(cfg),
     )
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
     scheme = cfg.get_str("parameters", "scheme", "exact")
@@ -345,7 +373,7 @@ def _task_bvp(run: _Run) -> bool:
     rep = solve_anisotropic(
         coeffs, prob.order, prob.a, lam, f, grid, p=cfg.get_float("parameters", "p", 2.0)
     )
-    lead = [np.repeat(grid.points, coeffs.mesh.size), np.tile(coeffs.mesh, grid.size)]
+    lead = _product_lead(grid.points, coeffs.mesh)
     _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
     failed = [] if ell.passed else [ell.name]
     run.report({"ellipticity": ell.to_jsonable(), "solve": rep.to_jsonable()}, failed)
@@ -368,8 +396,8 @@ def _task_system(run: _Run) -> bool:
         )
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     elif mode == "parabolic":
-        horizon = cfg.get_float("parameters", "t", 1.0)
-        steps = cfg.get_int("parameters", "nt", 64)
+        horizon = _horizon(cfg)
+        steps = _steps(cfg)
         times = np.linspace(0.0, horizon, steps + 1)
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
         rep = solve_system(
@@ -393,7 +421,7 @@ def _task_convergence(run: _Run) -> bool:
         raise ConfigError(f"[parameters] levels must be strictly increasing, got {levels}")
     scheme = cfg.get_str("parameters", "scheme", "crank-nicolson")
     prob = build_problem(cfg)
-    horizon = cfg.get_float("parameters", "t", 1.0)
+    horizon = _horizon(cfg)
 
     def final_state(steps: int, integrator: str) -> GridFunction:
         pprob = ParabolicProblem(core=prob, horizon=horizon, steps=steps)

@@ -51,6 +51,10 @@ __all__ = [
     "embedding_probe",
 ]
 
+# Default residual gate: ||(O + lambda) u - f||_2 <= tol * ||f||_2.
+_RESIDUAL_TOL = 1e-9
+
+
 class SolveError(RuntimeError):
     """A solve could not be completed or failed its residual gate."""
 
@@ -126,13 +130,20 @@ def solve_elliptic(
     f: GridFunction,
     lam: complex,
     p: float = 2.0,
-    residual_tol: float = 1e-9,
+    residual_tol: float = _RESIDUAL_TOL,
 ) -> SolveReport:
     """Solve (O + lambda) u = f by per-frequency division of the symbol.
 
     lambda must lie in the problem sector.  The physical-space residual
     must come in below ``residual_tol * ||f||_2`` or the solve is rejected.
     """
+    return _solve_with_spectrum(prob, f, lam, p, residual_tol)[0]
+
+
+def _solve_with_spectrum(
+    prob: EllipticProblem, f: GridFunction, lam: complex, p: float, residual_tol: float
+) -> tuple[SolveReport, SpectralFunction]:
+    """``solve_elliptic`` plus the transform of u its norm ledger was built from."""
     if f.grid != prob.grid:
         raise ValueError("grid mismatch between forcing and problem")
     if f.dim != prob.dim:
@@ -176,7 +187,7 @@ def solve_elliptic(
         term_norms=term_norms,
         coercive_ratio=None,
         meta={"lambda": lam, "p": p, "grid_size": prob.grid.size, "q_form": prob.q_form},
-    )
+    ), u_spec
 
 
 def _coercive_weights(gamma: float, lam: complex, s_set: Sequence[float]) -> list[float]:
@@ -206,18 +217,21 @@ def coercive_report(
         if not 0.0 <= s <= gamma:
             raise ValueError(f"probe order {s} outside [0, {gamma}]")
 
-    rep = solve_elliptic(prob, f, lam, p=p)
+    rep, u_spec = _solve_with_spectrum(prob, f, lam, p, _RESIDUAL_TOL)
     u = rep.solution
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
     xi = prob.grid.spectral().frequencies
-    u_spec = forward_transform(u)
     term_norms = dict(rep.term_norms)
     conv_sum = 0.0
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
         frac = frac_power_i_xi(xi, s)
-        n_conv = lp_norm(apply_multiplier(u_spec, prob.a(xi) * frac), p)
+        if s == gamma:
+            # the solve's ledger already holds a*D^gamma u
+            n_conv = rep.term_norms[f"a*D^{s:g} u"]
+        else:
+            n_conv = lp_norm(apply_multiplier(u_spec, prob.a(xi) * frac), p)
         n_plain = lp_norm(apply_multiplier(u_spec, frac), p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain

@@ -4,11 +4,21 @@ import json
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fracspec.cli import CSV_BLOCK_ROWS, _write_csv, main
+from fracspec.bvp import BVPCoefficients
+from fracspec.cli import (
+    CSV_BLOCK_ROWS,
+    _product_lead,
+    _write_csv,
+    _write_solution,
+    _write_space_time_solution,
+    main,
+)
+from fracspec.core import SpatialGrid
 
 BASE = """\
 [problem]
@@ -283,6 +293,15 @@ def _task_edit(task, line):
         (_task_edit("resolvent-sweep", "radii = 1,x"), [], "[parameters] radii"),
         (_task_edit("resolvent-sweep", "radii = 1:2"), [], "[parameters] radii"),
         (_task_edit("resolvent-sweep", "radii = a:b:3"), [], "[parameters] radii"),
+        (_task_edit("solve-parabolic", "t = inf"), [], "[parameters] t"),
+        (_task_edit("solve-parabolic", "t = -1"), [], "[parameters] t"),
+        (_task_edit("solve-parabolic", "t = nan"), [], "[parameters] t"),
+        (_task_edit("solve-parabolic", "nt = 1"), [], "[parameters] nt"),
+        (_task_edit("system", "mode = parabolic\nt = inf"), [], "[parameters] t"),
+        (_task_edit("system", "mode = parabolic\nt = nan"), [], "[parameters] t"),
+        (_task_edit("system", "mode = parabolic\nnt = 1"), [], "[parameters] nt"),
+        (_task_edit("convergence", "t = inf"), [], "[parameters] t"),
+        (_task_edit("convergence", "t = -1"), [], "[parameters] t"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -340,3 +359,51 @@ def test_write_csv_checks_column_lengths_before_opening(tmp_path):
     with pytest.raises(ValueError, match="unequal shapes"):
         _write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
     assert not path.exists()
+
+
+def _oracle_rows(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join("%.16e" % v for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _hostile_lead(rng, size):
+    """``size`` lead values, led by -0.0, nan, +-inf, the smallest subnormal and a negative."""
+    vals = rng.standard_normal(size)
+    vals[:6] = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -7.25]
+    return vals
+
+
+@pytest.mark.parametrize("layout, dim", [("t,x", 1), ("t,x", 2), ("x,y", 1)])
+def test_product_lead_solution_matches_per_row_oracle(tmp_path, layout, dim):
+    rng = np.random.default_rng(dim)
+    outer = _hostile_lead(rng, 7)
+    inner = _hostile_lead(rng, CSV_BLOCK_ROWS // 3 + 5)
+    # some block boundary falls inside a slice of the outer value
+    assert CSV_BLOCK_ROWS % inner.size != 0 and outer.size * inner.size > 2 * CSV_BLOCK_ROWS
+    shape = (outer.size, inner.size, dim)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    path = tmp_path / "solution.csv"
+    if layout == "t,x":
+        u = SimpleNamespace(times=outer, grid=SimpleNamespace(points=inner), values=values)
+        _write_space_time_solution(path, u)
+    else:
+        _write_solution(path, ["x", "y"], _product_lead(outer, inner), values)
+    names = ["u"] if dim == 1 else [f"u_{c + 1}" for c in range(dim)]
+    header = layout.split(",") + [f"{part}_{n}" for n in names for part in ("re", "im")]
+    rows = [
+        [a, b] + [part for z in values[i, j] for part in (z.real, z.imag)]
+        for i, a in enumerate(outer)
+        for j, b in enumerate(inner)
+    ]
+    assert path.read_bytes() == _oracle_rows(header, rows)
+
+
+def test_bvp_lead_columns_are_x_slowest(tmp_path):
+    ini, out = _write_ini(tmp_path, "bvp", gamma="2.0", params="mesh_size = 67")
+    assert main(["--config", str(ini)]) == 0
+    lines = (out / "solution.csv").read_text().splitlines()[1:]
+    points = SpatialGrid(half_width=10.0, size=64).points
+    mesh = BVPCoefficients(b2=np.ones_like, b1=np.zeros_like, b0=np.zeros_like, mesh_size=67).mesh
+    assert [line.split(",")[:2] for line in lines] == [
+        ["%.16e" % x, "%.16e" % y] for x in points for y in mesh
+    ]
