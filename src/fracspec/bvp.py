@@ -14,7 +14,7 @@ cross-section norm is the h_y-weighted Euclidean norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,15 +197,7 @@ def check_ellipticity(
         passed=not witnesses,
         constants={"min_normalized": best},
         witnesses=tuple(witnesses),
-        meta={
-            "argmin": {
-                "y": best_at["y"],
-                "sigma": {"re": best_at["sigma"].real, "im": best_at["sigma"].imag},
-                "xi": best_at["xi"],
-            },
-            "phi0": phi0.angle,
-            "mesh_size": coeffs.mesh_size,
-        },
+        meta={"argmin": best_at, "phi0": phi0.angle, "mesh_size": coeffs.mesh_size},
     )
 
 
@@ -278,21 +270,15 @@ def solve_anisotropic(
         terms[f"Dy^{b} u"] = val
         lhs += val
     f_norm = sqrt_hy * lp_norm(f, p)
-
-    meta = dict(rep.meta)
-    meta.update(
-        {
+    return replace(
+        rep,
+        term_norms=terms,
+        coercive_ratio=lhs / f_norm if f_norm > 0.0 else math.inf,
+        meta={
+            **rep.meta,
             "mesh_size": coeffs.mesh_size,
             "mesh_spacing": hy,
             "forcing_norm": f_norm,
             "s_set": list(s_set),
-        }
-    )
-    return SolveReport(
-        solution=u,
-        residual=rep.residual,
-        residual_rel=rep.residual_rel,
-        term_norms=terms,
-        coercive_ratio=lhs / f_norm if f_norm > 0.0 else math.inf,
-        meta=meta,
+        },
     )

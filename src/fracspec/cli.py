@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import BVPCoefficients, check_ellipticity, solve_anisotropic
-from .config import ConfigError, RunConfig, build_forcing, build_problem, parse_matrix
+from .config import ConfigError, RunConfig, build_forcing, build_problem
 from .core import (
     DEFAULT_SEED,
     GridFunction,
@@ -35,11 +35,11 @@ from .elliptic import (
     separability_check,
 )
 from .parabolic import (
+    SCHEMES,
     ParabolicProblem,
     SystemMatrix,
     parabolic_coercive_report,
     solve_parabolic,
-    solve_parabolic_stepped,
     solve_system,
 )
 from .symbols import (
@@ -131,10 +131,15 @@ def _s_set(cfg: RunConfig, gamma: float) -> list[float]:
     return cfg.get_list("parameters", "s_set", "")
 
 
-def _horizon(cfg: RunConfig) -> float:
+def _horizon(cfg: RunConfig, steps: int) -> float:
+    """``[parameters] t``, finite and positive, whose time step over ``steps`` is normal."""
     horizon = cfg.get_float("parameters", "t", 1.0)
     if not 0.0 < horizon < math.inf:
         raise ConfigError(f"[parameters] t must be finite and positive, got {horizon}")
+    if horizon / steps < sys.float_info.min:
+        raise ConfigError(
+            f"[parameters] t = {horizon} over {steps} steps gives a subnormal time step"
+        )
     return horizon
 
 
@@ -143,6 +148,15 @@ def _steps(cfg: RunConfig) -> int:
     if steps < 2:
         raise ConfigError(f"[parameters] nt must be at least 2, got {steps}")
     return steps
+
+
+def _scheme(cfg: RunConfig, default: str) -> str:
+    scheme = cfg.get_str("parameters", "scheme", default)
+    if scheme not in SCHEMES:
+        raise ConfigError(
+            f"[parameters] scheme must be one of {', '.join(SCHEMES)}, got {scheme!r}"
+        )
+    return scheme
 
 
 class _Run:
@@ -209,17 +223,10 @@ def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTime
 def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    pprob = ParabolicProblem(
-        core=prob,
-        horizon=_horizon(cfg),
-        steps=_steps(cfg),
-    )
+    steps = _steps(cfg)
+    pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
-    scheme = cfg.get_str("parameters", "scheme", "exact")
-    if scheme == "exact":
-        u = solve_parabolic(pprob, f)
-    else:
-        u = solve_parabolic_stepped(pprob, f, scheme=scheme)
+    u = solve_parabolic(pprob, f, _scheme(cfg, "exact"))
     rep = parabolic_coercive_report(
         pprob,
         f,
@@ -382,7 +389,11 @@ def _task_bvp(run: _Run) -> bool:
 
 def _task_system(run: _Run) -> bool:
     cfg = run.cfg
-    mat = SystemMatrix(parse_matrix(cfg.get_str("parameters", "matrix", "1")))
+    entries = cfg.get_matrix("parameters", "matrix", "1")
+    try:
+        mat = SystemMatrix(entries)
+    except ValueError as exc:
+        raise ConfigError(f"[parameters] matrix: {exc}") from exc
     prob = build_problem(cfg)
     lam = cfg.get_complex("parameters", "lambda", 1.0 + 0.0j)
     mode = cfg.get_str("parameters", "mode", "elliptic")
@@ -396,8 +407,8 @@ def _task_system(run: _Run) -> bool:
         )
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     elif mode == "parabolic":
-        horizon = _horizon(cfg)
         steps = _steps(cfg)
+        horizon = _horizon(cfg, steps)
         times = np.linspace(0.0, horizon, steps + 1)
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
         rep = solve_system(
@@ -419,19 +430,17 @@ def _task_convergence(run: _Run) -> bool:
         raise ConfigError(f"[parameters] levels needs at least 3 entries, got {levels}")
     if sorted(levels) != levels or len(set(levels)) != len(levels):
         raise ConfigError(f"[parameters] levels must be strictly increasing, got {levels}")
-    scheme = cfg.get_str("parameters", "scheme", "crank-nicolson")
+    if levels[0] < 2:
+        raise ConfigError(f"[parameters] levels entries must be at least 2, got {levels}")
+    scheme = _scheme(cfg, "crank-nicolson")
     prob = build_problem(cfg)
-    horizon = _horizon(cfg)
+    horizon = _horizon(cfg, levels[-1])
 
     def final_state(steps: int, integrator: str) -> GridFunction:
         pprob = ParabolicProblem(core=prob, horizon=horizon, steps=steps)
         rng = np.random.default_rng(run.seed)
         f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, rng)
-        if integrator == "exact":
-            u = solve_parabolic(pprob, f)
-        else:
-            u = solve_parabolic_stepped(pprob, f, scheme=integrator)
-        return u.slice_at(pprob.steps)
+        return solve_parabolic(pprob, f, integrator).slice_at(pprob.steps)
 
     reference = final_state(levels[-1], "exact")
     errors = []

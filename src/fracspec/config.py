@@ -56,9 +56,12 @@ def parse_complex(text: str) -> complex:
 def parse_matrix(text: str) -> np.ndarray:
     rows = [r for r in text.strip().split(";") if r.strip()]
     try:
-        mat = np.array([[parse_complex(c) for c in row.split(",")] for row in rows])
+        cells = [[parse_complex(c) for c in row.split(",")] for row in rows]
     except ConfigError as exc:
         raise ConfigError(f"cannot parse matrix from {text!r}") from exc
+    if len({len(row) for row in cells}) > 1:
+        raise ConfigError(f"matrix {text!r} has rows of unequal length")
+    mat = np.array(cells)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"matrix {text!r} is not square")
     if np.all(mat.imag == 0.0):
@@ -159,6 +162,14 @@ class RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
+    def get_matrix(self, section: str, key: str, default: str | None = None) -> np.ndarray:
+        """Square matrix written as rows "a,b;c,d" (see :func:`parse_matrix`)."""
+        text = self.get_str(section, key, default)
+        try:
+            return parse_matrix(text)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
     def get_list(
         self, section: str, key: str, default: str, cast=float, log_range: bool = False
     ) -> list:
@@ -206,18 +217,19 @@ def build_coefficient(cfg: RunConfig, gamma: float) -> CoefficientSymbol:
 
 def build_operator(cfg: RunConfig) -> OperatorSymbol:
     family = cfg.get_str("problem", "a_op_family", "constant")
-    mat = parse_matrix(cfg.get_str("problem", "a_op_matrix", "1"))
+    mat = cfg.get_matrix("problem", "a_op_matrix", "1")
+    if family == "perturbed":
+        bump = cfg.get_matrix("problem", "a_op_perturbation")
+    elif family != "constant":
+        raise ConfigError(
+            f"[problem] a_op_family must be 'constant' or 'perturbed', got {family!r}"
+        )
     try:
         if family == "constant":
             return constant_operator(mat)
-        if family == "perturbed":
-            bump = parse_matrix(cfg.get_str("problem", "a_op_perturbation"))
-            return perturbed_operator(mat, bump)
+        return perturbed_operator(mat, bump)
     except ValueError as exc:
         raise ConfigError(f"[problem] operator symbol: {exc}") from exc
-    raise ConfigError(
-        f"[problem] a_op_family must be 'constant' or 'perturbed', got {family!r}"
-    )
 
 
 def build_problem(cfg: RunConfig) -> EllipticProblem:
@@ -226,18 +238,20 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
         sector = Sector(cfg.get_float("problem", "sector_angle", math.pi / 4.0))
     except ValueError as exc:
         raise ConfigError(f"[problem] sector_angle: {exc}") from exc
-    q_form = cfg.get_str("problem", "q_form", "unfactored")
+    a = build_coefficient(cfg, order.gamma)
+    op = build_operator(cfg)
+    grid = build_grid(cfg)
     try:
         return EllipticProblem(
             order=order,
-            a=build_coefficient(cfg, order.gamma),
-            A=build_operator(cfg),
+            a=a,
+            A=op,
             sector=sector,
-            grid=build_grid(cfg),
-            q_form=q_form,
+            grid=grid,
+            q_form=cfg.get_str("problem", "q_form", "unfactored"),
         )
     except ValueError as exc:
-        raise ConfigError(f"[problem]: {exc}") from exc
+        raise ConfigError(f"[problem] q_form: {exc}") from exc
 
 
 def build_forcing(

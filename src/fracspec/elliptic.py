@@ -12,7 +12,7 @@ division alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +33,8 @@ from .fractional import frac_power_i_xi, matrix_fractional_power
 from .symbols import (
     ConditionReport,
     EllipticProblem,
+    JsonRecord,
     Witness,
-    _json_value,
     q_matrices,
     smallest_singular_values,
 )
@@ -60,28 +60,20 @@ class SolveError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class SolveReport:
-    """Solution plus the norms the estimates are phrased in."""
+class SolveReport(JsonRecord):
+    """Solution plus the norms the estimates are phrased in; the JSON form
+    leaves the solution out."""
 
-    solution: object  # GridFunction or SpaceTimeFunction
+    solution: object = field(metadata={"json": False})  # GridFunction or SpaceTimeFunction
     residual: float
     residual_rel: float
     term_norms: dict
     coercive_ratio: float | None
     meta: dict
 
-    def to_jsonable(self) -> dict:
-        return {
-            "residual": self.residual,
-            "residual_rel": self.residual_rel,
-            "term_norms": _json_value(self.term_norms),
-            "coercive_ratio": self.coercive_ratio,
-            "meta": _json_value(self.meta),
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class SectorialityReport:
+class SectorialityReport(JsonRecord):
     """Per-lambda operator norms of lambda (O + lambda)^{-1} over a sector lattice."""
 
     lambdas: tuple
@@ -96,18 +88,6 @@ class SectorialityReport:
     def __post_init__(self) -> None:
         if any(v > self.bound * (1.0 + 1e-12) for v in self.values):
             raise ValueError("per-lambda values must not exceed the reported bound")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "lambdas": _json_value(list(self.lambdas)),
-            "values": list(self.values),
-            "probe_values": None if self.probe_values is None else list(self.probe_values),
-            "bound": self.bound,
-            "refinement_drift": self.refinement_drift,
-            "stable": self.stable,
-            "witnesses": [w.to_jsonable() for w in self.witnesses],
-            "meta": _json_value(self.meta),
-        }
 
 
 def apply_operator(prob: EllipticProblem, u: GridFunction) -> GridFunction:
@@ -218,7 +198,6 @@ def coercive_report(
             raise ValueError(f"probe order {s} outside [0, {gamma}]")
 
     rep, u_spec = _solve_with_spectrum(prob, f, lam, p, _RESIDUAL_TOL)
-    u = rep.solution
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
     xi = prob.grid.spectral().frequencies
@@ -242,22 +221,17 @@ def coercive_report(
     plain_sum += op_norm
 
     f_norm = lp_norm(f, p)
-    meta = dict(rep.meta)
-    meta.update(
-        {
+    return replace(
+        rep,
+        term_norms=term_norms,
+        coercive_ratio=conv_sum / f_norm if f_norm > 0.0 else math.inf,
+        meta={
+            **rep.meta,
             "s_set": list(s_set),
             "weights": weights,
             "plain_form_ratio": plain_sum / f_norm if f_norm > 0.0 else math.inf,
             "forcing_norm": f_norm,
-        }
-    )
-    return SolveReport(
-        solution=u,
-        residual=rep.residual,
-        residual_rel=rep.residual_rel,
-        term_norms=term_norms,
-        coercive_ratio=conv_sum / f_norm if f_norm > 0.0 else math.inf,
-        meta=meta,
+        },
     )
 
 

@@ -5,7 +5,8 @@ piecewise linear in t on each step, evaluated through the matrix
 exponential of a block-augmented matrix (one 3d x 3d exponential per
 frequency); it is exact for forcing data that is genuinely piecewise
 linear in time, and second-order for smooth data.  Implicit Euler and
-Crank-Nicolson steppers exist for cross-validation of convergence orders.
+Crank-Nicolson steppers, selected through the same entry point, exist for
+cross-validation of convergence orders.
 
 The coupled-system entry point wraps a constant SPD coupling matrix as an
 operator symbol after gating on symmetry and positive definiteness.
@@ -40,12 +41,11 @@ __all__ = [
     "ParabolicProblem",
     "SystemMatrix",
     "solve_parabolic",
-    "solve_parabolic_stepped",
     "parabolic_coercive_report",
     "solve_system",
 ]
 
-SCHEMES = ("implicit-euler", "crank-nicolson")
+SCHEMES = ("exact", "implicit-euler", "crank-nicolson")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,46 +114,34 @@ def _step_matrices(q0: np.ndarray, dt: float):
     return e, p1, p2
 
 
-def solve_parabolic(prob: ParabolicProblem, f: SpaceTimeFunction) -> SpaceTimeFunction:
-    """Variation-of-constants evolution of u_t + O u = f, u(0) = 0.
-
-    Exact (to rounding) when f is piecewise linear on the time grid, in
-    particular for forcing constant in t.
-    """
-    _check_forcing(prob, f)
-    q0 = _dissipative_gate(prob)
-    dt = prob.horizon / prob.steps
-    e, p1, p2 = _step_matrices(q0, dt)
-    fhat = prob.core.grid.to_spectral(f.values)
-
-    uhat = np.zeros_like(fhat)
-    for m in range(prob.steps):
-        df = fhat[m + 1] - fhat[m]
-        uhat[m + 1] = (
-            np.einsum("kij,kj->ki", e, uhat[m])
-            + dt * (np.einsum("kij,kj->ki", p1, fhat[m]) + np.einsum("kij,kj->ki", p2, df))
-        )
-    return SpaceTimeFunction(prob.core.grid, prob.times, prob.core.grid.to_physical(uhat))
-
-
-def solve_parabolic_stepped(
-    prob: ParabolicProblem, f: SpaceTimeFunction, scheme: str
+def solve_parabolic(
+    prob: ParabolicProblem, f: SpaceTimeFunction, scheme: str = "exact"
 ) -> SpaceTimeFunction:
-    """One-step theta-type schemes for cross-validation.
+    """Evolve u_t + O u = f, u(0) = 0 over the problem's uniform time grid.
 
-    "implicit-euler" is first order, "crank-nicolson" second order.
+    "exact" is variation of constants, exact (to rounding) when f is
+    piecewise linear on the time grid, in particular for forcing constant
+    in t.  The one-step cross-checks "implicit-euler" (first order) and
+    "crank-nicolson" (second order) serve convergence-order validation.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     _check_forcing(prob, f)
     q0 = _dissipative_gate(prob)
     dt = prob.horizon / prob.steps
-    n, d, _ = q0.shape
-    eye = np.eye(d)[None, :, :]
     fhat = prob.core.grid.to_spectral(f.values)
     uhat = np.zeros_like(fhat)
+    eye = np.eye(q0.shape[1])[None, :, :]
 
-    if scheme == "implicit-euler":
+    if scheme == "exact":
+        e, p1, p2 = _step_matrices(q0, dt)
+        for m in range(prob.steps):
+            df = fhat[m + 1] - fhat[m]
+            uhat[m + 1] = (
+                np.einsum("kij,kj->ki", e, uhat[m])
+                + dt * (np.einsum("kij,kj->ki", p1, fhat[m]) + np.einsum("kij,kj->ki", p2, df))
+            )
+    elif scheme == "implicit-euler":
         step = np.linalg.inv(eye + dt * q0)
         for m in range(prob.steps):
             rhs = uhat[m] + dt * fhat[m + 1]

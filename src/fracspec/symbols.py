@@ -11,7 +11,7 @@ of range) raise ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,6 +23,7 @@ __all__ = [
     "CoefficientSymbol",
     "OperatorSymbol",
     "EllipticProblem",
+    "JsonRecord",
     "Witness",
     "ConditionReport",
     "constant_coefficient",
@@ -42,8 +43,17 @@ _FD_STEP = 1e-5  # central-difference step is _FD_STEP * max(1, |xi|)
 
 
 def _json_value(v):
+    """JSON-ready copy of ``v``: complex as {"re", "im"}, numpy scalars and
+    arrays as Python values, and a dataclass instance as a dict of its
+    fields, skipping any field declared with ``metadata={"json": False}``."""
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
+    if is_dataclass(v) and not isinstance(v, type):
+        return {
+            f.name: _json_value(getattr(v, f.name))
+            for f in fields(v)
+            if f.metadata.get("json", True)
+        }
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     if isinstance(v, np.ndarray):
@@ -55,24 +65,24 @@ def _json_value(v):
     return v
 
 
+class JsonRecord:
+    """Base of the result dataclasses: ``to_jsonable`` encodes their fields."""
+
+    def to_jsonable(self) -> dict:
+        return _json_value(self)
+
+
 @dataclass(frozen=True)
-class Witness:
+class Witness(JsonRecord):
     """A single located violation: where, and by how much."""
 
     label: str
     location: dict
     magnitude: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "location": _json_value(self.location),
-            "magnitude": float(self.magnitude),
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class ConditionReport:
+class ConditionReport(JsonRecord):
     """Outcome of one admissibility check.
 
     ``passed`` is true exactly when ``witnesses`` is empty; empirical
@@ -88,15 +98,6 @@ class ConditionReport:
     def __post_init__(self) -> None:
         if self.passed != (len(self.witnesses) == 0):
             raise ValueError("a report passes exactly when it has no witnesses")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "constants": _json_value(self.constants),
-            "witnesses": [w.to_jsonable() for w in self.witnesses],
-            "meta": _json_value(self.meta),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,5 +519,5 @@ def scalar_inequality_suite(
             "weighted_product_max_quotient": float((lhs / rhs).max()),
         },
         witnesses=tuple(witnesses),
-        meta={"argmin": _json_value(arg), "samples": int(samples), "seed": int(seed)},
+        meta={"argmin": arg, "samples": int(samples), "seed": int(seed)},
     )

@@ -227,7 +227,7 @@ def test_criterion_08_parabolic_schemes():
                 np.ones(steps + 1)[:, None] * np.exp(-g.points**2)[None, :],
             )
             ref = fs.solve_parabolic(pprob, f)  # exact for constant forcing
-            u = fs.solve_parabolic_stepped(pprob, f, scheme)
+            u = fs.solve_parabolic(pprob, f, scheme)
             errs.append(np.max(np.abs(u.values[-1] - ref.values[-1])))
         fit = np.polyfit(np.log2([32, 64, 128, 256]), np.log2(errs), 1)
         slopes[scheme] = -fit[0]

@@ -276,6 +276,14 @@ def _task_edit(task, line):
     return ("solve-elliptic\n\n[parameters]", f"{task}\n\n[parameters]\n{line}")
 
 
+_PERTURBED = "a_op_family = perturbed\na_op_matrix = 2,1;1,2\na_op_perturbation = "
+
+
+def _problem_edit(lines):
+    """Config edit that adds ``lines`` to the [problem] section."""
+    return ("n = 64", f"n = 64\n{lines}")
+
+
 @pytest.mark.parametrize(
     "edit, argv, key",
     [
@@ -302,6 +310,23 @@ def _task_edit(task, line):
         (_task_edit("system", "mode = parabolic\nnt = 1"), [], "[parameters] nt"),
         (_task_edit("convergence", "t = inf"), [], "[parameters] t"),
         (_task_edit("convergence", "t = -1"), [], "[parameters] t"),
+        (_problem_edit("a_family = foo"), [], "[problem] a_family"),
+        (_problem_edit("a_op_matrix = 0"), [], "[problem] operator symbol"),
+        (_problem_edit("q_form = sideways"), [], "[problem] q_form"),
+        (_task_edit("solve-parabolic", "scheme = leapfrog"), [], "[parameters] scheme"),
+        (_task_edit("convergence", "scheme = leapfrog"), [], "[parameters] scheme"),
+        (_task_edit("convergence", "levels = 1,2,4"), [], "[parameters] levels"),
+        (_task_edit("solve-parabolic", "t = 1e-310\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("system", "mode = parabolic\nt = 1e-310\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("convergence", "t = 1e-310"), [], "[parameters] t"),
+        (_task_edit("system", "matrix = 1,2;3"), [], "[parameters] matrix"),
+        (_task_edit("system", "matrix = 1,2"), [], "[parameters] matrix"),
+        (_task_edit("system", "matrix = 1,2;3,4"), [], "[parameters] matrix"),
+        (_task_edit("system", "matrix = 1,0;0,-1"), [], "[parameters] matrix"),
+        (_problem_edit("a_op_matrix = 1,2;3"), [], "[problem] a_op_matrix"),
+        (_problem_edit("a_op_matrix = 1,2"), [], "[problem] a_op_matrix"),
+        (_problem_edit(_PERTURBED + "1,2;3"), [], "[problem] a_op_perturbation"),
+        (_problem_edit(_PERTURBED + "1,2"), [], "[problem] a_op_perturbation"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -313,7 +338,7 @@ def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
         assert main(["--config", str(ini), *argv]) == 1
     assert caught == []
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and key in err
+    assert err.count("\n") == 1 and err.startswith("error: " + key)
     assert not (out / "report.json").exists()
 
 

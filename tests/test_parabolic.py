@@ -24,7 +24,7 @@ def test_zero_forcing_stays_zero():
     f = fs.SpaceTimeFunction(g, prob.times, np.zeros((9, 32)))
     assert np.all(fs.solve_parabolic(prob, f).values == 0.0)
     for scheme in ("implicit-euler", "crank-nicolson"):
-        assert np.all(fs.solve_parabolic_stepped(prob, f, scheme).values == 0.0)
+        assert np.all(fs.solve_parabolic(prob, f, scheme).values == 0.0)
 
 
 def test_initial_slice_is_zero():
@@ -82,7 +82,7 @@ def test_scheme_convergence_order(scheme, order):
     for steps in (64, 128, 256, 512):
         prob = fs.ParabolicProblem(core, horizon, steps)
         f = _profiled(g, prob.times, np.sin(prob.times), phi)
-        u = fs.solve_parabolic_stepped(prob, f, scheme)
+        u = fs.solve_parabolic(prob, f, scheme)
         want = _sine_reference(g, prob.times, phi, 2.0)
         errs.append(np.max(np.abs(u.values[-1, :, 0] - want[-1])))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -116,7 +116,7 @@ def test_causality_of_ramp_forcing():
     assert np.all(u.values[: m0 + 1] == 0.0)
     assert np.max(np.abs(u.values[m0 + 1 :])) > 0.0
     for scheme in ("implicit-euler", "crank-nicolson"):
-        v = fs.solve_parabolic_stepped(prob, f, scheme)
+        v = fs.solve_parabolic(prob, f, scheme)
         assert np.all(v.values[: m0 + 1] == 0.0)
 
 
@@ -186,7 +186,7 @@ def test_problem_and_forcing_validations():
         fs.solve_parabolic(prob, wrong_times)
     ok = fs.SpaceTimeFunction(g, prob.times, np.ones((9, 32)))
     with pytest.raises(ValueError, match="unknown scheme"):
-        fs.solve_parabolic_stepped(prob, ok, "leapfrog")
+        fs.solve_parabolic(prob, ok, "leapfrog")
 
 
 def test_system_matrix_gates():

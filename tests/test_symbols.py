@@ -247,3 +247,15 @@ def test_condition_report_invariant_and_json():
     rep = fs.ConditionReport(name="x", passed=False, constants={"C": 1.0}, witnesses=(w,), meta={})
     blob = json.dumps(rep.to_jsonable(), sort_keys=True)
     assert '"im": 2.0' in blob and '"re": 1.0' in blob
+    solve = fs.SolveReport(
+        solution=fs.GridFunction(fs.SpatialGrid(5.0, 8), np.ones(8)),
+        residual=0.0,
+        residual_rel=0.0,
+        term_norms={"A*u": 1.0},
+        coercive_ratio=None,
+        meta={"lambda": 2.0 - 3.0j},
+    )
+    enc = solve.to_jsonable()
+    assert "solution" not in enc
+    assert enc["meta"] == {"lambda": {"re": 2.0, "im": -3.0}}
+    assert enc["term_norms"] == {"A*u": 1.0} and enc["coercive_ratio"] is None
