@@ -10,6 +10,7 @@ Unix, and random draws come from a seeded generator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -143,6 +144,15 @@ def _horizon(cfg: RunConfig, steps: int) -> float:
     return horizon
 
 
+@contextlib.contextmanager
+def _horizon_overflow(horizon: float):
+    """Name ``[parameters] t`` when its time step overflows a parabolic solve."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(f"[parameters] t = {horizon}: {exc}") from exc
+
+
 def _steps(cfg: RunConfig) -> int:
     steps = cfg.get_int("parameters", "nt", 64)
     if steps < 2:
@@ -226,7 +236,8 @@ def _task_solve_parabolic(run: _Run) -> bool:
     steps = _steps(cfg)
     pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
-    u = solve_parabolic(pprob, f, _scheme(cfg, "exact"))
+    with _horizon_overflow(pprob.horizon):
+        u = solve_parabolic(pprob, f, _scheme(cfg, "exact"))
     rep = parabolic_coercive_report(
         pprob,
         f,
@@ -411,11 +422,12 @@ def _task_system(run: _Run) -> bool:
         horizon = _horizon(cfg, steps)
         times = np.linspace(0.0, horizon, steps + 1)
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
-        rep = solve_system(
-            mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
-            horizon=horizon, steps=steps, literal_shift=literal, p=p,
-            p1=cfg.get_float("parameters", "p1", 2.0),
-        )
+        with _horizon_overflow(horizon):
+            rep = solve_system(
+                mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
+                horizon=horizon, steps=steps, literal_shift=literal, p=p,
+                p1=cfg.get_float("parameters", "p1", 2.0),
+            )
         _write_space_time_solution(run.out / "solution.csv", rep.solution)
     else:
         raise ConfigError(f"[parameters] mode must be 'elliptic' or 'parabolic', got {mode!r}")
@@ -440,7 +452,9 @@ def _task_convergence(run: _Run) -> bool:
         pprob = ParabolicProblem(core=prob, horizon=horizon, steps=steps)
         rng = np.random.default_rng(run.seed)
         f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, rng)
-        return solve_parabolic(pprob, f, integrator).slice_at(pprob.steps)
+        with _horizon_overflow(horizon):
+            u = solve_parabolic(pprob, f, integrator)
+        return u.slice_at(pprob.steps)
 
     reference = final_state(levels[-1], "exact")
     errors = []

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     GridFunction,
@@ -95,6 +94,17 @@ def _dissipative_gate(prob: ParabolicProblem) -> np.ndarray:
     return q0
 
 
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential, by ``scipy.linalg.expm``.
+
+    scipy is imported here, on the first call, so that importing fracspec
+    (and every task that never integrates exactly in time) does not load it.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(m)
+
+
 def _step_matrices(q0: np.ndarray, dt: float):
     """Per-frequency e^Z, phi1(Z), phi2(Z) for Z = -dt*Q via one augmented expm."""
     n, d, _ = q0.shape
@@ -123,6 +133,8 @@ def solve_parabolic(
     piecewise linear on the time grid, in particular for forcing constant
     in t.  The one-step cross-checks "implicit-euler" (first order) and
     "crank-nicolson" (second order) serve convergence-order validation.
+    Raises ``OverflowError`` when the step is so long that the spectral
+    solution is not finite.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -152,6 +164,13 @@ def solve_parabolic(
         for m in range(prob.steps):
             rhs = np.einsum("kij,kj->ki", fwd, uhat[m]) + 0.5 * dt * (fhat[m] + fhat[m + 1])
             uhat[m + 1] = np.einsum("kij,kj->ki", back, rhs)
+    # Free the forcing spectrum before the inverse transform allocates its
+    # output, so the two never sit on the heap together.
+    del fhat
+    if not np.isfinite(uhat).all():
+        raise OverflowError(
+            f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
+        )
     return SpaceTimeFunction(prob.core.grid, prob.times, prob.core.grid.to_physical(uhat))
 
 
@@ -218,14 +237,17 @@ def parabolic_coercive_report(
 class SystemMatrix:
     """Constant real coupling matrix, gated on symmetry and positive definiteness.
 
-    Construction fails unless the matrix is symmetric to 1e-12 and its
-    smallest eigenvalue (the coercivity constant) is positive.
+    Construction fails unless the matrix is real, symmetric to 1e-12 and
+    its smallest eigenvalue (the coercivity constant) is positive.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
+        a = np.asarray(self.entries)
+        if (a.imag != 0.0).any():
+            raise ValueError("coupling matrix must be real, got a nonzero imaginary part")
+        a = np.asarray(a.real, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {a.shape}")
         scale = max(1.0, float(np.max(np.abs(a))))

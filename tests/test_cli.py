@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import fracspec
 from fracspec.bvp import BVPCoefficients
 from fracspec.cli import (
     CSV_BLOCK_ROWS,
@@ -327,6 +330,13 @@ def _problem_edit(lines):
         (_problem_edit("a_op_matrix = 1,2"), [], "[problem] a_op_matrix"),
         (_problem_edit(_PERTURBED + "1,2;3"), [], "[problem] a_op_perturbation"),
         (_problem_edit(_PERTURBED + "1,2"), [], "[problem] a_op_perturbation"),
+        (_task_edit("system", "matrix = 1+1j"), [], "[parameters] matrix"),
+        (_task_edit("solve-parabolic", "t = 1e40\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("solve-parabolic", "t = 1e300\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("system", "mode = parabolic\nt = 1e40\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("system", "mode = parabolic\nt = 1e300\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("convergence", "t = 1e40"), [], "[parameters] t"),
+        (_task_edit("convergence", "t = 1e300"), [], "[parameters] t"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -432,3 +442,19 @@ def test_bvp_lead_columns_are_x_slowest(tmp_path):
     assert [line.split(",")[:2] for line in lines] == [
         ["%.16e" % x, "%.16e" % y] for x in points for y in mesh
     ]
+
+
+@pytest.mark.parametrize("module", ["fracspec", "fracspec.cli"])
+def test_import_does_not_load_scipy(module):
+    """scipy is loaded only by the exact integrator's first matrix exponential."""
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(fracspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

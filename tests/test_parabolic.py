@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fracspec as fs
+from fracspec import parabolic
 from conftest import make_problem
 
 
@@ -199,6 +200,25 @@ def test_system_matrix_gates():
         fs.SystemMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         fs.SystemMatrix(np.ones((2, 3)))
+
+
+def test_expm_matches_scipy_bit_for_bit():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    g = fs.SpatialGrid(10.0, 32)
+    core = make_problem(g, mat=np.array([[2.0, 1.0], [1.0, 2.0]]))
+    q0 = fs.q_matrices(core, 0.0)
+    dt = 0.25
+    e, p1, p2 = parabolic._step_matrices(q0, dt)
+    d = q0.shape[1]
+    for k in (0, 5, 31):
+        aug = np.zeros((3 * d, 3 * d), dtype=complex)
+        aug[:d, :d] = -dt * q0[k]
+        aug[:d, d : 2 * d] = np.eye(d)
+        aug[d : 2 * d, 2 * d :] = np.eye(d)
+        want = scipy_linalg.expm(aug)
+        assert parabolic.expm(aug).tobytes() == want.tobytes()
+        blocks = np.concatenate([e[k], p1[k], p2[k]], axis=1)
+        assert blocks.tobytes() == want[:d].tobytes()
 
 
 def test_system_elliptic_diagonal_decouples():
