@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +24,9 @@ from .core import (
     Sector,
     SpatialGrid,
     apply_multiplier,
-    forward_transform,
     lp_norm,
 )
-from .elliptic import SolveReport, solve_elliptic
+from .elliptic import SolveReport, _solve_with_spectrum
 from .fractional import FractionalOrder, frac_power_i_xi
 from .symbols import (
     CoefficientSymbol,
@@ -116,13 +115,14 @@ def discretize_bvp(coeffs: BVPCoefficients) -> np.ndarray:
 def check_ellipticity(
     coeffs: BVPCoefficients,
     phi0: Sector,
-    xi_values: Sequence[float] | None = None,
-    sigma_radii: Sequence[float] | None = None,
-    sigma_angles: int = 9,
 ) -> ConditionReport:
     """Parameter-ellipticity check: min |sigma + b2(y) xi^2| / (|sigma| + xi^2)
     over the coefficient mesh, a real xi grid, and a sigma lattice in the
     phi0-sector (plus sigma = 0), skipping |xi| + |sigma| = 0.
+
+    The lattice is fixed: xi runs over 0 and +-21 log-spaced radii in
+    [1e-2, 1e2]; sigma over 0 and the same 21 radii at 9 equally spaced
+    angles in [-phi0, phi0] (angle 0 alone when phi0 = 0).
 
     For every (y, xi) the analytic candidate minimizer sigma* = -b2(y) xi^2
     is also tested whenever it lies in the sector, so exact cancellations
@@ -130,16 +130,10 @@ def check_ellipticity(
     """
     if not phi0.angle < math.pi / 2.0:
         raise ValueError(f"sector angle must be below pi/2, got {phi0.angle}")
-    if xi_values is None:
-        pos = np.logspace(-2.0, 2.0, 21)
-        xi_values = np.concatenate([-pos[::-1], [0.0], pos])
-    xi = np.asarray(xi_values, dtype=float)
-    if sigma_radii is None:
-        sigma_radii = np.logspace(-2.0, 2.0, 21)
-    angles = np.linspace(-phi0.angle, phi0.angle, sigma_angles) if phi0.angle > 0 else np.array([0.0])
-    sigma = np.concatenate(
-        [[0.0 + 0.0j], (np.asarray(sigma_radii)[:, None] * np.exp(1j * angles)[None, :]).ravel()]
-    )
+    radii = np.logspace(-2.0, 2.0, 21)
+    xi = np.concatenate([-radii[::-1], [0.0], radii])
+    angles = np.linspace(-phi0.angle, phi0.angle, 9) if phi0.angle > 0 else np.array([0.0])
+    sigma = np.concatenate([[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()])
 
     y = np.concatenate([[0.0], coeffs.mesh, [1.0]])
     b2v = np.broadcast_to(np.asarray(coeffs.b2(y), dtype=float), y.shape)
@@ -222,16 +216,15 @@ def solve_anisotropic(
     lam: complex,
     f: GridFunction,
     grid: SpatialGrid,
-    sector: Sector | None = None,
     p: float = 2.0,
-    s_set: Sequence[float] | None = None,
 ) -> SolveReport:
     """Solve a*D_x^gamma u + (boundary operator in y) u + lambda u = f.
 
-    ``f`` carries the m interior-mesh values as its vector components.
-    The report's norms use the h_y-weighted Euclidean norm in y inside an
-    L_p norm in x, and the coercive ledger adds the transverse derivative
-    norms ||D_y^b u|| for b = 0, 1, 2 to the weighted x-terms.
+    ``f`` carries the m interior-mesh values as its vector components.  The
+    problem sector is the narrowest one holding lambda.  The report's norms
+    use the h_y-weighted Euclidean norm in y inside an L_p norm in x, and
+    the coercive ledger adds the transverse derivative norms ||D_y^b u|| for
+    b = 0, 1, 2 to the x-terms weighted over s in {0, gamma/2, gamma}.
     """
     lam = complex(lam)
     mat = discretize_bvp(coeffs)
@@ -243,25 +236,27 @@ def solve_anisotropic(
         order=order,
         a=a,
         A=constant_operator(mat, name="boundary-operator"),
-        sector=Sector.enclosing(lam) if sector is None else sector,
+        sector=Sector.enclosing(lam),
         grid=grid,
     )
-    rep = solve_elliptic(core, f, lam, p=p)
+    rep, u_spec = _solve_with_spectrum(core, f, lam, p)
     u = rep.solution
 
     hy = coeffs.mesh_spacing
     sqrt_hy = math.sqrt(hy)
     gamma = order.gamma
-    if s_set is None:
-        s_set = (0.0, gamma / 2.0, gamma)
+    s_set = (0.0, gamma / 2.0, gamma)
 
-    xi = grid.spectral().frequencies
-    u_spec = forward_transform(u)
+    xi = grid.frequencies
     terms: dict[str, float] = {}
     lhs = 0.0
     for s in s_set:
-        mult = core.a(xi) * frac_power_i_xi(xi, s)
-        val = sqrt_hy * lp_norm(apply_multiplier(u_spec, mult), p)
+        if s == gamma:
+            # the solve's ledger already holds a*D^gamma u
+            norm = rep.term_norms[f"a*D^{gamma:g} u"]
+        else:
+            norm = lp_norm(apply_multiplier(u_spec, core.a(xi) * frac_power_i_xi(xi, s)), p)
+        val = sqrt_hy * norm
         terms[f"a*Dx^{s:g} u"] = val
         lhs += abs(lam) ** (1.0 - s / gamma) * val
     d0, d1, d2 = _y_derivative_stencils(u.values, hy)

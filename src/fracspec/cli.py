@@ -132,10 +132,26 @@ def _s_set(cfg: RunConfig, gamma: float) -> list[float]:
     return cfg.get_list("parameters", "s_set", "")
 
 
+def _count(cfg: RunConfig, key: str, default: int, least: int) -> int:
+    """Integer ``[parameters] key`` of at least ``least``."""
+    value = cfg.get_int("parameters", key, default)
+    if value < least:
+        raise ConfigError(f"[parameters] {key} must be at least {least}, got {value}")
+    return value
+
+
+def _exponent(cfg: RunConfig, key: str) -> float:
+    """Lebesgue exponent ``[parameters] key`` in (1, inf), default 2."""
+    value = cfg.get_float("parameters", key, 2.0)
+    if value <= 1.0:
+        raise ConfigError(f"[parameters] {key} must lie in (1, inf), got {value}")
+    return value
+
+
 def _horizon(cfg: RunConfig, steps: int) -> float:
     """``[parameters] t``, finite and positive, whose time step over ``steps`` is normal."""
     horizon = cfg.get_float("parameters", "t", 1.0)
-    if not 0.0 < horizon < math.inf:
+    if horizon <= 0.0:
         raise ConfigError(f"[parameters] t must be finite and positive, got {horizon}")
     if horizon / steps < sys.float_info.min:
         raise ConfigError(
@@ -151,13 +167,6 @@ def _horizon_overflow(horizon: float):
         yield
     except OverflowError as exc:
         raise ConfigError(f"[parameters] t = {horizon}: {exc}") from exc
-
-
-def _steps(cfg: RunConfig) -> int:
-    steps = cfg.get_int("parameters", "nt", 64)
-    if steps < 2:
-        raise ConfigError(f"[parameters] nt must be at least 2, got {steps}")
-    return steps
 
 
 def _scheme(cfg: RunConfig, default: str) -> str:
@@ -205,7 +214,7 @@ def _task_solve_elliptic(run: _Run) -> bool:
         f,
         lam,
         s_set=_s_set(cfg, prob.order.gamma),
-        p=cfg.get_float("parameters", "p", 2.0),
+        p=_exponent(cfg, "p"),
     )
     _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     run.report(rep.to_jsonable(), [])
@@ -233,7 +242,7 @@ def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTime
 def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    steps = _steps(cfg)
+    steps = _count(cfg, "nt", 64, 2)
     pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
     with _horizon_overflow(pprob.horizon):
@@ -242,8 +251,8 @@ def _task_solve_parabolic(run: _Run) -> bool:
         pprob,
         f,
         u=u,
-        p=cfg.get_float("parameters", "p", 2.0),
-        p1=cfg.get_float("parameters", "p1", 2.0),
+        p=_exponent(cfg, "p"),
+        p1=_exponent(cfg, "p1"),
     )
     _write_space_time_solution(run.out / "solution.csv", u)
     run.report(rep.to_jsonable(), [])
@@ -253,18 +262,21 @@ def _task_solve_parabolic(run: _Run) -> bool:
 def _task_resolvent_sweep(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
+    sweep_angle = cfg.get_float("parameters", "sweep_angle", prob.sector.angle)
     try:
-        sweep_sector = Sector(cfg.get_float("parameters", "sweep_angle", prob.sector.angle))
+        sweep_sector = Sector(sweep_angle)
     except ValueError as exc:
         raise ConfigError(f"[parameters] sweep_angle: {exc}") from exc
     radii = cfg.get_list("parameters", "radii", "1e-3:1e3:25", log_range=True)
+    if not radii or min(radii) < 0.0:
+        raise ConfigError(f"[parameters] radii must be non-empty and non-negative, got {radii}")
     rep = resolvent_sweep(
         prob,
         sweep_sector,
         radii=radii,
-        angles=cfg.get_int("parameters", "angles", 17),
-        probes=cfg.get_int("parameters", "probes", 0),
-        p=cfg.get_float("parameters", "p", 2.0),
+        angles=_count(cfg, "angles", 17, 2),
+        probes=_count(cfg, "probes", 0, 0),
+        p=_exponent(cfg, "p"),
         seed=run.seed,
         refine=cfg.get_bool("parameters", "refine", True),
         threads=run.threads,
@@ -288,8 +300,9 @@ def _task_resolvent_sweep(run: _Run) -> bool:
 def _task_verify_conditions(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
+    phi1_angle = cfg.get_float("parameters", "phi1", prob.sector.angle)
     try:
-        phi1 = Sector(cfg.get_float("parameters", "phi1", prob.sector.angle))
+        phi1 = Sector(phi1_angle)
     except ValueError as exc:
         raise ConfigError(f"[parameters] phi1: {exc}") from exc
     lams = cfg.get_list("parameters", "lambda_set", "0,1,10", cast=complex)
@@ -300,7 +313,7 @@ def _task_verify_conditions(run: _Run) -> bool:
         scalar_inequality_suite(
             phi1,
             prob.sector,
-            samples=cfg.get_int("parameters", "samples", 2000),
+            samples=_count(cfg, "samples", 2000, 1),
             seed=run.seed,
         ),
     ]
@@ -314,8 +327,8 @@ def _task_separability(run: _Run) -> bool:
     prob = build_problem(cfg)
     rep = separability_check(
         prob,
-        trials=cfg.get_int("parameters", "trials", 50),
-        p=cfg.get_float("parameters", "p", 2.0),
+        trials=_count(cfg, "trials", 50, 1),
+        p=_exponent(cfg, "p"),
         s_set=_s_set(cfg, prob.order.gamma),
         seed=run.seed,
     )
@@ -329,13 +342,13 @@ def _task_embedding_probe(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     h_set = cfg.get_list("parameters", "h_set", "0.1,0.3,1.0")
-    draws = cfg.get_int("parameters", "draws", 8)
+    draws = _count(cfg, "draws", 8, 1)
     rng = run.rng()
     kwargs = dict(
         alpha=cfg.get_float("parameters", "alpha", 1.0),
         s=cfg.get_float("parameters", "s", 2.0),
-        p=cfg.get_float("parameters", "p", 2.0),
-        q=cfg.get_float("parameters", "q_exp", 2.0),
+        p=_exponent(cfg, "p"),
+        q=_exponent(cfg, "q_exp"),
         mu=cfg.get_float("parameters", "mu", 0.0),
         h_set=h_set,
     )
@@ -376,20 +389,20 @@ def _task_bvp(run: _Run) -> bool:
         b2=_poly(cfg, "b2", "1"),
         b1=_poly(cfg, "b1", "0"),
         b0=_poly(cfg, "b0", "0"),
-        mesh_size=cfg.get_int("parameters", "mesh_size", 31),
+        mesh_size=_count(cfg, "mesh_size", 31, 1),
     )
+    phi0 = cfg.get_float("parameters", "phi0", math.pi / 4.0)
     try:
-        phi0 = Sector(cfg.get_float("parameters", "phi0", math.pi / 4.0))
+        ell = check_ellipticity(coeffs, Sector(phi0))
     except ValueError as exc:
         raise ConfigError(f"[parameters] phi0: {exc}") from exc
-    ell = check_ellipticity(coeffs, phi0)
     lam = cfg.get_complex("parameters", "lambda", 1.0 + 0.0j)
     grid = prob.grid
     wave = cfg.get_int("parameters", "transverse_mode", 1)
     profile = np.sin(wave * math.pi * coeffs.mesh)
     f = GridFunction(grid, np.exp(-grid.points**2)[:, None] * profile[None, :])
     rep = solve_anisotropic(
-        coeffs, prob.order, prob.a, lam, f, grid, p=cfg.get_float("parameters", "p", 2.0)
+        coeffs, prob.order, prob.a, lam, f, grid, p=_exponent(cfg, "p")
     )
     lead = _product_lead(grid.points, coeffs.mesh)
     _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
@@ -409,7 +422,7 @@ def _task_system(run: _Run) -> bool:
     lam = cfg.get_complex("parameters", "lambda", 1.0 + 0.0j)
     mode = cfg.get_str("parameters", "mode", "elliptic")
     literal = cfg.get_bool("parameters", "literal_shift", False)
-    p = cfg.get_float("parameters", "p", 2.0)
+    p = _exponent(cfg, "p")
     if mode == "elliptic":
         f = build_forcing(cfg, prob.grid, mat.size, run.rng())
         rep = solve_system(
@@ -418,7 +431,7 @@ def _task_system(run: _Run) -> bool:
         )
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     elif mode == "parabolic":
-        steps = _steps(cfg)
+        steps = _count(cfg, "nt", 64, 2)
         horizon = _horizon(cfg, steps)
         times = np.linspace(0.0, horizon, steps + 1)
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
@@ -426,7 +439,7 @@ def _task_system(run: _Run) -> bool:
             rep = solve_system(
                 mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
                 horizon=horizon, steps=steps, literal_shift=literal, p=p,
-                p1=cfg.get_float("parameters", "p1", 2.0),
+                p1=_exponent(cfg, "p1"),
             )
         _write_space_time_solution(run.out / "solution.csv", rep.solution)
     else:

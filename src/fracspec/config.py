@@ -8,6 +8,7 @@ print a one-line diagnostic and exit.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 from dataclasses import dataclass, field
@@ -75,9 +76,18 @@ def _log_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigError("log range must be start:stop:count")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("log range endpoints must be finite")
     if lo <= 0.0 or hi <= 0.0 or n < 1:
         raise ConfigError("log range endpoints and count must be positive")
     return list(np.logspace(math.log10(lo), math.log10(hi), n))
+
+
+def _finite(section: str, key: str, text: str, value):
+    """``value`` parsed from ``text``; a nan or infinite float or complex is a ConfigError."""
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {text!r}")
+    return value
 
 
 @dataclass
@@ -125,9 +135,10 @@ class RunConfig:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from exc
+        return _finite(section, key, raw, value)
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
         raw = self._raw(section, key)
@@ -158,17 +169,21 @@ class RunConfig:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
         try:
-            return parse_complex(raw)
+            value = parse_complex(raw)
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        return _finite(section, key, raw, value)
 
     def get_matrix(self, section: str, key: str, default: str | None = None) -> np.ndarray:
         """Square matrix written as rows "a,b;c,d" (see :func:`parse_matrix`)."""
         text = self.get_str(section, key, default)
         try:
-            return parse_matrix(text)
+            mat = parse_matrix(text)
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        if not np.all(np.isfinite(mat)):
+            raise ConfigError(f"[{section}] {key} must be finite, got {text!r}")
+        return mat
 
     def get_list(
         self, section: str, key: str, default: str, cast=float, log_range: bool = False
@@ -179,9 +194,11 @@ class RunConfig:
         try:
             if log_range and ":" in raw:
                 return _log_range(raw)
-            return [cast(c.strip()) for c in raw.split(",") if c.strip()]
+            entries = [c.strip() for c in raw.split(",") if c.strip()]
+            values = [cast(c) for c in entries]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
+        return [_finite(section, key, c, v) for c, v in zip(entries, values)]
 
     def to_jsonable(self) -> dict:
         return {name: dict(vals) for name, vals in self.sections.items()}
@@ -189,7 +206,7 @@ class RunConfig:
 
 def build_grid(cfg: RunConfig) -> SpatialGrid:
     half_width = cfg.get_float("problem", "l", 10.0)
-    if not 0.0 < half_width < math.inf:
+    if half_width <= 0.0:
         raise ConfigError(f"[problem] l must be finite and positive, got {half_width}")
     try:
         return SpatialGrid(half_width=half_width, size=cfg.get_int("problem", "n", 256))
@@ -234,8 +251,9 @@ def build_operator(cfg: RunConfig) -> OperatorSymbol:
 
 def build_problem(cfg: RunConfig) -> EllipticProblem:
     order = build_order(cfg)
+    sector_angle = cfg.get_float("problem", "sector_angle", math.pi / 4.0)
     try:
-        sector = Sector(cfg.get_float("problem", "sector_angle", math.pi / 4.0))
+        sector = Sector(sector_angle)
     except ValueError as exc:
         raise ConfigError(f"[problem] sector_angle: {exc}") from exc
     a = build_coefficient(cfg, order.gamma)

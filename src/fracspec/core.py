@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "SpatialGrid",
-    "SpectralGrid",
     "GridFunction",
     "SpectralFunction",
     "SpaceTimeFunction",
@@ -48,7 +47,8 @@ DEFAULT_SEED = 0xF5EC
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform sampling of the periodic interval [-half_width, half_width).
+    """Uniform sampling of the periodic interval [-half_width, half_width)
+    together with its dual frequencies.
 
     Parameters
     ----------
@@ -77,40 +77,31 @@ class SpatialGrid:
         """Sample locations x_j = -L + j*h, j = 0..N-1."""
         return -self.half_width + self.spacing * np.arange(self.size)
 
-    def spectral(self) -> "SpectralGrid":
-        return SpectralGrid(self)
-
-    def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform along the grid axis -2 of an (..., N, d) array."""
-        return self.spacing * np.fft.fft(values, axis=-2) * self.spectral().parity[:, None]
-
-    def to_physical(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_spectral`; carries the 1/(2L) weight."""
-        return np.fft.ifft(values * self.spectral().parity[:, None], axis=-2) / self.spacing
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Dual grid of signed frequencies xi_k = pi*m_k/L in DFT order."""
-
-    spatial: SpatialGrid
-
     @property
     def indices(self) -> np.ndarray:
         """Signed integer DFT indices m_k in [-N/2, N/2), DFT storage order."""
-        n = self.spatial.size
+        n = self.size
         m = np.arange(n)
         m[m >= n // 2] -= n
         return m
 
     @property
     def frequencies(self) -> np.ndarray:
-        return (math.pi / self.spatial.half_width) * self.indices
+        """Dual frequencies xi_k = pi*m_k/L in DFT order."""
+        return (math.pi / self.half_width) * self.indices
 
     @property
     def parity(self) -> np.ndarray:
         """(-1)^{m_k}; the boundary phase relating the DFT to the x_j = -L origin."""
         return np.where(self.indices % 2 == 0, 1.0, -1.0)
+
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """Forward transform along the grid axis -2 of an (..., N, d) array."""
+        return self.spacing * np.fft.fft(values, axis=-2) * self.parity[:, None]
+
+    def to_physical(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_spectral`; carries the 1/(2L) weight."""
+        return np.fft.ifft(values * self.parity[:, None], axis=-2) / self.spacing
 
 
 def _as_samples(values: np.ndarray, length: int) -> np.ndarray:
@@ -168,13 +159,13 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
-    """Transform values on a SpectralGrid, stored as (N, d) in DFT order."""
+    """Transform values at the grid's frequencies, stored as (N, d) in DFT order."""
 
-    grid: SpectralGrid
+    grid: SpatialGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_samples(self.values, self.grid.spatial.size))
+        object.__setattr__(self, "values", _as_samples(self.values, self.grid.size))
 
     @property
     def dim(self) -> int:
@@ -182,7 +173,7 @@ class SpectralFunction:
 
     def mode_coefficients(self) -> np.ndarray:
         """Expansion coefficients of e^{i xi_k x}: transform values / (2L)."""
-        return self.values / (2.0 * self.grid.spatial.half_width)
+        return self.values / (2.0 * self.grid.half_width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +234,12 @@ class SpaceTimeFunction:
 
 def forward_transform(f: GridFunction) -> SpectralFunction:
     """h-weighted DFT approximating the continuum transform on [-L, L)."""
-    return SpectralFunction(f.grid.spectral(), f.grid.to_spectral(f.values))
+    return SpectralFunction(f.grid, f.grid.to_spectral(f.values))
 
 
 def inverse_transform(g: SpectralFunction) -> GridFunction:
     """Inverse of :func:`forward_transform`; carries the 1/(2L) weight."""
-    return GridFunction(g.grid.spatial, g.grid.spatial.to_physical(g.values))
+    return GridFunction(g.grid, g.grid.to_physical(g.values))
 
 
 def apply_multiplier(spec: SpectralFunction, mult: np.ndarray) -> GridFunction:
@@ -314,11 +305,11 @@ class Sector:
         if not 0.0 <= self.angle < math.pi:
             raise ValueError(f"sector angle must lie in [0, pi), got {self.angle}")
 
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
+    def contains(self, z: complex) -> bool:
         z = complex(z)
         if z == 0:
             return True
-        return abs(cmath.phase(z)) <= self.angle + tol
+        return abs(cmath.phase(z)) <= self.angle
 
     @classmethod
     def enclosing(cls, lam: complex) -> "Sector":
@@ -339,13 +330,12 @@ def random_band_limited(
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    sg = grid.spectral()
-    keep = np.abs(sg.indices) <= grid.size // 4
+    keep = np.abs(grid.indices) <= grid.size // 4
     coeffs = np.zeros((grid.size, dim), dtype=complex)
     coeffs[keep] = rng.standard_normal((int(keep.sum()), dim)) + 1j * rng.standard_normal(
         (int(keep.sum()), dim)
     )
-    u = inverse_transform(SpectralFunction(sg, coeffs))
+    u = inverse_transform(SpectralFunction(grid, coeffs))
     scale = lp_norm(u, 2.0)
     if scale == 0.0:
         raise RuntimeError("degenerate random draw")

@@ -4,7 +4,7 @@ resolvent sweeps over sectors, separability ratios, and the
 embedding-inequality probe.
 
 Every accepted solve passes the residual gate
-|| (O + lambda) u - f ||_2 <= tol * ||f||_2 computed in physical space,
+|| (O + lambda) u - f ||_2 <= 1e-9 * ||f||_2 computed in physical space,
 which exercises the full transform round trip rather than the spectral
 division alone.
 """
@@ -51,7 +51,7 @@ __all__ = [
     "embedding_probe",
 ]
 
-# Default residual gate: ||(O + lambda) u - f||_2 <= tol * ||f||_2.
+# Residual gate: ||(O + lambda) u - f||_2 <= _RESIDUAL_TOL * ||f||_2.
 _RESIDUAL_TOL = 1e-9
 
 
@@ -97,12 +97,13 @@ def apply_operator(prob: EllipticProblem, u: GridFunction) -> GridFunction:
     return apply_multiplier(forward_transform(u), q_matrices(prob, 0.0))
 
 
-def _lambda_coupling(prob: EllipticProblem, lam: complex, u: GridFunction) -> GridFunction:
-    """The lambda-term of the selected symbol form applied to u."""
+def _lambda_coupling(
+    prob: EllipticProblem, lam: complex, u: GridFunction, u_spec: SpectralFunction
+) -> GridFunction:
+    """The lambda-term of the selected symbol form applied to u (transform ``u_spec``)."""
     if prob.q_form == "unfactored":
         return lam * u
-    xi = prob.grid.spectral().frequencies
-    return lam * apply_multiplier(forward_transform(u), prob.a(xi))
+    return lam * apply_multiplier(u_spec, prob.a(prob.grid.frequencies))
 
 
 def solve_elliptic(
@@ -110,18 +111,17 @@ def solve_elliptic(
     f: GridFunction,
     lam: complex,
     p: float = 2.0,
-    residual_tol: float = _RESIDUAL_TOL,
 ) -> SolveReport:
     """Solve (O + lambda) u = f by per-frequency division of the symbol.
 
     lambda must lie in the problem sector.  The physical-space residual
-    must come in below ``residual_tol * ||f||_2`` or the solve is rejected.
+    must come in below ``1e-9 * ||f||_2`` or the solve is rejected.
     """
-    return _solve_with_spectrum(prob, f, lam, p, residual_tol)[0]
+    return _solve_with_spectrum(prob, f, lam, p)[0]
 
 
 def _solve_with_spectrum(
-    prob: EllipticProblem, f: GridFunction, lam: complex, p: float, residual_tol: float
+    prob: EllipticProblem, f: GridFunction, lam: complex, p: float
 ) -> tuple[SolveReport, SpectralFunction]:
     """``solve_elliptic`` plus the transform of u its norm ledger was built from."""
     if f.grid != prob.grid:
@@ -134,7 +134,7 @@ def _solve_with_spectrum(
             f"lambda {lam} lies outside the problem sector (angle {prob.sector.angle:.6g})"
         )
 
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     q = q_matrices(prob, lam)
     _, bad = smallest_singular_values(q, 1e-14)
     if bad is not None:
@@ -143,17 +143,19 @@ def _solve_with_spectrum(
     spec = forward_transform(f)
     uhat = np.linalg.solve(q, spec.values[:, :, None])[:, :, 0]
     u = inverse_transform(SpectralFunction(spec.grid, uhat))
+    u_spec = forward_transform(u)
 
-    resid_fun = apply_operator(prob, u) + _lambda_coupling(prob, lam, u) - f
+    ou = apply_multiplier(u_spec, q_matrices(prob, 0.0))
+    resid_fun = ou + _lambda_coupling(prob, lam, u, u_spec) - f
     resid = lp_norm(resid_fun, 2.0)
     f_norm = lp_norm(f, 2.0)
-    if resid > residual_tol * max(f_norm, np.finfo(float).tiny):
+    if resid > _RESIDUAL_TOL * max(f_norm, np.finfo(float).tiny):
         raise SolveError(
-            f"residual {resid:.3e} exceeds {residual_tol:.1e} * ||f|| = {residual_tol * f_norm:.3e}"
+            f"residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e} * ||f|| "
+            f"= {_RESIDUAL_TOL * f_norm:.3e}"
         )
 
     gamma = prob.order.gamma
-    u_spec = forward_transform(u)
     frac_mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     term_norms = {
         f"a*D^{gamma:g} u": lp_norm(apply_multiplier(u_spec, frac_mult), p),
@@ -197,10 +199,10 @@ def coercive_report(
         if not 0.0 <= s <= gamma:
             raise ValueError(f"probe order {s} outside [0, {gamma}]")
 
-    rep, u_spec = _solve_with_spectrum(prob, f, lam, p, _RESIDUAL_TOL)
+    rep, u_spec = _solve_with_spectrum(prob, f, lam, p)
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     term_norms = dict(rep.term_norms)
     conv_sum = 0.0
     plain_sum = 0.0
@@ -237,7 +239,7 @@ def coercive_report(
 
 def _exact_l2_values(prob: EllipticProblem, lams: np.ndarray):
     """max_k ||lambda Q(xi_k, lambda)^{-1}||_2 per lambda; singular points become witnesses."""
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     values = []
     witnesses = []
     for lam in lams:
@@ -315,7 +317,7 @@ def resolvent_sweep(
     drift = None
     stable = None
     if refine and finite:
-        fine = prob.with_grid(SpatialGrid(prob.grid.half_width, prob.grid.size * 2))
+        fine = replace(prob, grid=SpatialGrid(prob.grid.half_width, prob.grid.size * 2))
         fine_values, fine_witnesses = _exact_l2_values(fine, lams)
         fine_finite = [v for v in fine_values if not math.isnan(v)]
         if fine_finite:
@@ -366,7 +368,7 @@ def separability_check(
     gamma = prob.order.gamma
     if s_set is None:
         s_set = (0.0, gamma / 2.0, gamma)
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     q0 = q_matrices(prob, 0.0)
     a_mats = prob.A(xi)
     frac_mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
@@ -437,7 +439,7 @@ def embedding_probe(
     a_mat = prob.A.constant_matrix
     power = matrix_fractional_power(a_mat, 1.0 - kappa - mu)
 
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     u_spec = forward_transform(u)
     du = apply_multiplier(u_spec, frac_power_i_xi(xi, alpha))
     lhs = lp_norm(GridFunction(u.grid, du.values @ power.T), q)

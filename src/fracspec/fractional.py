@@ -68,7 +68,7 @@ def liouville_derivative(f: GridFunction, s: float) -> GridFunction:
     """Spectral derivative of order s >= 0: conjugate (i*xi)^s by the transform."""
     if s < 0.0:
         raise ValueError(f"derivative order must be >= 0, got {s}")
-    return apply_multiplier(forward_transform(f), frac_power_i_xi(f.grid.spectral().frequencies, s))
+    return apply_multiplier(forward_transform(f), frac_power_i_xi(f.grid.frequencies, s))
 
 
 def gl_weights(gamma: float, n: int) -> np.ndarray:

@@ -86,7 +86,7 @@ def _dissipative_gate(prob: ParabolicProblem) -> np.ndarray:
     re_min = eigs.real.min(axis=1)
     if (re_min <= 0.0).any():
         k = int(np.argmin(re_min))
-        xi = prob.core.grid.spectral().frequencies[k]
+        xi = prob.core.grid.frequencies[k]
         j = int(np.argmin(eigs[k].real))
         raise SolveError(
             f"operator symbol is not dissipative at xi={xi:.6g}: eigenvalue {eigs[k, j]:.6g}"
@@ -198,7 +198,7 @@ def parabolic_coercive_report(
     dt = prob.horizon / prob.steps
     du_dt = np.gradient(u.values, dt, axis=0, edge_order=2)
 
-    xi = grid.spectral().frequencies
+    xi = grid.frequencies
     gamma = prob.core.order.gamma
     mult = prob.core.a(xi) * frac_power_i_xi(xi, gamma)
     uhat = grid.to_spectral(u.values)

@@ -11,7 +11,7 @@ of range) raise ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -287,9 +287,6 @@ class EllipticProblem:
     def dim(self) -> int:
         return self.A.dim
 
-    def with_grid(self, grid: SpatialGrid) -> "EllipticProblem":
-        return replace(self, grid=grid)
-
 
 def _q_stack(prob: EllipticProblem, xi: np.ndarray, lam: complex) -> np.ndarray:
     a_vals = prob.a(xi)
@@ -308,7 +305,7 @@ def q_symbol(prob: EllipticProblem, xi: float, lam: complex) -> np.ndarray:
 
 def q_matrices(prob: EllipticProblem, lam: complex) -> np.ndarray:
     """Q(xi_k, lambda) stacked over the problem grid's frequencies, shape (N, d, d)."""
-    return _q_stack(prob, prob.grid.spectral().frequencies, complex(lam))
+    return _q_stack(prob, prob.grid.frequencies, complex(lam))
 
 
 def _grouped_by_magnitude(xi: np.ndarray, vals: np.ndarray):
@@ -330,7 +327,7 @@ def check_sector_growth(prob: EllipticProblem, phi1: Sector) -> ConditionReport:
     sits at the smallest frequency and exceeds 1.5x its value near
     |xi| = 1.  Witnesses list the offending frequencies.
     """
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     xi = xi[xi != 0.0]
     gamma = prob.order.gamma
     vals = prob.a(xi) * frac_power_i_xi(xi, gamma)
@@ -384,7 +381,7 @@ def check_mikhlin_bounds(prob: EllipticProblem, use_fd: bool = False) -> Conditi
     at the edge of the resolved spectrum.  ``use_fd`` forces central
     finite-difference derivatives even when analytic ones are available.
     """
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     xi = xi[xi != 0.0]
     ref_inv = np.linalg.inv(prob.A.at(prob.A.xi0))
 
@@ -430,7 +427,7 @@ def symbol_resolvent_bound(
     error naming the offending (xi, lambda).
     """
     lam_values = [complex(lam) for lam in lam_values]
-    xi = prob.grid.spectral().frequencies
+    xi = prob.grid.frequencies
     best = -math.inf
     argmax = {"xi": 0.0, "lambda": 0j}
     for lam in lam_values:

@@ -337,6 +337,31 @@ def _problem_edit(lines):
         (_task_edit("system", "mode = parabolic\nt = 1e300\nnt = 4"), [], "[parameters] t"),
         (_task_edit("convergence", "t = 1e40"), [], "[parameters] t"),
         (_task_edit("convergence", "t = 1e300"), [], "[parameters] t"),
+        (_task_edit("solve-elliptic", "lambda = inf"), [], "[parameters] lambda"),
+        (_task_edit("solve-elliptic", "lambda = nan"), [], "[parameters] lambda"),
+        (_task_edit("bvp", "lambda = inf"), [], "[parameters] lambda"),
+        (_task_edit("system", "lambda = inf"), [], "[parameters] lambda"),
+        (_task_edit("resolvent-sweep", "radii = inf"), [], "[parameters] radii"),
+        (_task_edit("resolvent-sweep", "radii = 1:inf:3"), [], "[parameters] radii"),
+        (_task_edit("verify-conditions", "lambda_set = 1e400"), [], "[parameters] lambda_set"),
+        (_task_edit("system", "matrix = inf"), [], "[parameters] matrix"),
+        (_problem_edit("a_op_matrix = 1,nan;nan,1"), [], "[problem] a_op_matrix"),
+        (_task_edit("resolvent-sweep", "radii ="), [], "[parameters] radii"),
+        (_task_edit("resolvent-sweep", "radii = -1,2"), [], "[parameters] radii"),
+        (_task_edit("resolvent-sweep", "probes = -1"), [], "[parameters] probes"),
+        (_task_edit("resolvent-sweep", "angles = 1"), [], "[parameters] angles"),
+        (_task_edit("embedding-probe", "draws = 0"), [], "[parameters] draws"),
+        (_task_edit("embedding-probe", "q_exp = 1"), [], "[parameters] q_exp"),
+        (_task_edit("verify-conditions", "samples = 0"), [], "[parameters] samples"),
+        (_task_edit("verify-conditions", "samples = -5"), [], "[parameters] samples"),
+        (_task_edit("separability", "trials = 0"), [], "[parameters] trials"),
+        (_task_edit("bvp", "phi0 = 2"), [], "[parameters] phi0"),
+        (_task_edit("bvp", "mesh_size = 0"), [], "[parameters] mesh_size"),
+        (_task_edit("solve-elliptic", "p = 1"), [], "[parameters] p"),
+        (_task_edit("resolvent-sweep", "p = 1"), [], "[parameters] p"),
+        (_task_edit("bvp", "p = 1"), [], "[parameters] p"),
+        (_task_edit("system", "p = 1"), [], "[parameters] p"),
+        (_task_edit("solve-parabolic", "p1 = 0.5"), [], "[parameters] p1"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

@@ -31,10 +31,9 @@ def test_grid_points_and_frequencies():
     g = fs.SpatialGrid(4.0, 8)
     assert g.spacing == 1.0
     np.testing.assert_allclose(g.points, np.arange(-4.0, 4.0))
-    sg = g.spectral()
-    np.testing.assert_array_equal(sg.indices, [0, 1, 2, 3, -4, -3, -2, -1])
-    np.testing.assert_allclose(sg.frequencies, np.pi / 4.0 * sg.indices)
-    np.testing.assert_array_equal(sg.parity, [1, -1, 1, -1, 1, -1, 1, -1])
+    np.testing.assert_array_equal(g.indices, [0, 1, 2, 3, -4, -3, -2, -1])
+    np.testing.assert_allclose(g.frequencies, np.pi / 4.0 * g.indices)
+    np.testing.assert_array_equal(g.parity, [1, -1, 1, -1, 1, -1, 1, -1])
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
@@ -44,7 +43,7 @@ def test_transform_round_trip(n):
     f = fs.GridFunction(g, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
     back = fs.inverse_transform(fs.forward_transform(f))
     assert np.max(np.abs(back.values - f.values)) < 1e-12
-    spec = fs.SpectralFunction(g.spectral(), f.values)
+    spec = fs.SpectralFunction(g, f.values)
     again = fs.forward_transform(fs.inverse_transform(spec))
     assert np.max(np.abs(again.values - spec.values)) < 1e-12
 
@@ -57,7 +56,7 @@ def test_forward_transform_matches_quadrature():
     want = fwd @ f.values
     got = fs.forward_transform(f).values
     np.testing.assert_allclose(got, want, atol=1e-11)
-    np.testing.assert_allclose(g.spectral().frequencies, xi)
+    np.testing.assert_allclose(g.frequencies, xi)
 
 
 def test_parseval():
@@ -72,7 +71,7 @@ def test_parseval():
 
 def test_mode_coefficients_pick_out_modes():
     g = fs.SpatialGrid(10.0, 64)
-    xi3 = g.spectral().frequencies[3]
+    xi3 = g.frequencies[3]
     f = fs.GridFunction.from_callable(g, lambda x: np.exp(1j * xi3 * x))
     coeff = fs.forward_transform(f).mode_coefficients()[:, 0]
     want = np.zeros(64, dtype=complex)
@@ -183,10 +182,9 @@ def test_sector():
     assert s.contains(1.0 + 1.0j)
     assert not s.contains(1.0j)
     assert not s.contains(-1.0)
-    # boundary slack
+    # no boundary slack
     z = np.exp(1j * (math.pi / 4.0 + 1e-13))
     assert not s.contains(z)
-    assert s.contains(z, tol=1e-12)
     with pytest.raises(ValueError):
         fs.Sector(math.pi)
     with pytest.raises(ValueError):
@@ -209,7 +207,7 @@ def test_random_band_limited():
     np.testing.assert_array_equal(u1.values, u2.values)
     assert abs(fs.lp_norm(u1, 2.0) - 1.0) < 1e-12
     spec = fs.forward_transform(u1)
-    outside = np.abs(g.spectral().indices) > 16
+    outside = np.abs(g.indices) > 16
     assert np.max(np.abs(spec.values[outside])) < 1e-12
     # explicit generators advance state
     rng = np.random.default_rng(42)
@@ -237,7 +235,7 @@ def test_one_transform_for_slices_and_stacks():
     # the arithmetic of the per-axis formulas: h * fft * parity.
     g = fs.SpatialGrid(5.0, 32)
     rng = np.random.default_rng(8)
-    parity = g.spectral().parity
+    parity = g.parity
     single = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
     stack = rng.standard_normal((3, 32, 2)) + 1j * rng.standard_normal((3, 32, 2))
     f = fs.GridFunction(g, single)
@@ -257,7 +255,7 @@ def test_apply_multiplier_scalar_and_stack():
     rng = np.random.default_rng(9)
     u = fs.random_band_limited(g, 2, rng)
     spec = fs.forward_transform(u)
-    xi = g.spectral().frequencies
+    xi = g.frequencies
     # a scalar multiplier equals the same multiplier as a diagonal stack
     scalar = np.exp(-(xi**2)) + 1j * xi
     diag = scalar[:, None, None] * np.eye(2)

@@ -17,7 +17,7 @@ def test_single_mode_closed_form():
     rep = fs.solve_elliptic(prob, ones, 1.0)
     np.testing.assert_allclose(rep.solution.values, np.ones((64, 1)) / 3.0, atol=1e-13)
 
-    xi5 = g.spectral().frequencies[5]
+    xi5 = g.frequencies[5]
     mode = fs.GridFunction.from_callable(g, lambda x: np.exp(1j * xi5 * x))
     rep = fs.solve_elliptic(prob, mode, 1.0)
     # a = -1, gamma = 2: symbol xi^2 + 2 + 1
@@ -206,7 +206,7 @@ def test_separability_constants():
 def test_embedding_probe_single_mode_closed_form():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=2.0, mat=np.array([[4.0]]))
-    xi6 = g.spectral().frequencies[6]
+    xi6 = g.frequencies[6]
     u = fs.GridFunction.from_callable(g, lambda x: np.exp(1j * xi6 * x))
     rep = fs.embedding_probe(prob, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.1, 1.0])
     assert rep.constants["kappa"] == pytest.approx(0.5)
@@ -244,3 +244,42 @@ def test_embedding_probe_validations():
     pert = make_problem(g, operator=fs.perturbed_operator(np.eye(2), 0.1 * np.eye(2)))
     with pytest.raises(ValueError, match="constant operator"):
         fs.embedding_probe(pert, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
+
+
+def _counting_ffts(monkeypatch):
+    """Count every np.fft.fft and np.fft.ifft call; returns the live counter."""
+    calls = {"n": 0}
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [("unfactored", 6), ("factored", 7), ("coercive", 11), ("anisotropic", 8)],
+)
+def test_each_solution_is_transformed_once(monkeypatch, case, want):
+    # f in, u back, u once more for the residual and the ledger, then one
+    # inverse per multiplier applied to that single spectrum
+    g = fs.SpatialGrid(10.0, 256)
+    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+    f = fs.random_band_limited(g, 2, 5)
+    calls = _counting_ffts(monkeypatch)
+    if case == "anisotropic":
+        ones = lambda y: np.ones_like(y)  # noqa: E731
+        coeffs = fs.BVPCoefficients(ones, ones, ones, mesh_size=2)
+        order, a = fs.FractionalOrder(1.5), fs.constant_coefficient(-1.0)
+        fs.solve_anisotropic(coeffs, order, a, 1.0, f, g)
+    else:
+        prob = make_problem(g, mat=mat, q_form="factored" if case == "factored" else "unfactored")
+        if case == "coercive":
+            fs.coercive_report(prob, f, 1.0)
+        else:
+            fs.solve_elliptic(prob, f, 1.0)
+    assert calls["n"] == want

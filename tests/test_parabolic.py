@@ -39,7 +39,7 @@ def test_initial_slice_is_zero():
 def test_single_mode_constant_forcing_closed_form():
     g = fs.SpatialGrid(10.0, 64)
     prob = fs.ParabolicProblem(make_problem(g, gamma=2.0, mat=np.array([[2.0]])), 2.0, 16)
-    xi5 = g.spectral().frequencies[5]
+    xi5 = g.frequencies[5]
     q = xi5**2 + 2.0
     phi = np.exp(1j * xi5 * g.points)
     f = _profiled(g, prob.times, np.ones(17), phi)
