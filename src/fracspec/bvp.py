@@ -23,8 +23,8 @@ from .core import (
     GridFunction,
     Sector,
     SpatialGrid,
-    apply_multiplier,
     lp_norm,
+    multiplier_norm,
 )
 from .elliptic import SolveReport, _solve_with_spectrum
 from .fractional import FractionalOrder, frac_power_i_xi
@@ -255,7 +255,7 @@ def solve_anisotropic(
             # the solve's ledger already holds a*D^gamma u
             norm = rep.term_norms[f"a*D^{gamma:g} u"]
         else:
-            norm = lp_norm(apply_multiplier(u_spec, core.a(xi) * frac_power_i_xi(xi, s)), p)
+            norm = multiplier_norm(u_spec, core.a(xi) * frac_power_i_xi(xi, s), p)
         val = sqrt_hy * norm
         terms[f"a*Dx^{s:g} u"] = val
         lhs += abs(lam) ** (1.0 - s / gamma) * val

@@ -306,17 +306,18 @@ def _task_verify_conditions(run: _Run) -> bool:
     except ValueError as exc:
         raise ConfigError(f"[parameters] phi1: {exc}") from exc
     lams = cfg.get_list("parameters", "lambda_set", "0,1,10", cast=complex)
+    if not lams:
+        raise ConfigError("[parameters] lambda_set must be non-empty")
     reports = [
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
         symbol_resolvent_bound(prob, lams),
-        scalar_inequality_suite(
-            phi1,
-            prob.sector,
-            samples=_count(cfg, "samples", 2000, 1),
-            seed=run.seed,
-        ),
     ]
+    samples = _count(cfg, "samples", 2000, 1)
+    try:
+        reports.append(scalar_inequality_suite(phi1, prob.sector, samples=samples, seed=run.seed))
+    except ValueError as exc:
+        raise ConfigError(f"[parameters] phi1: {exc}, with phi2 = [problem] sector_angle") from exc
     failed = [r.name for r in reports if not r.passed]
     run.report({r.name: r.to_jsonable() for r in reports}, failed)
     return bool(failed)

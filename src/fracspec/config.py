@@ -208,8 +208,9 @@ def build_grid(cfg: RunConfig) -> SpatialGrid:
     half_width = cfg.get_float("problem", "l", 10.0)
     if half_width <= 0.0:
         raise ConfigError(f"[problem] l must be finite and positive, got {half_width}")
+    size = cfg.get_int("problem", "n", 256)
     try:
-        return SpatialGrid(half_width=half_width, size=cfg.get_int("problem", "n", 256))
+        return SpatialGrid(half_width=half_width, size=size)
     except ValueError as exc:
         raise ConfigError(f"[problem] n: {exc}") from exc
 

@@ -36,8 +36,10 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_multiplier",
+    "multiplier_norm",
     "lp_norm",
     "mixed_norm",
+    "band_limited_spectrum",
     "random_band_limited",
 ]
 
@@ -242,6 +244,14 @@ def inverse_transform(g: SpectralFunction) -> GridFunction:
     return GridFunction(g.grid, g.grid.to_physical(g.values))
 
 
+def _multiply(spec: SpectralFunction, mult: np.ndarray) -> SpectralFunction:
+    if np.ndim(mult) == 1:
+        vals = mult[:, None] * spec.values
+    else:
+        vals = np.einsum("kij,kj->ki", mult, spec.values)
+    return SpectralFunction(spec.grid, vals)
+
+
 def apply_multiplier(spec: SpectralFunction, mult: np.ndarray) -> GridFunction:
     """Inverse transform of a multiplier times ``spec``.
 
@@ -249,11 +259,21 @@ def apply_multiplier(spec: SpectralFunction, mult: np.ndarray) -> GridFunction:
     component, or a symbol stack of shape (N, d, d) acting on the vector
     at each frequency.
     """
-    if np.ndim(mult) == 1:
-        vals = mult[:, None] * spec.values
-    else:
-        vals = np.einsum("kij,kj->ki", mult, spec.values)
-    return inverse_transform(SpectralFunction(spec.grid, vals))
+    return inverse_transform(_multiply(spec, mult))
+
+
+def multiplier_norm(spec: SpectralFunction, mult: np.ndarray, p: float) -> float:
+    """``lp_norm(apply_multiplier(spec, mult), p)``.
+
+    At p = 2 the norm is read off the spectrum by discrete Parseval,
+    h * sum_j |g(x_j)|^2 = sum_k |(F g)(xi_k)|^2 / (2L), with no inverse
+    transform; every other p takes the physical-space path.
+    """
+    p = _check_exponent(p)
+    if p != 2.0:
+        return lp_norm(apply_multiplier(spec, mult), p)
+    vals = _multiply(spec, mult).values.ravel()
+    return math.sqrt(np.vdot(vals, vals).real / (2.0 * spec.grid.half_width))
 
 
 def _check_exponent(p: float) -> float:
@@ -319,14 +339,14 @@ class Sector:
         return cls(min(abs(cmath.phase(lam)) + 1e-12, math.pi - 1e-9))
 
 
-def random_band_limited(
+def band_limited_spectrum(
     grid: SpatialGrid, dim: int = 1, rng: np.random.Generator | int | None = None
-) -> GridFunction:
-    """Unit-L2 random function with spectrum on the central half of the modes.
+) -> SpectralFunction:
+    """Random spectrum on the central half of the modes.
 
-    Coefficients are complex Gaussians on |m_k| <= N/4 and zero elsewhere,
-    so the function is exactly representable on the grid and free of
-    periodization error.
+    Values are complex Gaussians on |m_k| <= N/4 and zero elsewhere, so
+    the function they transform is exactly representable on the grid and
+    free of periodization error.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -335,8 +355,14 @@ def random_band_limited(
     coeffs[keep] = rng.standard_normal((int(keep.sum()), dim)) + 1j * rng.standard_normal(
         (int(keep.sum()), dim)
     )
-    u = inverse_transform(SpectralFunction(grid, coeffs))
-    scale = lp_norm(u, 2.0)
-    if scale == 0.0:
+    if not np.any(coeffs):
         raise RuntimeError("degenerate random draw")
-    return GridFunction(grid, u.values / scale)
+    return SpectralFunction(grid, coeffs)
+
+
+def random_band_limited(
+    grid: SpatialGrid, dim: int = 1, rng: np.random.Generator | int | None = None
+) -> GridFunction:
+    """Unit-L2 inverse transform of :func:`band_limited_spectrum`."""
+    u = inverse_transform(band_limited_spectrum(grid, dim, rng))
+    return GridFunction(grid, u.values / lp_norm(u, 2.0))

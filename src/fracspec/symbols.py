@@ -427,6 +427,8 @@ def symbol_resolvent_bound(
     error naming the offending (xi, lambda).
     """
     lam_values = [complex(lam) for lam in lam_values]
+    if not lam_values:
+        raise ValueError("lambda set must be non-empty")
     xi = prob.grid.frequencies
     best = -math.inf
     argmax = {"xi": 0.0, "lambda": 0j}

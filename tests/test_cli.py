@@ -282,6 +282,13 @@ def _task_edit(task, line):
 _PERTURBED = "a_op_family = perturbed\na_op_matrix = 2,1;1,2\na_op_perturbation = "
 
 
+# phi1 + sector_angle = 4 >= pi in verify-conditions
+_PHI_SUM_EDIT = (
+    "n = 64\n\n[task]\nname = solve-elliptic\n\n[parameters]",
+    "n = 64\nsector_angle = 2\n\n[task]\nname = verify-conditions\n\n[parameters]\nphi1 = 2",
+)
+
+
 def _problem_edit(lines):
     """Config edit that adds ``lines`` to the [problem] section."""
     return ("n = 64", f"n = 64\n{lines}")
@@ -362,6 +369,9 @@ def _problem_edit(lines):
         (_task_edit("bvp", "p = 1"), [], "[parameters] p"),
         (_task_edit("system", "p = 1"), [], "[parameters] p"),
         (_task_edit("solve-parabolic", "p1 = 0.5"), [], "[parameters] p1"),
+        (_task_edit("verify-conditions", "lambda_set ="), [], "[parameters] lambda_set"),
+        (("n = 64", "n = x"), [], "[problem] n must be an integer"),
+        (_PHI_SUM_EDIT, [], "[parameters] phi1"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -483,3 +493,11 @@ def test_import_does_not_load_scipy(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_sector_sum_error_names_both_keys(tmp_path, capsys):
+    ini, _ = _write_ini(tmp_path, "solve-elliptic")
+    ini.write_text(ini.read_text().replace(*_PHI_SUM_EDIT))
+    assert main(["--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [parameters] phi1:") and "[problem] sector_angle" in err

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracspec as fs
 from conftest import dft_matrices
@@ -268,3 +270,58 @@ def test_apply_multiplier_scalar_and_stack():
     mat = rng.standard_normal((2, 2))
     got = fs.apply_multiplier(spec, np.broadcast_to(mat, (32, 2, 2))).values
     np.testing.assert_allclose(got, u.values @ mat.T, atol=1e-13)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    half=st.integers(2, 64),
+    dim=st.sampled_from([1, 2, 3]),
+    stack=st.booleans(),
+    half_width=st.floats(0.5, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiplier_norm_parseval_matches_physical_path(half, dim, stack, half_width, seed):
+    g = fs.SpatialGrid(half_width, 2 * half)
+    rng = np.random.default_rng(seed)
+    shape = (g.size, dim)
+    spec = fs.SpectralFunction(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    mshape = (g.size, dim, dim) if stack else (g.size,)
+    mult = rng.standard_normal(mshape) + 1j * rng.standard_normal(mshape)
+    want = fs.lp_norm(fs.apply_multiplier(spec, mult), 2.0)
+    assert abs(fs.multiplier_norm(spec, mult, 2.0) - want) <= 1e-12 * want
+
+
+def test_multiplier_norm_off_two_is_the_physical_path():
+    g = fs.SpatialGrid(5.0, 32)
+    spec = fs.forward_transform(fs.random_band_limited(g, 2, 3))
+    xi = g.frequencies
+    for mult in (np.exp(-(xi**2)) + 1j * xi, np.broadcast_to(np.eye(2) + 1j, (32, 2, 2))):
+        for p in (1.5, 3.0, 7.0):
+            assert fs.multiplier_norm(spec, mult, p) == fs.lp_norm(fs.apply_multiplier(spec, mult), p)
+    for bad in (1.0, math.inf):
+        with pytest.raises(ValueError, match="Lebesgue exponent"):
+            fs.multiplier_norm(spec, xi, bad)
+    nonfinite = np.full(32, np.nan)
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match="sample array contains non-finite entries"):
+            fs.multiplier_norm(spec, nonfinite, p)
+
+
+def test_random_band_limited_is_the_normalized_spectrum_draw():
+    g = fs.SpatialGrid(10.0, 64)
+    spec = fs.band_limited_spectrum(g, 2, 42)
+    assert np.all(spec.values[np.abs(g.indices) > 16] == 0.0)
+    u = fs.inverse_transform(spec)
+    want = u.values / fs.lp_norm(u, 2.0)
+    np.testing.assert_array_equal(fs.random_band_limited(g, 2, 42).values, want)
+
+
+def test_all_zero_draw_is_degenerate():
+    class Zeros(np.random.Generator):
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            return np.zeros(size)
+
+    g = fs.SpatialGrid(10.0, 16)
+    for draw in (fs.band_limited_spectrum, fs.random_band_limited):
+        with pytest.raises(RuntimeError, match="degenerate random draw"):
+            draw(g, 1, Zeros(np.random.PCG64(0)))

@@ -262,11 +262,12 @@ def _counting_ffts(monkeypatch):
 
 @pytest.mark.parametrize(
     "case, want",
-    [("unfactored", 6), ("factored", 7), ("coercive", 11), ("anisotropic", 8)],
+    [("unfactored", 4), ("factored", 5), ("coercive", 4), ("anisotropic", 4)],
 )
 def test_each_solution_is_transformed_once(monkeypatch, case, want):
-    # f in, u back, u once more for the residual and the ledger, then one
-    # inverse per multiplier applied to that single spectrum
+    # f in, u back, u once more for the residual, then one inverse for O u
+    # (and one for the factored lambda-term); the p = 2 ledger norms are
+    # read off that single spectrum with no transform
     g = fs.SpatialGrid(10.0, 256)
     mat = np.array([[2.0, 1.0], [1.0, 2.0]])
     f = fs.random_band_limited(g, 2, 5)
@@ -283,3 +284,40 @@ def test_each_solution_is_transformed_once(monkeypatch, case, want):
         else:
             fs.solve_elliptic(prob, f, 1.0)
     assert calls["n"] == want
+
+
+def _perturbed_problem(g):
+    op = fs.perturbed_operator(np.array([[3.0, 1.0], [1.0, 3.0]]), np.eye(2))
+    return make_problem(g, a_family="scaled_decay", operator=op)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_separability_matches_physical_ledger(p):
+    g = fs.SpatialGrid(10.0, 128)
+    prob = _perturbed_problem(g)
+    rep = fs.separability_check(prob, trials=6, p=p, seed=17)
+    # each trial in physical space: unit-L2 random u, its transform, and
+    # one inverse transform and L_p norm per term
+    xi = g.frequencies
+    gamma = prob.order.gamma
+    mults = [prob.a(xi) * fs.frac_power_i_xi(xi, s) for s in (0.0, gamma / 2.0, gamma)]
+    rng = np.random.default_rng(17)
+    for ratio in rep.meta["ratios"]:
+        u_spec = fs.forward_transform(fs.random_band_limited(g, 2, rng))
+
+        def norm(m):
+            return fs.lp_norm(fs.apply_multiplier(u_spec, m), p)
+
+        term_sum = sum(norm(m) for m in mults)
+        term_sum += norm(prob.A(xi))
+        want = term_sum / norm(fs.q_matrices(prob, 0.0))
+        assert abs(ratio - want) <= 1e-12 * want
+        if p != 2.0:
+            assert ratio == want
+
+
+def test_separability_trials_run_no_transform(monkeypatch):
+    prob = _perturbed_problem(fs.SpatialGrid(10.0, 128))
+    calls = _counting_ffts(monkeypatch)
+    fs.separability_check(prob, trials=5)
+    assert calls["n"] == 0

@@ -211,6 +211,12 @@ def test_symbol_resolvent_bound_counts_a_generator():
     assert streamed.constants == listed.constants
 
 
+def test_symbol_resolvent_bound_needs_a_lambda():
+    prob = make_problem(fs.SpatialGrid(10.0, 64), gamma=2.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        fs.symbol_resolvent_bound(prob, iter(()))
+
+
 def test_symbol_resolvent_bound_singular_is_hard_error():
     g = fs.SpatialGrid(math.pi, 8)  # integer frequencies, so xi = 1 is on the grid
     prob = make_problem(g, gamma=2.0, mat=np.array([[-1.0]]))
