@@ -363,7 +363,9 @@ def separability_check(
     The lower direction holds with constant 1 by the triangle inequality
     whenever gamma is in the probe set, so any ratio below 1 is a witness.
     Empirical constants C1 (min ratio) and C2 (max ratio) are reported;
-    per-trial ratios ride in ``meta`` for stability studies.
+    per-trial ratios ride in ``meta`` for stability studies. The ratio is
+    scale-invariant, so each trial uses its drawn spectrum as is and runs
+    no transform.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
@@ -378,13 +380,7 @@ def separability_check(
     ratios = []
     witnesses: list[Witness] = []
     for t in range(trials):
-        # The ratio is scale-invariant, so at p = 2, where every norm is read
-        # off the spectrum, the drawn spectrum serves as is; other exponents
-        # take physical-space norms of the unit-L2 sample.
-        if p == 2.0:
-            u_spec = band_limited_spectrum(prob.grid, prob.dim, rng)
-        else:
-            u_spec = forward_transform(random_band_limited(prob.grid, prob.dim, rng))
+        u_spec = band_limited_spectrum(prob.grid, prob.dim, rng)
         ou_norm = multiplier_norm(u_spec, q0, p)
         term_sum = sum(multiplier_norm(u_spec, m, p) for m in frac_mults)
         term_sum += multiplier_norm(u_spec, a_mats, p)

@@ -371,7 +371,12 @@ def _problem_edit(lines):
         (_task_edit("solve-parabolic", "p1 = 0.5"), [], "[parameters] p1"),
         (_task_edit("verify-conditions", "lambda_set ="), [], "[parameters] lambda_set"),
         (("n = 64", "n = x"), [], "[problem] n must be an integer"),
-        (_PHI_SUM_EDIT, [], "[parameters] phi1"),
+        (
+            _PHI_SUM_EDIT,
+            [],
+            "[parameters] phi1: sector angles must satisfy phi1 + phi2 < pi, got 4.0, "
+            "with phi2 = [problem] sector_angle",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -493,11 +498,3 @@ def test_import_does_not_load_scipy(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
-
-
-def test_sector_sum_error_names_both_keys(tmp_path, capsys):
-    ini, _ = _write_ini(tmp_path, "solve-elliptic")
-    ini.write_text(ini.read_text().replace(*_PHI_SUM_EDIT))
-    assert main(["--config", str(ini)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [parameters] phi1:") and "[problem] sector_angle" in err
