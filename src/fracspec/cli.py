@@ -279,7 +279,6 @@ def _task_resolvent_sweep(run: _Run) -> bool:
         p=_exponent(cfg, "p"),
         seed=run.seed,
         refine=cfg.get_bool("parameters", "refine", True),
-        threads=run.threads,
     )
     lams = np.array(rep.lambdas, dtype=complex)
     header = ["re_lambda", "im_lambda", "value"]
@@ -326,13 +325,19 @@ def _task_verify_conditions(run: _Run) -> bool:
 def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    rep = separability_check(
-        prob,
-        trials=_count(cfg, "trials", 50, 1),
-        p=_exponent(cfg, "p"),
-        s_set=_s_set(cfg, prob.order.gamma),
-        seed=run.seed,
-    )
+    trials = _count(cfg, "trials", 50, 1)
+    p = _exponent(cfg, "p")
+    s_set = _s_set(cfg, prob.order.gamma)
+    try:
+        rep = separability_check(prob, trials=trials, p=p, s_set=s_set, seed=run.seed)
+    except OverflowError as exc:
+        # name the larger of the two scales of the symbol
+        a_scale = abs(cfg.get_complex("problem", "a_value", -1.0 + 0.0j))
+        op_scale = float(np.abs(cfg.get_matrix("problem", "a_op_matrix", "1")).max())
+        key, default = ("a_value", "-1") if a_scale >= op_scale else ("a_op_matrix", "1")
+        raise ConfigError(
+            f"[problem] {key} = {cfg.get_str('problem', key, default)}: {exc}"
+        ) from exc
     ratios = np.array(rep.meta["ratios"], dtype=float)
     _write_csv(run.out / "ratios.csv", ["trial", "ratio"], [np.arange(1, ratios.size + 1), ratios])
     run.report(rep.to_jsonable(), [] if rep.passed else [rep.name])
@@ -526,7 +531,9 @@ def _parse_args(argv):
     parser.add_argument("--config", help="path to an INI run config")
     parser.add_argument("--out", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, help="seed for random probes")
-    parser.add_argument("--threads", type=int, help="worker threads for sweeps (0 = auto)")
+    parser.add_argument(
+        "--threads", type=int, help="thread count recorded in report.json (0 = all cores)"
+    )
     return parser.parse_args(argv)
 
 

@@ -23,6 +23,7 @@ from .core import (
     Sector,
     SpatialGrid,
     SpectralFunction,
+    _check_exponent,
     apply_multiplier,
     band_limited_spectrum,
     forward_transform,
@@ -38,7 +39,8 @@ from .symbols import (
     JsonRecord,
     Witness,
     q_matrices,
-    smallest_singular_values,
+    symbol_kernel,
+    symbol_smin,
 )
 
 __all__ = [
@@ -137,13 +139,12 @@ def _solve_with_spectrum(
         )
 
     xi = prob.grid.frequencies
-    q = q_matrices(prob, lam)
-    _, bad = smallest_singular_values(q, 1e-14)
+    _, bad = symbol_smin(prob, xi, lam, 1e-14)
     if bad is not None:
         raise SolveError(f"singular symbol at frequency xi={xi[bad]:.6g} for lambda={lam}")
 
     spec = forward_transform(f)
-    uhat = np.linalg.solve(q, spec.values[:, :, None])[:, :, 0]
+    uhat = np.linalg.solve(q_matrices(prob, lam), spec.values[:, :, None])[:, :, 0]
     u = inverse_transform(SpectralFunction(spec.grid, uhat))
     u_spec = forward_transform(u)
 
@@ -245,7 +246,7 @@ def _exact_l2_values(prob: EllipticProblem, lams: np.ndarray):
     values = []
     witnesses = []
     for lam in lams:
-        smin, bad = smallest_singular_values(q_matrices(prob, complex(lam)), 1e-14)
+        smin, bad = symbol_smin(prob, xi, complex(lam), 1e-14)
         if bad is not None:
             witnesses.append(
                 Witness(
@@ -269,7 +270,6 @@ def resolvent_sweep(
     p: float = 2.0,
     seed: int = DEFAULT_SEED,
     refine: bool = True,
-    threads: int = 1,
 ) -> SectorialityReport:
     """Sweep lambda over a radius x angle lattice in the sector and record
     the exact L2 operator norm of lambda (O + lambda)^{-1} at each point.
@@ -287,30 +287,22 @@ def resolvent_sweep(
     thetas = np.linspace(-phi.angle, phi.angle, angles)
     lams = np.array([r * np.exp(1j * t) for r in radii for t in thetas])
 
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(lams.size), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ix: _exact_l2_values(prob, lams[ix]), chunks))
-        values = [v for vs, _ in parts for v in vs]
-        witnesses = [w for _, ws in parts for w in ws]
-    else:
-        values, witnesses = _exact_l2_values(prob, lams)
+    values, witnesses = _exact_l2_values(prob, lams)
 
     probe_values = None
     if probes > 0:
         rng = np.random.default_rng(seed)
         draws = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(probes)]
+        draw_norms = [lp_norm(f, p) for f in draws]
         probe_values = []
         for lam, exact in zip(lams, values):
             if math.isnan(exact):
                 probe_values.append(math.nan)
                 continue
             best = 0.0
-            for f in draws:
+            for f, f_norm in zip(draws, draw_norms):
                 u = solve_elliptic(prob, f, complex(lam)).solution
-                best = max(best, abs(lam) * lp_norm(u, p) / lp_norm(f, p))
+                best = max(best, abs(lam) * lp_norm(u, p) / f_norm)
             probe_values.append(best)
 
     finite = [v for v in values if not math.isnan(v)]
@@ -346,6 +338,7 @@ def resolvent_sweep(
             "p": p,
             "seed": int(seed),
             "grid_size": prob.grid.size,
+            "symbol_kernel": symbol_kernel(prob, prob.grid.frequencies),
         },
     )
 
@@ -365,31 +358,42 @@ def separability_check(
     Empirical constants C1 (min ratio) and C2 (max ratio) are reported;
     per-trial ratios ride in ``meta`` for stability studies. The ratio is
     scale-invariant, so each trial uses its drawn spectrum as is and runs
-    no transform.
+    no transform. A trial whose multiplier images or norms overflow the
+    float range raises ``OverflowError``.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
+    _check_exponent(p)
     gamma = prob.order.gamma
     if s_set is None:
         s_set = (0.0, gamma / 2.0, gamma)
     xi = prob.grid.frequencies
-    q0 = q_matrices(prob, 0.0)
-    a_mats = prob.A(xi)
-    frac_mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
     rng = np.random.default_rng(seed)
     ratios = []
     witnesses: list[Witness] = []
-    for t in range(trials):
-        u_spec = band_limited_spectrum(prob.grid, prob.dim, rng)
-        ou_norm = multiplier_norm(u_spec, q0, p)
-        term_sum = sum(multiplier_norm(u_spec, m, p) for m in frac_mults)
-        term_sum += multiplier_norm(u_spec, a_mats, p)
-        ratio = term_sum / ou_norm
-        ratios.append(ratio)
-        if term_sum < ou_norm:
-            witnesses.append(
-                Witness(label="lower-bound", location={"trial": t}, magnitude=ratio)
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0 = q_matrices(prob, 0.0)
+        a_mats = prob.A(xi)
+        frac_mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
+        for t in range(trials):
+            u_spec = band_limited_spectrum(prob.grid, prob.dim, rng)
+            try:
+                ou_norm = multiplier_norm(u_spec, q0, p)
+                term_sum = sum(multiplier_norm(u_spec, m, p) for m in frac_mults)
+                term_sum += multiplier_norm(u_spec, a_mats, p)
+                finite = math.isfinite(ou_norm) and math.isfinite(term_sum)
+            except ValueError:
+                # p is valid, so the error is a non-finite multiplier image:
+                # the symbol or its product with the spectrum overflowed
+                finite = False
+            if not finite:
+                raise OverflowError(f"the norms of separability trial {t + 1} overflow")
+            ratio = term_sum / ou_norm
+            ratios.append(ratio)
+            if term_sum < ou_norm:
+                witnesses.append(
+                    Witness(label="lower-bound", location={"trial": t}, magnitude=ratio)
+                )
     return ConditionReport(
         name="separability",
         passed=not witnesses,

@@ -33,6 +33,8 @@ __all__ = [
     "q_symbol",
     "q_matrices",
     "smallest_singular_values",
+    "symbol_kernel",
+    "symbol_smin",
     "check_sector_growth",
     "check_mikhlin_bounds",
     "symbol_resolvent_bound",
@@ -308,12 +310,66 @@ def q_matrices(prob: EllipticProblem, lam: complex) -> np.ndarray:
     return _q_stack(prob, prob.grid.frequencies, complex(lam))
 
 
+def _normal_operator(prob: EllipticProblem, xi: np.ndarray) -> np.ndarray | None:
+    """The values of A behind a normal Q(xi, lambda), or None.
+
+    Q is a scalar times (a scalar times I plus A(xi)), so it is normal when
+    d == 1 or when A(xi) is exactly Hermitian at every frequency.  Returns
+    ``A.constant_matrix`` (d, d) for a constant operator, else the stack
+    A(xi) (M, d, d); None when some A(xi) is not exactly Hermitian.
+    """
+    a = prob.A.constant_matrix
+    if a is None:
+        a = prob.A(xi)
+    if prob.dim == 1 or np.array_equal(a, np.conj(np.swapaxes(a, -1, -2))):
+        return a
+    return None
+
+
+def symbol_kernel(prob: EllipticProblem, xi: np.ndarray) -> str:
+    """Which kernel ``symbol_smin`` uses at these frequencies: "hermitian-eig"
+    when Q(xi, lambda) is normal there, else "svd"."""
+    return "svd" if _normal_operator(prob, xi) is None else "hermitian-eig"
+
+
+def symbol_smin(
+    prob: EllipticProblem, xi: np.ndarray, lam: complex, rel_tol: float
+) -> tuple[np.ndarray, int | None]:
+    """``smallest_singular_values(_q_stack(prob, xi, lam), rel_tol)`` without
+    the SVD when Q is normal.
+
+    A normal Q has singular values |nu_j|, the moduli of its eigenvalues
+    nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
+    a ((i xi)^gamma + lambda + mu_j) (factored), with mu_j the eigenvalues
+    of A(xi); one ``eigvalsh`` gives every mu_j.  Other problems take the
+    SVD.
+    """
+    a = _normal_operator(prob, xi)
+    if a is None:
+        return smallest_singular_values(_q_stack(prob, xi, lam), rel_tol)
+    mu = a[..., 0] if prob.dim == 1 else np.linalg.eigvalsh(a)
+    a_vals = prob.a(xi)[:, None]
+    frac = frac_power_i_xi(xi, prob.order.gamma)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prob.q_form == "unfactored":
+            mods = np.abs(a_vals * frac + lam + mu)
+        else:
+            mods = np.abs(a_vals * (frac + lam + mu))
+    if not np.isfinite(mods).all():
+        # an overflowed modulus bounds nothing: leave the verdict to the SVD
+        return smallest_singular_values(_q_stack(prob, xi, lam), rel_tol)
+    smin = mods.min(axis=1)
+    bad = np.flatnonzero(smin <= rel_tol * np.maximum(mods.max(axis=1), 1.0))
+    return smin, (int(bad[0]) if bad.size else None)
+
+
 def _grouped_by_magnitude(xi: np.ndarray, vals: np.ndarray):
     """Sorted distinct |xi| together with the max of ``vals`` at each magnitude."""
     mags = np.abs(xi)
-    uniq = np.unique(mags)
-    grouped = np.array([vals[mags == m].max() for m in uniq])
-    return uniq, grouped
+    order = np.argsort(mags, kind="stable")
+    mags = mags[order]
+    starts = np.flatnonzero(np.r_[True, mags[1:] != mags[:-1]])
+    return mags[starts], np.maximum.reduceat(vals[order], starts)
 
 
 def check_sector_growth(prob: EllipticProblem, phi1: Sector) -> ConditionReport:
@@ -388,10 +444,17 @@ def check_mikhlin_bounds(prob: EllipticProblem, use_fd: bool = False) -> Conditi
     terms = {
         "coeff_b0": np.abs(prob.a(xi)),
         "coeff_b1": np.abs(xi) * np.abs(prob.a.derivative_at(xi, force_fd=use_fd)),
-        "op_b0": np.linalg.norm(prob.A(xi) @ ref_inv, ord=2, axis=(1, 2)),
-        "op_b1": np.abs(xi)
-        * np.linalg.norm(prob.A.derivative_at(xi, force_fd=use_fd) @ ref_inv, ord=2, axis=(1, 2)),
     }
+    const = prob.A.constant_matrix
+    if const is None:
+        terms["op_b0"] = np.linalg.norm(prob.A(xi) @ ref_inv, ord=2, axis=(1, 2))
+        terms["op_b1"] = np.abs(xi) * np.linalg.norm(
+            prob.A.derivative_at(xi, force_fd=use_fd) @ ref_inv, ord=2, axis=(1, 2)
+        )
+    else:
+        # a constant operator has one norm and a derivative that is exactly 0
+        terms["op_b0"] = np.full(xi.shape, np.linalg.norm(const @ ref_inv, ord=2))
+        terms["op_b1"] = np.zeros(xi.shape)
 
     edge = np.abs(xi) >= 0.5 * np.abs(xi).max()
     witnesses: list[Witness] = []
@@ -435,7 +498,7 @@ def symbol_resolvent_bound(
     for lam in lam_values:
         if not prob.sector.contains(lam):
             raise ValueError(f"lambda {lam} lies outside the problem sector")
-        smin, k = smallest_singular_values(_q_stack(prob, xi, lam), 1e-14)
+        smin, k = symbol_smin(prob, xi, lam, 1e-14)
         if k is not None:
             raise ValueError(f"singular symbol at xi={xi[k]:.6g}, lambda={lam}")
         vals = (1.0 + abs(lam) + xi**2) / smin
@@ -448,7 +511,11 @@ def symbol_resolvent_bound(
         passed=True,
         constants={"C": best},
         witnesses=(),
-        meta={"argmax": argmax, "lambda_count": len(lam_values)},
+        meta={
+            "argmax": argmax,
+            "lambda_count": len(lam_values),
+            "symbol_kernel": symbol_kernel(prob, xi),
+        },
     )
 
 

@@ -167,6 +167,52 @@ def test_separability_artifacts(tmp_path):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize(
+    "problem_extra, params, key",
+    [
+        ("a_value = 1e300", "", "a_value"),
+        ("a_value = 1e300\nq_form = factored", "", "a_value"),
+        ("a_value = 1e300", "p = 3", "a_value"),
+        ("a_value = 1e308", "", "a_value"),
+        ("a_op_matrix = 1e200,0;0,1e200", "", "a_op_matrix"),
+        ("a_op_matrix = 1e308", "p = 3", "a_op_matrix"),
+    ],
+)
+def test_separability_overflow_names_the_scale_key(
+    tmp_path, capsys, problem_extra, params, key
+):
+    ini, out = _write_ini(
+        tmp_path, "separability", params=f"trials = 3\n{params}", problem_extra=problem_extra
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(ini)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: [problem] {key} = ")
+    assert "overflow" in err
+    assert not (out / "report.json").exists() and not (out / "ratios.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "matrix, kernel", [("2,1;1,2", "hermitian-eig"), ("1,2;0,1", "svd")]
+)
+def test_reports_name_the_symbol_kernel(tmp_path, matrix, kernel):
+    sweep, sweep_out = _write_ini(
+        tmp_path, "resolvent-sweep", params="radii = 1\nangles = 2\nrefine = false",
+        problem_extra=f"a_op_matrix = {matrix}", out=tmp_path / "sweep", name="sweep.ini",
+    )
+    verify, verify_out = _write_ini(
+        tmp_path, "verify-conditions", problem_extra=f"a_op_matrix = {matrix}",
+        out=tmp_path / "verify", name="verify.ini",
+    )
+    assert main(["--config", str(sweep)]) in (0, 2)
+    assert _report(sweep_out)["results"]["meta"]["symbol_kernel"] == kernel
+    assert main(["--config", str(verify)]) in (0, 2)
+    bound = _report(verify_out)["results"]["resolvent-bound"]
+    assert bound["meta"]["symbol_kernel"] == kernel
+
+
 def test_embedding_probe_artifacts(tmp_path):
     ini, out = _write_ini(
         tmp_path, "embedding-probe", gamma="2.0",

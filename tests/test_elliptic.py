@@ -169,16 +169,6 @@ def test_resolvent_sweep_refined_grid_entirely_singular():
         assert w.magnitude == math.inf
 
 
-def test_resolvent_sweep_threaded_matches_serial():
-    g = fs.SpatialGrid(10.0, 32)
-    prob = make_problem(g, gamma=1.5)
-    kw = dict(radii=np.logspace(-1, 1, 5), angles=5, refine=False)
-    serial = fs.resolvent_sweep(prob, fs.Sector(math.pi / 4.0), threads=1, **kw)
-    pooled = fs.resolvent_sweep(prob, fs.Sector(math.pi / 4.0), threads=4, **kw)
-    assert serial.values == pooled.values
-    assert serial.lambdas == pooled.lambdas
-
-
 def test_resolvent_large_lambda_limit():
     g = fs.SpatialGrid(10.0, 128)
     prob = make_problem(g, gamma=1.5)

@@ -5,9 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracspec as fs
 from conftest import make_problem
+from fracspec.bvp import BVPCoefficients, discretize_bvp
+from fracspec.parabolic import SystemMatrix, _shifted_coupling
+from fracspec.symbols import _grouped_by_magnitude, _q_stack
 
 SQ2 = math.sqrt(0.5)
 
@@ -102,6 +107,182 @@ def test_smallest_singular_values_gate():
     assert bad == 1
     assert fs.smallest_singular_values(stack[[0, 2]], 1e-14)[1] is None
     assert fs.smallest_singular_values(stack[[0, 2]], 1e-12)[1] == 1
+
+
+def _hermitian(rng, dim, complex_entries):
+    m = rng.standard_normal((dim, dim))
+    if complex_entries:
+        m = m + 1j * rng.standard_normal((dim, dim))
+    return (m + m.conj().T) / 2.0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(1.05, 2.0),
+    dim=st.sampled_from([1, 2, 3]),
+    q_form=st.sampled_from(["unfactored", "factored"]),
+    perturbed=st.booleans(),
+    complex_entries=st.booleans(),
+    radius=st.floats(1e-3, 1e3),
+    angle=st.floats(-1.0, 1.0),
+    half=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symbol_smin_hermitian_matches_svd(
+    gamma, dim, q_form, perturbed, complex_entries, radius, angle, half, seed
+):
+    rng = np.random.default_rng(seed)
+    base = _hermitian(rng, dim, complex_entries)
+    if perturbed:
+        op = fs.perturbed_operator(base, _hermitian(rng, dim, complex_entries))
+    else:
+        op = fs.constant_operator(base)
+    sector = fs.Sector(math.pi / 3.0)
+    prob = fs.EllipticProblem(
+        order=fs.FractionalOrder(gamma),
+        a=fs.scaled_decay_coefficient(-1.0 + 0.3j, gamma),
+        A=op,
+        sector=sector,
+        grid=fs.SpatialGrid(10.0, 2 * half),
+        q_form=q_form,
+    )
+    lam = radius * np.exp(1j * angle * sector.angle)
+    xi = prob.grid.frequencies
+    assert fs.symbol_kernel(prob, xi) == "hermitian-eig"
+    smin, bad = fs.symbol_smin(prob, xi, lam, 1e-14)
+    q = _q_stack(prob, xi, lam)
+    largest = np.linalg.svd(q, compute_uv=False)[:, 0]
+    want, want_bad = fs.smallest_singular_values(q, 1e-14)
+    assert np.all(np.abs(smin - want) <= 1e-12 * largest)
+    assert bad == want_bad
+
+
+@pytest.mark.parametrize("q_form", ["unfactored", "factored"])
+@pytest.mark.parametrize("kind", ["scalar", "constant", "perturbed"])
+def test_symbol_smin_flags_the_svd_first_bad_index(kind, q_form):
+    # with gamma = 2 and a = -1, Q = xi^2 + lambda + A (unfactored) or
+    # -(-xi^2 + lambda + A) (factored): at lambda = 0 singular at xi = +-3
+    # when A has the eigenvalue -9 (unfactored) or 9 (factored)
+    g = fs.SpatialGrid(math.pi, 16)  # integer frequencies
+    sign = 1.0 if q_form == "unfactored" else -1.0
+    if kind == "scalar":
+        op = fs.constant_operator(np.array([[-9.0 * sign]]))
+    else:
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        base = rot @ np.diag([-9.0 * sign, sign]) @ rot.T
+        base = (base + base.T) / 2.0
+        op = fs.constant_operator(base) if kind == "constant" else fs.perturbed_operator(
+            base, np.zeros((2, 2))
+        )
+    prob = make_problem(g, gamma=2.0, operator=op, q_form=q_form)
+    xi = g.frequencies
+    assert fs.symbol_kernel(prob, xi) == "hermitian-eig"
+    smin, bad = fs.symbol_smin(prob, xi, 0.0, 1e-14)
+    want_smin, want_bad = fs.smallest_singular_values(fs.q_matrices(prob, 0.0), 1e-14)
+    assert bad == want_bad == 3 and xi[bad] == 3.0
+    assert smin[3] <= 1e-13 and want_smin[3] <= 1e-13
+    with pytest.raises(fs.SolveError, match="xi=3"):
+        fs.solve_elliptic(prob, fs.GridFunction(g, np.ones((16, op.dim))), 0.0)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def _gate_problem(mat):
+    return fs.EllipticProblem(
+        order=fs.FractionalOrder(1.5),
+        a=fs.scaled_decay_coefficient(-1.0, 1.5),
+        A=fs.constant_operator(mat),
+        sector=fs.Sector(math.pi / 4.0),
+        grid=fs.SpatialGrid(10.0, 32),
+    )
+
+
+def test_non_hermitian_operators_keep_the_svd(svd_calls):
+    variable_b2 = discretize_bvp(
+        BVPCoefficients(
+            b2=lambda y: 1.0 + 0.5 * y, b1=lambda y: 0.0 * y, b0=lambda y: 1.0 + 0.0 * y,
+            mesh_size=7,
+        )
+    )
+    literal = _shifted_coupling(SystemMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])), 1.0 + 1.0j, True)
+    for mat in (variable_b2, literal):
+        prob = _gate_problem(mat)
+        xi = prob.grid.frequencies
+        assert fs.symbol_kernel(prob, xi) == "svd"
+        svd_calls.clear()
+        smin, bad = fs.symbol_smin(prob, xi, 1.0, 1e-14)
+        assert svd_calls == [(32, mat.shape[0], mat.shape[0])]
+        want = fs.smallest_singular_values(_q_stack(prob, xi, 1.0), 1e-14)
+        np.testing.assert_array_equal(smin, want[0])
+        assert bad == want[1]
+    # the Hermitian form of the same coupling takes no SVD at all
+    prob = _gate_problem(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    svd_calls.clear()
+    fs.symbol_smin(prob, prob.grid.frequencies, 1.0, 1e-14)
+    assert svd_calls == []
+
+
+def test_symbol_smin_leaves_an_overflowed_modulus_to_the_svd(svd_calls):
+    prob = make_problem(fs.SpatialGrid(10.0, 16), a_value=1e308, mat=np.diag([1.0, 2.0]))
+    xi = prob.grid.frequencies
+    assert fs.symbol_kernel(prob, xi) == "hermitian-eig"
+    svd_calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            fs.smallest_singular_values(_q_stack(prob, xi, 1.0), 1e-14)
+        with pytest.raises(np.linalg.LinAlgError):
+            fs.symbol_smin(prob, xi, 1.0, 1e-14)
+    assert len(svd_calls) == 2
+
+
+def test_grouped_by_magnitude_matches_the_per_value_scan():
+    rng = np.random.default_rng(5)
+    for n in (4, 16, 64, 4096):
+        xi = fs.SpatialGrid(10.0, n).frequencies
+        xi = xi[xi != 0.0]
+        for vals in (rng.standard_normal(xi.size), np.abs(xi) ** 1.5 / xi**2, np.ones(xi.size)):
+            mags = np.abs(xi)
+            uniq = np.unique(mags)
+            want = np.array([vals[mags == m].max() for m in uniq])
+            got_uniq, got = _grouped_by_magnitude(xi, vals)
+            np.testing.assert_array_equal(got_uniq, uniq)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("use_fd", [False, True])
+def test_mikhlin_constant_operator_matches_the_stacked_norms(use_fd):
+    g = fs.SpatialGrid(10.0, 256)
+    mat = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+    const = fs.constant_operator(mat)
+    # the same symbol without constant_matrix takes the per-frequency stacks
+    stacked = fs.OperatorSymbol(
+        name="stacked", dim=3, func=const.func, derivative=const.derivative
+    )
+    reps = [
+        fs.check_mikhlin_bounds(
+            make_problem(g, gamma=1.5, a_family="scaled_decay", operator=op), use_fd=use_fd
+        )
+        for op in (const, stacked)
+    ]
+    got, want = (r.meta["term_sups"] for r in reps)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert abs(got[key] - want[key]) <= 1e-15 * abs(want[key])
+    assert got["op_b1"] == want["op_b1"] == 0.0
+    assert abs(reps[0].constants["C2"] - reps[1].constants["C2"]) <= 1e-15 * reps[1].constants["C2"]
+    assert reps[0].passed == reps[1].passed
 
 
 def test_sector_growth_constant_coefficient_diverges():
