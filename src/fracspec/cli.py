@@ -431,10 +431,7 @@ def _task_system(run: _Run) -> bool:
     p = _exponent(cfg, "p")
     if mode == "elliptic":
         f = build_forcing(cfg, prob.grid, mat.size, run.rng())
-        rep = solve_system(
-            mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
-            literal_shift=literal, p=p,
-        )
+        rep = solve_system(mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p)
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     elif mode == "parabolic":
         steps = _count(cfg, "nt", 64, 2)
@@ -443,8 +440,7 @@ def _task_system(run: _Run) -> bool:
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
         with _horizon_overflow(horizon):
             rep = solve_system(
-                mat, prob.order, prob.a, lam, f, mode=mode, grid=prob.grid,
-                horizon=horizon, steps=steps, literal_shift=literal, p=p,
+                mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
                 p1=_exponent(cfg, "p1"),
             )
         _write_space_time_solution(run.out / "solution.csv", rep.solution)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridFunction, Sector, SpatialGrid, random_band_limited
-from .fractional import FractionalOrder
+from .fractional import FractionalOrder, frac_power_i_xi
 from .symbols import (
     CoefficientSymbol,
     EllipticProblem,
@@ -261,7 +261,7 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     op = build_operator(cfg)
     grid = build_grid(cfg)
     try:
-        return EllipticProblem(
+        prob = EllipticProblem(
             order=order,
             a=a,
             A=op,
@@ -271,6 +271,15 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
         )
     except ValueError as exc:
         raise ConfigError(f"[problem] q_form: {exc}") from exc
+    xi = grid.frequencies
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(a(xi) * frac_power_i_xi(xi, order.gamma))
+    if not finite.all():
+        raise ConfigError(
+            f"[problem] a_value = {cfg.get_str('problem', 'a_value', '-1')}: a(xi) (i xi)^gamma "
+            f"overflows the float range at xi = {xi[np.argmin(finite)]:.6g}"
+        )
+    return prob
 
 
 def build_forcing(

@@ -173,10 +173,6 @@ class SpectralFunction:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def mode_coefficients(self) -> np.ndarray:
-        """Expansion coefficients of e^{i xi_k x}: transform values / (2L)."""
-        return self.values / (2.0 * self.grid.half_width)
-
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeFunction:
@@ -213,22 +209,6 @@ class SpaceTimeFunction:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @classmethod
-    def from_callable(
-        cls, grid: SpatialGrid, times: np.ndarray, func: Callable, dim: int = 1
-    ) -> "SpaceTimeFunction":
-        """Sample ``func(t, x)`` slice by slice."""
-        x = grid.points
-        vals = np.empty((len(times), grid.size, dim), dtype=complex)
-        for m, t in enumerate(times):
-            slab = np.asarray([func(t, xj) for xj in x], dtype=complex)
-            vals[m] = slab[:, None] if slab.ndim == 1 else slab
-        return cls(grid, np.asarray(times, float), vals)
 
     def slice_at(self, m: int) -> GridFunction:
         return GridFunction(self.grid, self.values[m])

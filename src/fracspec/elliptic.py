@@ -48,7 +48,6 @@ __all__ = [
     "SolveReport",
     "SectorialityReport",
     "solve_elliptic",
-    "apply_operator",
     "coercive_report",
     "resolvent_sweep",
     "separability_check",
@@ -94,13 +93,6 @@ class SectorialityReport(JsonRecord):
             raise ValueError("per-lambda values must not exceed the reported bound")
 
 
-def apply_operator(prob: EllipticProblem, u: GridFunction) -> GridFunction:
-    """Apply the lambda-free operator O, i.e. the assembled symbol at lambda = 0."""
-    if u.grid != prob.grid:
-        raise ValueError("grid mismatch between function and problem")
-    return apply_multiplier(forward_transform(u), q_matrices(prob, 0.0))
-
-
 def _lambda_coupling(
     prob: EllipticProblem, lam: complex, u: GridFunction, u_spec: SpectralFunction
 ) -> GridFunction:
@@ -139,7 +131,7 @@ def _solve_with_spectrum(
         )
 
     xi = prob.grid.frequencies
-    _, bad = symbol_smin(prob, xi, lam, 1e-14)
+    _, bad = symbol_smin(prob, lam)
     if bad is not None:
         raise SolveError(f"singular symbol at frequency xi={xi[bad]:.6g} for lambda={lam}")
 
@@ -246,7 +238,7 @@ def _exact_l2_values(prob: EllipticProblem, lams: np.ndarray):
     values = []
     witnesses = []
     for lam in lams:
-        smin, bad = symbol_smin(prob, xi, complex(lam), 1e-14)
+        smin, bad = symbol_smin(prob, complex(lam))
         if bad is not None:
             witnesses.append(
                 Witness(
@@ -338,7 +330,7 @@ def resolvent_sweep(
             "p": p,
             "seed": int(seed),
             "grid_size": prob.grid.size,
-            "symbol_kernel": symbol_kernel(prob, prob.grid.frequencies),
+            "symbol_kernel": symbol_kernel(prob),
         },
     )
 

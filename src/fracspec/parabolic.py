@@ -23,7 +23,6 @@ from .core import (
     GridFunction,
     Sector,
     SpaceTimeFunction,
-    SpatialGrid,
     lp_norm,
     mixed_norm,
 )
@@ -185,7 +184,8 @@ def parabolic_coercive_report(
     """Mixed-norm ledger ||u_t|| + ||a*D^gamma u|| + ||A*u|| against ||f||.
 
     The time derivative is second-order central differencing (one-sided at
-    the endpoints); the residual field u_t + a*D^gamma u + A*u - f is
+    the endpoints); the residual field u_t + O u - f, with O the symbol
+    Q(xi, 0) that ``solve_parabolic`` integrates (in either ``q_form``), is
     reported relative to ||f|| in the same mixed norm.
     """
     _check_forcing(prob, f)
@@ -204,11 +204,12 @@ def parabolic_coercive_report(
     uhat = grid.to_spectral(u.values)
     frac_term = grid.to_physical(mult[None, :, None] * uhat)
     op_term = grid.to_physical(np.einsum("kij,mkj->mki", prob.core.A(xi), uhat))
+    ou = grid.to_physical(np.einsum("kij,mkj->mki", q_matrices(prob.core, 0.0), uhat))
 
     def _mixed(vals: np.ndarray) -> float:
         return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
 
-    residual_field = du_dt + frac_term + op_term - f.values
+    residual_field = du_dt + ou - f.values
     f_norm = _mixed(f.values)
     resid = _mixed(residual_field)
     terms = {
@@ -282,34 +283,31 @@ def solve_system(
     order: FractionalOrder,
     a: CoefficientSymbol,
     lam: complex,
-    f,
-    mode: str = "elliptic",
-    grid: SpatialGrid | None = None,
-    horizon: float | None = None,
-    steps: int | None = None,
+    f: GridFunction | SpaceTimeFunction,
     literal_shift: bool = False,
     p: float = 2.0,
     p1: float = 2.0,
 ) -> SolveReport:
     """Solve the constant-coupling system a*D^gamma u_i + sum_j A_ij u_j
-    + lambda u_i = f_i in elliptic or parabolic (zero initial data) mode.
+    + lambda u_i = f_i on the forcing's grid.
 
-    The SPD gate lives in :class:`SystemMatrix`.  ``literal_shift`` adds
-    lambda inside the coupling sum instead of on the diagonal.  Reports
-    include the coupling-weighted norm ||A u||.
+    A :class:`GridFunction` forcing is solved in elliptic mode; a
+    :class:`SpaceTimeFunction` forcing in parabolic mode (zero initial
+    data) over its time samples.  The SPD gate lives in
+    :class:`SystemMatrix`.  ``literal_shift`` adds lambda inside the
+    coupling sum instead of on the diagonal.  Reports include the
+    coupling-weighted norm ||A u||.
     """
     lam = complex(lam)
-    if mode not in ("elliptic", "parabolic"):
-        raise ValueError(f"mode must be 'elliptic' or 'parabolic', got {mode!r}")
-    if grid is None:
-        grid = f.grid
-    if mode == "elliptic" and not isinstance(f, GridFunction):
-        raise ValueError("elliptic mode takes a GridFunction forcing")
-    if mode == "parabolic":
-        if not isinstance(f, SpaceTimeFunction):
-            raise ValueError("parabolic mode takes a SpaceTimeFunction forcing")
-        if horizon is None or steps is None:
-            raise ValueError("parabolic mode needs horizon and steps")
+    if isinstance(f, GridFunction):
+        mode = "elliptic"
+    elif isinstance(f, SpaceTimeFunction):
+        mode = "parabolic"
+    else:
+        raise ValueError(
+            f"forcing must be a GridFunction or a SpaceTimeFunction, got {type(f).__name__}"
+        )
+    grid = f.grid
     core = EllipticProblem(
         order=order,
         a=a,
@@ -322,7 +320,8 @@ def solve_system(
         rep = solve_elliptic(core, f, 0.0, p=p)
         weighted = lp_norm(GridFunction(grid, rep.solution.values @ weight.T), p)
     else:
-        rep = parabolic_coercive_report(ParabolicProblem(core, horizon, steps), f, p=p, p1=p1)
+        pprob = ParabolicProblem(core, float(f.times[-1]), f.times.size - 1)
+        rep = parabolic_coercive_report(pprob, f, p=p, p1=p1)
         u = rep.solution
         weighted = mixed_norm(
             SpaceTimeFunction(grid, u.times, np.einsum("ij,mkj->mki", weight, u.values)), p, p1

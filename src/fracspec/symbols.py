@@ -30,7 +30,6 @@ __all__ = [
     "scaled_decay_coefficient",
     "constant_operator",
     "perturbed_operator",
-    "q_symbol",
     "q_matrices",
     "smallest_singular_values",
     "symbol_kernel",
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5  # central-difference step is _FD_STEP * max(1, |xi|)
+
+# Singular-symbol gate: Q(xi, lambda) is singular where its smallest
+# singular value is at most _SINGULAR_TOL * max(largest, 1).
+_SINGULAR_TOL = 1e-14
 
 
 def _json_value(v):
@@ -127,7 +130,7 @@ class CoefficientSymbol:
 def smallest_singular_values(q: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int | None]:
     """Smallest singular value of each matrix in a (..., d, d) stack, and the
     first flat index whose value is at most ``rel_tol * max(largest, 1)``
-    (None when every matrix passes): the one singular-symbol gate."""
+    (None when every matrix passes): the general path of ``symbol_smin``."""
     svals = np.linalg.svd(q, compute_uv=False)
     smin = svals[..., -1]
     bad = np.flatnonzero(smin <= rel_tol * np.maximum(svals[..., 0], 1.0))
@@ -300,43 +303,36 @@ def _q_stack(prob: EllipticProblem, xi: np.ndarray, lam: complex) -> np.ndarray:
     return a_vals[:, None, None] * ((frac + lam)[:, None, None] * eye + a_mats)
 
 
-def q_symbol(prob: EllipticProblem, xi: float, lam: complex) -> np.ndarray:
-    """The d x d frequency symbol Q(xi, lambda)."""
-    return _q_stack(prob, np.array([float(xi)]), complex(lam))[0]
-
-
 def q_matrices(prob: EllipticProblem, lam: complex) -> np.ndarray:
     """Q(xi_k, lambda) stacked over the problem grid's frequencies, shape (N, d, d)."""
     return _q_stack(prob, prob.grid.frequencies, complex(lam))
 
 
-def _normal_operator(prob: EllipticProblem, xi: np.ndarray) -> np.ndarray | None:
+def _normal_operator(prob: EllipticProblem) -> np.ndarray | None:
     """The values of A behind a normal Q(xi, lambda), or None.
 
     Q is a scalar times (a scalar times I plus A(xi)), so it is normal when
-    d == 1 or when A(xi) is exactly Hermitian at every frequency.  Returns
-    ``A.constant_matrix`` (d, d) for a constant operator, else the stack
-    A(xi) (M, d, d); None when some A(xi) is not exactly Hermitian.
+    d == 1 or when A(xi) is exactly Hermitian at every grid frequency.
+    Returns ``A.constant_matrix`` (d, d) for a constant operator, else the
+    stack A(xi) (N, d, d); None when some A(xi) is not exactly Hermitian.
     """
     a = prob.A.constant_matrix
     if a is None:
-        a = prob.A(xi)
+        a = prob.A(prob.grid.frequencies)
     if prob.dim == 1 or np.array_equal(a, np.conj(np.swapaxes(a, -1, -2))):
         return a
     return None
 
 
-def symbol_kernel(prob: EllipticProblem, xi: np.ndarray) -> str:
-    """Which kernel ``symbol_smin`` uses at these frequencies: "hermitian-eig"
+def symbol_kernel(prob: EllipticProblem) -> str:
+    """Which kernel ``symbol_smin`` uses on the problem grid: "hermitian-eig"
     when Q(xi, lambda) is normal there, else "svd"."""
-    return "svd" if _normal_operator(prob, xi) is None else "hermitian-eig"
+    return "svd" if _normal_operator(prob) is None else "hermitian-eig"
 
 
-def symbol_smin(
-    prob: EllipticProblem, xi: np.ndarray, lam: complex, rel_tol: float
-) -> tuple[np.ndarray, int | None]:
-    """``smallest_singular_values(_q_stack(prob, xi, lam), rel_tol)`` without
-    the SVD when Q is normal.
+def symbol_smin(prob: EllipticProblem, lam: complex) -> tuple[np.ndarray, int | None]:
+    """``smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)``
+    without the SVD when Q is normal: the singular-symbol gate.
 
     A normal Q has singular values |nu_j|, the moduli of its eigenvalues
     nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
@@ -344,9 +340,10 @@ def symbol_smin(
     of A(xi); one ``eigvalsh`` gives every mu_j.  Other problems take the
     SVD.
     """
-    a = _normal_operator(prob, xi)
+    a = _normal_operator(prob)
     if a is None:
-        return smallest_singular_values(_q_stack(prob, xi, lam), rel_tol)
+        return smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)
+    xi = prob.grid.frequencies
     mu = a[..., 0] if prob.dim == 1 else np.linalg.eigvalsh(a)
     a_vals = prob.a(xi)[:, None]
     frac = frac_power_i_xi(xi, prob.order.gamma)[:, None]
@@ -357,9 +354,9 @@ def symbol_smin(
             mods = np.abs(a_vals * (frac + lam + mu))
     if not np.isfinite(mods).all():
         # an overflowed modulus bounds nothing: leave the verdict to the SVD
-        return smallest_singular_values(_q_stack(prob, xi, lam), rel_tol)
+        return smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)
     smin = mods.min(axis=1)
-    bad = np.flatnonzero(smin <= rel_tol * np.maximum(mods.max(axis=1), 1.0))
+    bad = np.flatnonzero(smin <= _SINGULAR_TOL * np.maximum(mods.max(axis=1), 1.0))
     return smin, (int(bad[0]) if bad.size else None)
 
 
@@ -498,7 +495,7 @@ def symbol_resolvent_bound(
     for lam in lam_values:
         if not prob.sector.contains(lam):
             raise ValueError(f"lambda {lam} lies outside the problem sector")
-        smin, k = symbol_smin(prob, xi, lam, 1e-14)
+        smin, k = symbol_smin(prob, lam)
         if k is not None:
             raise ValueError(f"singular symbol at xi={xi[k]:.6g}, lambda={lam}")
         vals = (1.0 + abs(lam) + xi**2) / smin
@@ -514,7 +511,7 @@ def symbol_resolvent_bound(
         meta={
             "argmax": argmax,
             "lambda_count": len(lam_values),
-            "symbol_kernel": symbol_kernel(prob, xi),
+            "symbol_kernel": symbol_kernel(prob),
         },
     )
 

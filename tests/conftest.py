@@ -9,8 +9,14 @@ normalization and the symbol assembly.
 """
 
 import numpy as np
+from hypothesis import settings
 
 import fracspec as fs
+
+# Property tests replay the same examples on every run and keep no example
+# database; a slow example is not a failure.
+settings.register_profile("fracspec", derandomize=True, database=None, deadline=None)
+settings.load_profile("fracspec")
 
 
 def make_problem(

@@ -265,8 +265,7 @@ def test_criterion_09_system_gate_and_decoupling():
     g = fs.SpatialGrid(10.0, 32)
     mat = fs.SystemMatrix(np.diag([2.0, 5.0]))
     f = fs.random_band_limited(g, 2, 3)
-    rep = fs.solve_system(mat, fs.FractionalOrder(1.5), fs.constant_coefficient(-1.0),
-                          1.0, f, grid=g)
+    rep = fs.solve_system(mat, fs.FractionalOrder(1.5), fs.constant_coefficient(-1.0), 1.0, f)
     decouple_err = 0.0
     for i, diag in enumerate((2.0, 5.0)):
         scalar = make_problem(g, gamma=1.5, mat=np.array([[diag + 1.0]]))

@@ -83,6 +83,21 @@ def test_solve_parabolic_artifacts(tmp_path):
     assert len(lines) == 1 + 9 * 64
 
 
+def test_solve_parabolic_factored_form(tmp_path):
+    # a = -1: the factored form with -A is the unfactored form with A
+    rels = []
+    for q_form, matrix in (("unfactored", "2,1;1,2"), ("factored", "-2,-1;-1,-2")):
+        ini, out = _write_ini(
+            tmp_path, "solve-parabolic", params="nt = 16",
+            problem_extra=f"q_form = {q_form}\na_op_matrix = {matrix}",
+            out=tmp_path / q_form, name=f"{q_form}.ini",
+        )
+        assert main(["--config", str(ini)]) == 0
+        rels.append(_report(out)["results"]["residual_rel"])
+    assert rels[0] < 1e-2
+    assert rels[1] == pytest.approx(rels[0], rel=1e-12)
+
+
 def test_byte_determinism_with_random_forcing(tmp_path):
     ini, _ = _write_ini(tmp_path, "solve-elliptic", params="forcing = random")
     out1, out2, out3 = (tmp_path / n for n in ("o1", "o2", "o3"))
@@ -192,6 +207,23 @@ def test_separability_overflow_names_the_scale_key(
     assert err.count("\n") == 1 and err.startswith(f"error: [problem] {key} = ")
     assert "overflow" in err
     assert not (out / "report.json").exists() and not (out / "ratios.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "task", ["solve-elliptic", "verify-conditions", "resolvent-sweep", "solve-parabolic"]
+)
+def test_overflowing_a_value_names_the_key(tmp_path, capsys, task):
+    ini, out = _write_ini(
+        tmp_path, task, params="nt = 4\nradii = 1\nangles = 2", problem_extra="a_value = 1e308"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(ini)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: [problem] a_value = 1e308: ")
+    assert "overflow" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

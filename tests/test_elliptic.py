@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracspec as fs
 from conftest import dense_operator, dense_solve, make_problem, rel_linf
@@ -45,6 +47,28 @@ def test_matches_dense_reference_across_configurations():
             assert rel_linf(got.values, want.values) < 1e-9, (gamma, d, q_form, lam)
 
 
+@settings(max_examples=60)
+@given(
+    gamma=st.floats(1.05, 2.0),
+    d=st.sampled_from([1, 2, 3]),
+    q_form=st.sampled_from(["unfactored", "factored"]),
+    radius=st.floats(0.0, 1e3),
+    angle=st.floats(-1.0, 1.0),
+    half=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_dense_reference_property(gamma, d, q_form, radius, angle, half, seed):
+    rng = np.random.default_rng(seed)
+    g = fs.SpatialGrid(8.0, 2 * half)
+    w = rng.standard_normal((d, d))
+    prob = make_problem(g, gamma=gamma, mat=w @ w.T + d * np.eye(d), q_form=q_form)
+    lam = radius * np.exp(1j * angle * prob.sector.angle)
+    f = fs.random_band_limited(g, d, rng)
+    got = fs.solve_elliptic(prob, f, lam).solution
+    want = dense_solve(prob, f, lam)
+    assert rel_linf(got.values, want.values) < 1e-9
+
+
 def test_matches_dense_reference_perturbed_operator():
     rng = np.random.default_rng(77)
     g = fs.SpatialGrid(8.0, 32)
@@ -61,7 +85,7 @@ def test_apply_operator_matches_dense_multiply():
     g = fs.SpatialGrid(8.0, 32)
     prob = make_problem(g, gamma=1.5, mat=np.array([[2.0, 0.5], [0.5, 1.0]]))
     u = fs.random_band_limited(g, 2, 5)
-    got = fs.apply_operator(prob, u).values.reshape(-1)
+    got = fs.apply_multiplier(fs.forward_transform(u), fs.q_matrices(prob, 0.0)).values.reshape(-1)
     want = dense_operator(prob, 0.0) @ u.values.reshape(-1)
     assert rel_linf(got, want) < 1e-10
 

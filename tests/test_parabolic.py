@@ -154,6 +154,21 @@ def test_coercive_report_residual_shrinks_with_dt():
     assert rels[1024] < rels[256] / 8.0
 
 
+def test_coercive_report_residual_uses_the_factored_symbol():
+    # a = -1 makes a ((i xi)^gamma - A) = a (i xi)^gamma + A: one operator O
+    # in two forms, so the two ledgers must report one residual
+    g = fs.SpatialGrid(10.0, 64)
+    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+    rels = []
+    for q_form, sign in (("unfactored", 1.0), ("factored", -1.0)):
+        prob = fs.ParabolicProblem(make_problem(g, mat=sign * mat, q_form=q_form), 1.0, 16)
+        phi = np.tile(_gauss(g)[:, None], (1, 2))
+        f = fs.SpaceTimeFunction(g, prob.times, np.sin(prob.times)[:, None, None] * phi)
+        rels.append(fs.parabolic_coercive_report(prob, f).residual_rel)
+    assert rels[0] < 1e-2
+    assert rels[1] == pytest.approx(rels[0], rel=1e-12)
+
+
 def test_coercive_report_shape_gate():
     g = fs.SpatialGrid(10.0, 32)
     prob = fs.ParabolicProblem(make_problem(g), 1.0, 8)
@@ -227,7 +242,7 @@ def test_system_elliptic_diagonal_decouples():
     order = fs.FractionalOrder(1.5)
     a = fs.constant_coefficient(-1.0)
     f = fs.random_band_limited(g, 2, 3)
-    rep = fs.solve_system(mat, order, a, 1.0, f, grid=g)
+    rep = fs.solve_system(mat, order, a, 1.0, f)
     for i, diag in enumerate((2.0, 5.0)):
         scalar = make_problem(g, gamma=1.5, mat=np.array([[diag + 1.0]]))
         fi = fs.GridFunction(g, f.values[:, i])
@@ -244,7 +259,7 @@ def test_system_literal_shift_moves_lambda_into_coupling():
     f = fs.random_band_limited(g, 2, 4)
     order = fs.FractionalOrder(1.5)
     a = fs.constant_coefficient(-1.0)
-    rep = fs.solve_system(mat, order, a, 1.0, f, grid=g, literal_shift=True)
+    rep = fs.solve_system(mat, order, a, 1.0, f, literal_shift=True)
     explicit = make_problem(g, gamma=1.5, mat=np.array([[3.0, 2.0], [2.0, 3.0]]))
     want = fs.solve_elliptic(explicit, f, 0.0).solution.values
     assert np.max(np.abs(rep.solution.values - want)) < 1e-12
@@ -260,18 +275,11 @@ def test_system_parabolic_mode():
     times = np.linspace(0.0, 1.0, steps + 1)
     phi = fs.random_band_limited(g, 2, 5)
     f = fs.SpaceTimeFunction(g, times, np.broadcast_to(phi.values, (steps + 1, 32, 2)).copy())
-    rep = fs.solve_system(mat, order, a, 0.5, f, mode="parabolic", grid=g,
-                          horizon=1.0, steps=steps)
+    rep = fs.solve_system(mat, order, a, 0.5, f)
     assert rep.residual_rel <= 1e-2
     for key in ("d_t u", "a*D^1.5 u", "A*u", "A-weighted u"):
         assert key in rep.term_norms
     assert rep.meta["mode"] == "parabolic"
-    with pytest.raises(ValueError, match="horizon and steps"):
-        fs.solve_system(mat, order, a, 0.5, f, mode="parabolic", grid=g)
-    with pytest.raises(ValueError, match="GridFunction"):
-        fs.solve_system(mat, order, a, 0.5, f, mode="elliptic", grid=g)
-    with pytest.raises(ValueError, match="SpaceTimeFunction"):
-        fs.solve_system(mat, order, a, 0.5, phi, mode="parabolic", grid=g,
-                        horizon=1.0, steps=steps)
-    with pytest.raises(ValueError, match="mode must be"):
-        fs.solve_system(mat, order, a, 0.5, phi, mode="banana", grid=g)
+    assert rep.meta["horizon"] == 1.0 and rep.meta["steps"] == steps
+    with pytest.raises(ValueError, match="GridFunction or a SpaceTimeFunction, got ndarray"):
+        fs.solve_system(mat, order, a, 0.5, phi.values)

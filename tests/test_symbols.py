@@ -20,12 +20,12 @@ SQ2 = math.sqrt(0.5)
 def test_q_symbol_unfactored_examples():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=2.0, mat=np.diag([1.0, 2.0]))
-    q = fs.q_symbol(prob, 1.0, 0.0)
+    q = _q_stack(prob, np.array([1.0]), 0.0)[0]
     # a = -1 and (i*1)^2 = -1, so the fractional part contributes +1 on the diagonal
     np.testing.assert_allclose(q, np.diag([2.0, 3.0]), atol=1e-14)
 
     prob = make_problem(g, gamma=1.5, mat=np.array([[0.5]]))
-    q = fs.q_symbol(prob, 1.0, 2.0)
+    q = _q_stack(prob, np.array([1.0]), 2.0)[0]
     want = -np.exp(0.75j * math.pi) + 0.5 + 2.0
     assert q[0, 0] == pytest.approx(want, abs=1e-13)
     assert q[0, 0] == pytest.approx(SQ2 - SQ2 * 1j + 2.5, abs=1e-13)
@@ -37,7 +37,7 @@ def test_q_symbol_factored_form():
     xi, lam = 2.0, 1.0 + 0.5j
     a_val = -1.0
     want = a_val * (fs.frac_power_i_xi(xi, 1.5) + 0.5 + lam)
-    assert fs.q_symbol(prob, xi, lam)[0, 0] == pytest.approx(want, abs=1e-13)
+    assert _q_stack(prob, np.array([xi]), lam)[0, 0, 0] == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValueError, match="q_form"):
         make_problem(g, q_form="diagonal")
 
@@ -116,7 +116,7 @@ def _hermitian(rng, dim, complex_entries):
     return (m + m.conj().T) / 2.0
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     gamma=st.floats(1.05, 2.0),
     dim=st.sampled_from([1, 2, 3]),
@@ -147,10 +147,9 @@ def test_symbol_smin_hermitian_matches_svd(
         q_form=q_form,
     )
     lam = radius * np.exp(1j * angle * sector.angle)
-    xi = prob.grid.frequencies
-    assert fs.symbol_kernel(prob, xi) == "hermitian-eig"
-    smin, bad = fs.symbol_smin(prob, xi, lam, 1e-14)
-    q = _q_stack(prob, xi, lam)
+    assert fs.symbol_kernel(prob) == "hermitian-eig"
+    smin, bad = fs.symbol_smin(prob, lam)
+    q = fs.q_matrices(prob, lam)
     largest = np.linalg.svd(q, compute_uv=False)[:, 0]
     want, want_bad = fs.smallest_singular_values(q, 1e-14)
     assert np.all(np.abs(smin - want) <= 1e-12 * largest)
@@ -176,8 +175,8 @@ def test_symbol_smin_flags_the_svd_first_bad_index(kind, q_form):
         )
     prob = make_problem(g, gamma=2.0, operator=op, q_form=q_form)
     xi = g.frequencies
-    assert fs.symbol_kernel(prob, xi) == "hermitian-eig"
-    smin, bad = fs.symbol_smin(prob, xi, 0.0, 1e-14)
+    assert fs.symbol_kernel(prob) == "hermitian-eig"
+    smin, bad = fs.symbol_smin(prob, 0.0)
     want_smin, want_bad = fs.smallest_singular_values(fs.q_matrices(prob, 0.0), 1e-14)
     assert bad == want_bad == 3 and xi[bad] == 3.0
     assert smin[3] <= 1e-13 and want_smin[3] <= 1e-13
@@ -218,31 +217,29 @@ def test_non_hermitian_operators_keep_the_svd(svd_calls):
     literal = _shifted_coupling(SystemMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])), 1.0 + 1.0j, True)
     for mat in (variable_b2, literal):
         prob = _gate_problem(mat)
-        xi = prob.grid.frequencies
-        assert fs.symbol_kernel(prob, xi) == "svd"
+        assert fs.symbol_kernel(prob) == "svd"
         svd_calls.clear()
-        smin, bad = fs.symbol_smin(prob, xi, 1.0, 1e-14)
+        smin, bad = fs.symbol_smin(prob, 1.0)
         assert svd_calls == [(32, mat.shape[0], mat.shape[0])]
-        want = fs.smallest_singular_values(_q_stack(prob, xi, 1.0), 1e-14)
+        want = fs.smallest_singular_values(fs.q_matrices(prob, 1.0), 1e-14)
         np.testing.assert_array_equal(smin, want[0])
         assert bad == want[1]
     # the Hermitian form of the same coupling takes no SVD at all
     prob = _gate_problem(np.array([[2.0, 1.0], [1.0, 2.0]]))
     svd_calls.clear()
-    fs.symbol_smin(prob, prob.grid.frequencies, 1.0, 1e-14)
+    fs.symbol_smin(prob, 1.0)
     assert svd_calls == []
 
 
 def test_symbol_smin_leaves_an_overflowed_modulus_to_the_svd(svd_calls):
     prob = make_problem(fs.SpatialGrid(10.0, 16), a_value=1e308, mat=np.diag([1.0, 2.0]))
-    xi = prob.grid.frequencies
-    assert fs.symbol_kernel(prob, xi) == "hermitian-eig"
+    assert fs.symbol_kernel(prob) == "hermitian-eig"
     svd_calls.clear()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError):
-            fs.smallest_singular_values(_q_stack(prob, xi, 1.0), 1e-14)
+            fs.smallest_singular_values(fs.q_matrices(prob, 1.0), 1e-14)
         with pytest.raises(np.linalg.LinAlgError):
-            fs.symbol_smin(prob, xi, 1.0, 1e-14)
+            fs.symbol_smin(prob, 1.0)
     assert len(svd_calls) == 2
 
 
