@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import BVPCoefficients, check_ellipticity, solve_anisotropic
-from .config import ConfigError, RunConfig, build_forcing, build_problem
+from .config import (
+    ConfigError,
+    RunConfig,
+    _require_memory,
+    build_forcing,
+    build_problem,
+)
 from .core import (
     DEFAULT_SEED,
     GridFunction,
@@ -39,6 +45,8 @@ from .parabolic import (
     SCHEMES,
     ParabolicProblem,
     SystemMatrix,
+    _dissipative_gate,
+    _evolve,
     parabolic_coercive_report,
     solve_parabolic,
     solve_system,
@@ -221,28 +229,38 @@ def _task_solve_elliptic(run: _Run) -> bool:
     return False
 
 
+def _profile_weights(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
+    """The ``[parameters] time_profile`` weight at each of ``times``."""
+    profile = cfg.get_str("parameters", "time_profile", "constant")
+    if profile == "constant":
+        return np.ones(times.size)
+    if profile == "sine":
+        return np.sin(times)
+    if profile == "ramp":
+        return times.copy()
+    raise ConfigError(
+        f"[parameters] time_profile must be 'constant', 'sine' or 'ramp', got {profile!r}"
+    )
+
+
 def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTimeFunction:
     """Spatial forcing times the ``[parameters] time_profile`` weight at each time."""
     spatial = build_forcing(cfg, grid, dim, rng)
-    profile = cfg.get_str("parameters", "time_profile", "constant")
-    if profile == "constant":
-        weights = np.ones(times.size)
-    elif profile == "sine":
-        weights = np.sin(times)
-    elif profile == "ramp":
-        weights = times.copy()
-    else:
-        raise ConfigError(
-            f"[parameters] time_profile must be 'constant', 'sine' or 'ramp', got {profile!r}"
-        )
-    vals = weights[:, None, None] * spatial.values[None, :, :]
+    vals = _profile_weights(cfg, times)[:, None, None] * spatial.values[None, :, :]
     return SpaceTimeFunction(grid, times, vals)
+
+
+def _time_steps(cfg: RunConfig, grid, dim: int) -> int:
+    """``[parameters] nt``, at least 2, whose (nt+1) x N x d field fits in memory."""
+    steps = _count(cfg, "nt", 64, 2)
+    _require_memory("[parameters] nt", steps, (steps + 1, grid.size, dim))
+    return steps
 
 
 def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    steps = _count(cfg, "nt", 64, 2)
+    steps = _time_steps(cfg, prob.grid, prob.dim)
     pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
     with _horizon_overflow(pprob.horizon):
@@ -434,7 +452,7 @@ def _task_system(run: _Run) -> bool:
         rep = solve_system(mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p)
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     elif mode == "parabolic":
-        steps = _count(cfg, "nt", 64, 2)
+        steps = _time_steps(cfg, prob.grid, mat.size)
         horizon = _horizon(cfg, steps)
         times = np.linspace(0.0, horizon, steps + 1)
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
@@ -461,21 +479,30 @@ def _task_convergence(run: _Run) -> bool:
         raise ConfigError(f"[parameters] levels entries must be at least 2, got {levels}")
     scheme = _scheme(cfg, "crank-nicolson")
     prob = build_problem(cfg)
+    grid = prob.grid
+    text = ",".join(map(str, levels))
+    _require_memory("[parameters] levels", text, (levels[-1] + 1, grid.size, prob.dim))
     horizon = _horizon(cfg, levels[-1])
+    # Every level's forcing is w(t_m) s(x): draw and transform s once.
+    shat = grid.to_spectral(build_forcing(cfg, grid, prob.dim, run.rng()).values)
 
-    def final_state(steps: int, integrator: str) -> GridFunction:
+    def level_forcing(steps: int) -> tuple[ParabolicProblem, np.ndarray]:
         pprob = ParabolicProblem(core=prob, horizon=horizon, steps=steps)
-        rng = np.random.default_rng(run.seed)
-        f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, rng)
-        with _horizon_overflow(horizon):
-            u = solve_parabolic(pprob, f, integrator)
-        return u.slice_at(pprob.steps)
+        return pprob, _profile_weights(cfg, pprob.times)[:, None, None] * shat[None]
 
-    reference = final_state(levels[-1], "exact")
+    def final_state(pprob: ParabolicProblem, fhat: np.ndarray, integrator: str) -> np.ndarray:
+        with _horizon_overflow(horizon):
+            uhat = _evolve(pprob, q0, fhat, integrator)
+        return grid.to_physical(uhat[-1])
+
+    ref_prob, ref_fhat = level_forcing(levels[-1])
+    q0 = _dissipative_gate(ref_prob)
+    exact = final_state(ref_prob, ref_fhat, "exact")
+    del ref_fhat
     errors = []
     for steps in levels:
-        diff = final_state(steps, scheme).values - reference.values
-        errors.append(lp_norm(GridFunction(prob.grid, diff), 2.0))
+        diff = final_state(*level_forcing(steps), scheme) - exact
+        errors.append(lp_norm(GridFunction(grid, diff), 2.0))
 
     orders: list[str] = []
     for i, err in enumerate(errors):

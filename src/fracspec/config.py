@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,6 +251,22 @@ def build_operator(cfg: RunConfig) -> OperatorSymbol:
         raise ConfigError(f"[problem] operator symbol: {exc}") from exc
 
 
+def _require_memory(key: str, text, shape: tuple[int, ...]) -> None:
+    """ConfigError naming ``key = text`` when a complex field of ``shape``
+    would not fit in physical memory (page count times page size).
+
+    Called before the field, or anything sized by it, is allocated.
+    """
+    need = math.prod(shape) * np.dtype(complex).itemsize
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        dims = " x ".join(str(n) for n in shape)
+        raise ConfigError(
+            f"{key} = {text}: a {dims} complex field needs {need / 2**30:.4g} GiB, "
+            f"more than the {have / 2**30:.4g} GiB of physical memory"
+        )
+
+
 def build_problem(cfg: RunConfig) -> EllipticProblem:
     order = build_order(cfg)
     sector_angle = cfg.get_float("problem", "sector_angle", math.pi / 4.0)
@@ -260,6 +277,8 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     a = build_coefficient(cfg, order.gamma)
     op = build_operator(cfg)
     grid = build_grid(cfg)
+    # Every task assembles the N x d x d symbol stack Q(xi).
+    _require_memory("[problem] n", grid.size, (grid.size, op.dim, op.dim))
     try:
         prob = EllipticProblem(
             order=order,

@@ -210,9 +210,6 @@ class SpaceTimeFunction:
     def dim(self) -> int:
         return self.values.shape[2]
 
-    def slice_at(self, m: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[m])
-
 
 def forward_transform(f: GridFunction) -> SpectralFunction:
     """h-weighted DFT approximating the continuum transform on [-L, L)."""
@@ -293,6 +290,18 @@ def mixed_norm(f: SpaceTimeFunction, p: float, p1: float, swap: bool = False) ->
         return float(np.sum(w * inner**p1) ** (1.0 / p1))
     inner = np.sum(w[:, None] * mags**p1, axis=0) ** (1.0 / p1)
     return float((h * np.sum(inner**p)) ** (1.0 / p))
+
+
+def _mixed_l2_of_spectra(grid: SpatialGrid, times: np.ndarray, spectra: np.ndarray) -> float:
+    """``mixed_norm`` at p = p1 = 2 (either ``swap``) of the field whose
+    slices have the (Nt+1, N, d) ``spectra``, with no inverse transform.
+
+    Discrete Parseval per slice, as in :func:`multiplier_norm`, under the
+    trapezoid weights w_m in t: sqrt(sum_m w_m sum_k |g^_mk|^2 / 2L).
+    """
+    per_slice = np.sum(np.abs(spectra) ** 2, axis=(1, 2))
+    w = _trapezoid_weights(times)
+    return math.sqrt(float(np.dot(w, per_slice)) / (2.0 * grid.half_width))
 
 
 @dataclass(frozen=True)

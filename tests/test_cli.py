@@ -5,23 +5,29 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fracspec
+from fracspec import cli, parabolic
 from fracspec.bvp import BVPCoefficients
 from fracspec.cli import (
     CSV_BLOCK_ROWS,
     _product_lead,
+    _profile_weights,
+    _space_time_forcing,
     _write_csv,
     _write_solution,
     _write_space_time_solution,
     main,
 )
-from fracspec.core import SpatialGrid
+from fracspec.config import RunConfig, build_forcing, build_problem
+from fracspec.core import GridFunction, SpatialGrid, lp_norm
 
 BASE = """\
 [problem]
@@ -313,6 +319,103 @@ def test_convergence_exact_hits_floor(tmp_path):
     assert all(line.split(",")[2] == "floor" for line in lines)
 
 
+# Config of the convergence golden test. Its artifacts under tests/data/convergence
+# were recorded with every level solved by the whole-field solve_parabolic path;
+# the task must reproduce them byte for byte.
+_GOLDEN_INI = """\
+[problem]
+gamma = 1.5
+l = 10.0
+n = 64
+a_family = scaled_decay
+a_op_matrix = 2,1;1,2
+
+[task]
+name = convergence
+
+[parameters]
+levels = 8,16,32
+scheme = {scheme}
+forcing = random
+time_profile = constant
+t = 1.0
+"""
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("scheme", ["crank-nicolson", "exact"])
+def test_convergence_bytes_match_golden(tmp_path, scheme, seed):
+    ini = tmp_path / "run.ini"
+    ini.write_text(_GOLDEN_INI.format(scheme=scheme))
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "--out", str(out), "--seed", str(seed)]) == 0
+    golden = Path(__file__).parent / "data" / "convergence" / f"{scheme}-seed{seed}"
+    for name in ("convergence.csv", "report.json"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("profile", ["constant", "sine", "ramp"])
+def test_separable_forcing_spectrum_matches_full_transform(profile):
+    cfg = RunConfig({"parameters": {"forcing": "random", "time_profile": profile}})
+    grid = SpatialGrid(half_width=10.0, size=64)
+    times = np.linspace(0.0, 1.0, 17)
+    full = _space_time_forcing(cfg, grid, 2, times, np.random.default_rng(3))
+    want = grid.to_spectral(full.values)
+    shat = grid.to_spectral(build_forcing(cfg, grid, 2, np.random.default_rng(3)).values)
+    got = _profile_weights(cfg, times)[:, None, None] * shat[None]
+    if profile == "constant":
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("profile", ["sine", "ramp"])
+def test_convergence_matches_general_path(tmp_path, profile):
+    params = f"levels = 8,16,32\nforcing = random\ntime_profile = {profile}\nt = 2.0"
+    ini, out = _write_ini(tmp_path, "convergence", params=params)
+    assert main(["--config", str(ini), "--seed", "3"]) == 0
+    cfg = RunConfig.load(ini)
+    prob = build_problem(cfg)
+
+    def final_slice(steps, scheme):
+        pprob = parabolic.ParabolicProblem(prob, 2.0, steps)
+        f = _space_time_forcing(cfg, prob.grid, 1, pprob.times, np.random.default_rng(3))
+        return parabolic.solve_parabolic(pprob, f, scheme).values[-1]
+
+    exact = final_slice(32, "exact")
+    want = [
+        lp_norm(GridFunction(prob.grid, final_slice(n, "crank-nicolson") - exact), 2.0)
+        for n in (8, 16, 32)
+    ]
+    assert _report(out)["results"]["errors"] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_convergence_gates_once(tmp_path, monkeypatch):
+    calls = []
+    gate = parabolic._dissipative_gate
+
+    def counting_gate(prob):
+        calls.append(prob.steps)
+        return gate(prob)
+
+    monkeypatch.setattr(parabolic, "_dissipative_gate", counting_gate)
+    monkeypatch.setattr(cli, "_dissipative_gate", counting_gate)
+    ini, _ = _write_ini(tmp_path, "convergence", params="levels = 8,16,32\nscheme = exact")
+    assert main(["--config", str(ini)]) == 0
+    assert calls == [32]
+
+
+def test_non_dissipative_convergence_exits_one(tmp_path, capsys):
+    ini, out = _write_ini(
+        tmp_path, "convergence", gamma="2.0", params="levels = 8,16,32", problem_extra="a_value = 1"
+    )
+    assert main(["--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: operator symbol is not dissipative at xi=-10.0531: eigenvalue ")
+    assert not (out / "report.json").exists()
+
+
 def test_hard_errors_exit_one(tmp_path, capsys):
     ini, _ = _write_ini(tmp_path, "solve-elliptic", gamma="2.5")
     assert main(["--config", str(ini)]) == 1
@@ -372,9 +475,28 @@ def _problem_edit(lines):
     return ("n = 64", f"n = 64\n{lines}")
 
 
+# Sizes whose largest complex field exceeds the physical memory of any host
+# (n alone is 1.5 TiB; the time fields at n = 64 are about 93 TiB).
+_OVERSIZED = [
+    (("n = 64", "n = 100000000000"), [], "[problem] n = 100000000000: "),
+    (_task_edit("solve-parabolic", "nt = 100000000000"), [], "[parameters] nt = 100000000000: "),
+    (
+        _task_edit("system", "mode = parabolic\nnt = 100000000000"),
+        [],
+        "[parameters] nt = 100000000000: ",
+    ),
+    (
+        _task_edit("convergence", "levels = 4,8,100000000000"),
+        [],
+        "[parameters] levels = 4,8,100000000000: ",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "edit, argv, key",
     [
+        *_OVERSIZED,
         (("l = 10.0", "l = inf"), [], "[problem] l"),
         (("n = 64", "n = 63"), [], "[problem] n"),
         (("directory =", "threads = -3\ndirectory ="), [], "[output] threads"),
@@ -468,6 +590,20 @@ def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: " + key)
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("edit, argv, key", _OVERSIZED)
+def test_oversized_sizes_allocate_nothing(tmp_path, capsys, edit, argv, key):
+    ini, _ = _write_ini(tmp_path, "solve-elliptic")
+    ini.write_text(ini.read_text().replace(*edit))
+    tracemalloc.start()
+    try:
+        assert main(["--config", str(ini), *argv]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "physical memory" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def _oracle_csv(header, columns) -> bytes:

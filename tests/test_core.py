@@ -162,7 +162,7 @@ def test_space_time_validation():
         fs.SpaceTimeFunction(g, np.array([0.0, 0.5, 1.0]), np.ones((2, 8)))
     f = fs.SpaceTimeFunction(g, np.array([0.0, 0.5, 1.0]), np.ones((3, 8)))
     assert f.dim == 1
-    np.testing.assert_array_equal(f.slice_at(1).values, np.ones((8, 1)))
+    np.testing.assert_array_equal(f.values[1], np.ones((8, 1)))
 
 
 def test_grid_function_arithmetic_and_validation():

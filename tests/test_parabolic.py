@@ -178,6 +178,66 @@ def test_coercive_report_shape_gate():
         fs.parabolic_coercive_report(prob, f, u=other)
 
 
+def _random_forcing(prob, dim, seed):
+    """Non-separable complex Gaussian forcing on the problem's space-time grid."""
+    rng = np.random.default_rng(seed)
+    shape = (prob.steps + 1, prob.core.grid.size, dim)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return fs.SpaceTimeFunction(prob.core.grid, prob.times, vals)
+
+
+_COUPLED = np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("scheme", parabolic.SCHEMES)
+def test_spectral_evolution_matches_solve_parabolic(scheme):
+    g = fs.SpatialGrid(10.0, 64)
+    core = make_problem(g, mat=_COUPLED, a_family="scaled_decay")
+    prob = fs.ParabolicProblem(core, 1.0, 16)
+    f = _random_forcing(prob, 2, 5)
+    q0 = parabolic._dissipative_gate(prob)
+    uhat = parabolic._evolve(prob, q0, g.to_spectral(f.values), scheme)
+    final = fs.solve_parabolic(prob, f, scheme).values[-1]
+    assert np.array_equal(g.to_physical(uhat[-1]), final)
+
+
+def _physical_ledger(prob, u, p, p1, swap):
+    """The a*D^gamma u and A*u mixed norms, each field inverse transformed."""
+    g = prob.core.grid
+    xi = g.frequencies
+    uhat = g.to_spectral(u.values)
+    mult = prob.core.a(xi) * fs.frac_power_i_xi(xi, prob.core.order.gamma)
+    spectra = (mult[None, :, None] * uhat, np.einsum("kij,mkj->mki", prob.core.A(xi), uhat))
+    return [
+        fs.mixed_norm(fs.SpaceTimeFunction(g, u.times, g.to_physical(s)), p, p1, swap=swap)
+        for s in spectra
+    ]
+
+
+def _ledger_case(scheme):
+    g = fs.SpatialGrid(10.0, 64)
+    prob = fs.ParabolicProblem(make_problem(g, mat=_COUPLED, a_family="scaled_decay"), 1.0, 16)
+    f = _random_forcing(prob, 2, 11)
+    return prob, f, fs.solve_parabolic(prob, f, scheme)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("scheme", ["exact", "crank-nicolson"])
+def test_p2_ledger_from_spectrum_matches_physical_path(swap, scheme):
+    prob, f, u = _ledger_case(scheme)
+    rep = fs.parabolic_coercive_report(prob, f, u=u, p=2.0, p1=2.0, swap=swap)
+    got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
+    assert got == pytest.approx(_physical_ledger(prob, u, 2.0, 2.0, swap), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p, p1, swap", [(2.0, 3.0, False), (2.0, 3.0, True), (3.0, 3.0, False)])
+def test_ledger_off_p2_is_the_physical_path(p, p1, swap):
+    prob, f, u = _ledger_case("exact")
+    rep = fs.parabolic_coercive_report(prob, f, u=u, p=p, p1=p1, swap=swap)
+    got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
+    assert got == _physical_ledger(prob, u, p, p1, swap)
+
+
 def test_dissipativity_gate():
     g = fs.SpatialGrid(10.0, 32)
     prob = fs.ParabolicProblem(make_problem(g, mat=np.array([[-2.0]])), 1.0, 8)
