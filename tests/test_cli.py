@@ -496,7 +496,6 @@ _OVERSIZED = [
 @pytest.mark.parametrize(
     "edit, argv, key",
     [
-        *_OVERSIZED,
         (("l = 10.0", "l = inf"), [], "[problem] l"),
         (("n = 64", "n = 63"), [], "[problem] n"),
         (("directory =", "threads = -3\ndirectory ="), [], "[output] threads"),
@@ -577,6 +576,7 @@ _OVERSIZED = [
             "[parameters] phi1: sector angles must satisfy phi1 + phi2 < pi, got 4.0, "
             "with phi2 = [problem] sector_angle",
         ),
+        *_OVERSIZED,
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
