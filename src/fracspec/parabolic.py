@@ -15,6 +15,7 @@ operator symbol after gating on symmetry and positive definiteness.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,44 +126,59 @@ def _step_matrices(q0: np.ndarray, dt: float):
 
 
 def _evolve(
-    prob: ParabolicProblem, q0: np.ndarray, fhat: np.ndarray, scheme: str
+    prob: ParabolicProblem,
+    q0: np.ndarray,
+    forcing: Callable[[int], np.ndarray],
+    scheme: str,
+    states: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Spectra of u(t_m) on the problem's time grid, from those of f(t_m).
+    """Spectrum of u(t_steps) on the problem's time grid.
 
-    ``q0`` is the gated stack Q(xi, 0) and ``fhat`` the (steps+1, N, d)
-    forcing spectra.  The time loop runs entirely in frequency space, so
-    a caller transforms back only the slices it reads.  Raises
-    ``OverflowError`` when the step is so long that the spectral solution
-    is not finite.
+    ``q0`` is the gated stack Q(xi, 0) and ``forcing(m)`` the (N, d)
+    spectrum of f(t_m), read once, when step m first needs it.  The loop
+    runs entirely in frequency space and holds only the current state;
+    given a (steps+1, N, d) ``states``, it writes each u(t_m), m >= 1,
+    into ``states[m]`` as soon as it is computed.  Raises
+    ``OverflowError`` at the first state that is not finite, when the
+    step is so long that the spectral solution overflows.
     """
     dt = prob.horizon / prob.steps
-    uhat = np.zeros_like(fhat)
     eye = np.eye(q0.shape[1])[None, :, :]
 
     if scheme == "exact":
         e, p1, p2 = _step_matrices(q0, dt)
-        for m in range(prob.steps):
-            df = fhat[m + 1] - fhat[m]
-            uhat[m + 1] = (
-                np.einsum("kij,kj->ki", e, uhat[m])
-                + dt * (np.einsum("kij,kj->ki", p1, fhat[m]) + np.einsum("kij,kj->ki", p2, df))
+
+        def step(u, f0, f1):
+            return (
+                np.einsum("kij,kj->ki", e, u)
+                + dt * (np.einsum("kij,kj->ki", p1, f0) + np.einsum("kij,kj->ki", p2, f1 - f0))
             )
     elif scheme == "implicit-euler":
-        step = np.linalg.inv(eye + dt * q0)
-        for m in range(prob.steps):
-            rhs = uhat[m] + dt * fhat[m + 1]
-            uhat[m + 1] = np.einsum("kij,kj->ki", step, rhs)
+        inv = np.linalg.inv(eye + dt * q0)
+
+        def step(u, f0, f1):
+            return np.einsum("kij,kj->ki", inv, u + dt * f1)
     else:
         back = np.linalg.inv(eye + 0.5 * dt * q0)
         fwd = eye - 0.5 * dt * q0
-        for m in range(prob.steps):
-            rhs = np.einsum("kij,kj->ki", fwd, uhat[m]) + 0.5 * dt * (fhat[m] + fhat[m + 1])
-            uhat[m + 1] = np.einsum("kij,kj->ki", back, rhs)
-    if not np.isfinite(uhat).all():
-        raise OverflowError(
-            f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
-        )
-    return uhat
+
+        def step(u, f0, f1):
+            rhs = np.einsum("kij,kj->ki", fwd, u) + 0.5 * dt * (f0 + f1)
+            return np.einsum("kij,kj->ki", back, rhs)
+
+    f0 = forcing(0)
+    u = np.zeros_like(f0)
+    for m in range(1, prob.steps + 1):
+        f1 = forcing(m)
+        u = step(u, f0, f1)
+        if not np.isfinite(u).all():
+            raise OverflowError(
+                f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
+            )
+        if states is not None:
+            states[m] = u
+        f0 = f1
+    return u
 
 
 def solve_parabolic(
@@ -182,7 +198,8 @@ def solve_parabolic(
     _check_forcing(prob, f)
     q0 = _dissipative_gate(prob)
     fhat = prob.core.grid.to_spectral(f.values)
-    uhat = _evolve(prob, q0, fhat, scheme)
+    uhat = np.zeros_like(fhat)
+    _evolve(prob, q0, fhat.__getitem__, scheme, uhat)
     # Free the forcing spectrum before the inverse transform allocates its
     # output, so the two never sit on the heap together.
     del fhat

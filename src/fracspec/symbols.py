@@ -538,12 +538,17 @@ def scalar_inequality_suite(
     radii = np.logspace(-3.0, 3.0, 25)
     th_lam = np.linspace(-phi2.angle, phi2.angle, 32)
     th_nu = np.linspace(-phi1.angle, phi1.angle, 32)
-    lam = (radii[:, None] * np.exp(1j * th_lam)[None, :]).ravel()
+    lam = radii[:, None] * np.exp(1j * th_lam)[None, :]
     nu = (radii[:, None] * np.exp(1j * th_nu)[None, :]).ravel()
-    quot = np.abs(lam[:, None] + nu[None, :]) / (np.abs(lam)[:, None] + np.abs(nu)[None, :])
-    k = int(np.argmin(quot))
-    c_min = float(quot.flat[k])
-    arg = {"lambda": complex(lam[k // nu.size]), "nu": complex(nu[k % nu.size])}
+    # One lambda radius (32 x 800 quotients) at a time; a strict < keeps
+    # the first occurrence of the minimum in row-major order.
+    c_min, arg = math.inf, {}
+    for row in lam:
+        quot = np.abs(row[:, None] + nu[None, :]) / (np.abs(row)[:, None] + np.abs(nu)[None, :])
+        k = int(np.argmin(quot))
+        if quot.flat[k] < c_min:
+            c_min = float(quot.flat[k])
+            arg = {"lambda": complex(row[k // nu.size]), "nu": complex(nu[k % nu.size])}
 
     rng = np.random.default_rng(seed)
     gam = 1.0 + rng.uniform(np.finfo(float).eps, 1.0, size=samples)

@@ -320,8 +320,9 @@ def test_convergence_exact_hits_floor(tmp_path):
 
 
 # Config of the convergence golden test. Its artifacts under tests/data/convergence
-# were recorded with every level solved by the whole-field solve_parabolic path;
-# the task must reproduce them byte for byte.
+# were recorded with every level solved by the whole-field solve_parabolic path
+# (constant profile) or from whole (steps+1) x N x d forcing spectra (sine and
+# ramp); the task must reproduce them byte for byte.
 _GOLDEN_INI = """\
 [problem]
 gamma = 1.5
@@ -337,19 +338,30 @@ name = convergence
 levels = 8,16,32
 scheme = {scheme}
 forcing = random
-time_profile = constant
+time_profile = {profile}
 t = 1.0
 """
 
 
-@pytest.mark.parametrize("seed", [3, 7])
-@pytest.mark.parametrize("scheme", ["crank-nicolson", "exact"])
-def test_convergence_bytes_match_golden(tmp_path, scheme, seed):
+@pytest.mark.parametrize(
+    "scheme, seed, profile",
+    [
+        pytest.param(scheme, seed, "constant", id=f"{scheme}-{seed}")
+        for scheme in ("crank-nicolson", "exact")
+        for seed in (3, 7)
+    ]
+    + [
+        pytest.param("crank-nicolson", 3, profile, id=f"crank-nicolson-3-{profile}")
+        for profile in ("sine", "ramp")
+    ],
+)
+def test_convergence_bytes_match_golden(tmp_path, scheme, seed, profile):
     ini = tmp_path / "run.ini"
-    ini.write_text(_GOLDEN_INI.format(scheme=scheme))
+    ini.write_text(_GOLDEN_INI.format(scheme=scheme, profile=profile))
     out = tmp_path / "out"
     assert main(["--config", str(ini), "--out", str(out), "--seed", str(seed)]) == 0
-    golden = Path(__file__).parent / "data" / "convergence" / f"{scheme}-seed{seed}"
+    name = scheme if profile == "constant" else f"{scheme}-{profile}"
+    golden = Path(__file__).parent / "data" / "convergence" / f"{name}-seed{seed}"
     for name in ("convergence.csv", "report.json"):
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
@@ -403,6 +415,36 @@ def test_convergence_gates_once(tmp_path, monkeypatch):
     ini, _ = _write_ini(tmp_path, "convergence", params="levels = 8,16,32\nscheme = exact")
     assert main(["--config", str(ini)]) == 0
     assert calls == [32]
+
+
+def test_exact_convergence_reuses_reference(tmp_path, monkeypatch):
+    calls = []
+    expm = parabolic.expm
+
+    def counting_expm(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(parabolic, "expm", counting_expm)
+    ini, out = _write_ini(tmp_path, "convergence", params="levels = 8,16,32\nscheme = exact")
+    assert main(["--config", str(ini)]) == 0
+    # The reference and the levels 8 and 16 take one expm per frequency each;
+    # level 32 is the reference and is not evolved again.
+    assert len(calls) == 3 * 64
+    assert _report(out)["results"]["errors"][-1] == 0.0
+
+
+def test_convergence_holds_no_space_time_field(tmp_path):
+    levels = ",".join(str(2**k) for k in range(3, 12))
+    ini, _ = _write_ini(tmp_path, "convergence", params=f"levels = {levels}")
+    tracemalloc.start()
+    try:
+        assert main(["--config", str(ini)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 2049 x 64 x 1 complex field alone is 2 MiB.
+    assert peak < 2**20
 
 
 def test_non_dissipative_convergence_exits_one(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,32 @@ def test_scalar_inequality_suite():
     assert rep2.constants == rep.constants
     with pytest.raises(ValueError, match="phi1 \\+ phi2"):
         fs.scalar_inequality_suite(fs.Sector(math.pi / 2.0), fs.Sector(math.pi / 2.0))
+
+
+@pytest.mark.parametrize("angles", [(math.pi / 4.0, math.pi / 4.0), (0.3, 1.5), (1.56, 0.01)])
+def test_scalar_lattice_matches_whole_lattice(angles):
+    """The radius-by-radius minimum is the whole 800 x 800 lattice's first argmin."""
+    phi1, phi2 = (fs.Sector(a) for a in angles)
+    radii = np.logspace(-3.0, 3.0, 25)
+    lam = (radii[:, None] * np.exp(1j * np.linspace(-phi2.angle, phi2.angle, 32))).ravel()
+    nu = (radii[:, None] * np.exp(1j * np.linspace(-phi1.angle, phi1.angle, 32))).ravel()
+    quot = np.abs(lam[:, None] + nu[None, :]) / (np.abs(lam)[:, None] + np.abs(nu)[None, :])
+    k = int(np.argmin(quot))
+    rep = fs.scalar_inequality_suite(phi1, phi2, samples=10)
+    assert rep.constants["angle_separation_min"] == float(quot.flat[k])
+    assert rep.meta["argmin"] == {"lambda": lam[k // nu.size], "nu": nu[k % nu.size]}
+
+
+def test_scalar_inequality_suite_working_set():
+    phi = fs.Sector(math.pi / 4.0)
+    tracemalloc.start()
+    try:
+        fs.scalar_inequality_suite(phi, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole 800 x 800 complex lattice alone is 9.8 MiB.
+    assert peak < 2 * 2**20
 
 
 def test_condition_report_invariant_and_json():
