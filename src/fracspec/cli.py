@@ -28,7 +28,6 @@ from .config import (
     build_problem,
 )
 from .core import (
-    DEFAULT_SEED,
     GridFunction,
     Sector,
     SpaceTimeFunction,
@@ -42,7 +41,6 @@ from .elliptic import (
     separability_check,
 )
 from .parabolic import (
-    SCHEMES,
     ParabolicProblem,
     SystemMatrix,
     _dissipative_gate,
@@ -134,33 +132,9 @@ def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
     _write_solution(path, ["t", "x"], _product_lead(u.times, u.grid.points), u.values)
 
 
-def _s_set(cfg: RunConfig, gamma: float) -> list[float]:
-    if "s_set" not in cfg.sections.get("parameters", {}):
-        return [0.0, gamma / 2.0, gamma]
-    return cfg.get_list("parameters", "s_set", "")
-
-
-def _count(cfg: RunConfig, key: str, default: int, least: int) -> int:
-    """Integer ``[parameters] key`` of at least ``least``."""
-    value = cfg.get_int("parameters", key, default)
-    if value < least:
-        raise ConfigError(f"[parameters] {key} must be at least {least}, got {value}")
-    return value
-
-
-def _exponent(cfg: RunConfig, key: str) -> float:
-    """Lebesgue exponent ``[parameters] key`` in (1, inf), default 2."""
-    value = cfg.get_float("parameters", key, 2.0)
-    if value <= 1.0:
-        raise ConfigError(f"[parameters] {key} must lie in (1, inf), got {value}")
-    return value
-
-
 def _horizon(cfg: RunConfig, steps: int) -> float:
-    """``[parameters] t``, finite and positive, whose time step over ``steps`` is normal."""
-    horizon = cfg.get_float("parameters", "t", 1.0)
-    if horizon <= 0.0:
-        raise ConfigError(f"[parameters] t must be finite and positive, got {horizon}")
+    """``[parameters] t``, whose time step over ``steps`` is normal."""
+    horizon = cfg.value("parameters", "t")
     if horizon / steps < sys.float_info.min:
         raise ConfigError(
             f"[parameters] t = {horizon} over {steps} steps gives a subnormal time step"
@@ -175,15 +149,6 @@ def _horizon_overflow(horizon: float):
         yield
     except OverflowError as exc:
         raise ConfigError(f"[parameters] t = {horizon}: {exc}") from exc
-
-
-def _scheme(cfg: RunConfig, default: str) -> str:
-    scheme = cfg.get_str("parameters", "scheme", default)
-    if scheme not in SCHEMES:
-        raise ConfigError(
-            f"[parameters] scheme must be one of {', '.join(SCHEMES)}, got {scheme!r}"
-        )
-    return scheme
 
 
 class _Run:
@@ -205,7 +170,7 @@ class _Run:
                 "task": self.cfg.task,
                 "seed": self.seed,
                 "threads": self.threads,
-                "config": self.cfg.to_jsonable(),
+                "config": self.cfg.sections,
                 "failed_checks": sorted(failed_checks),
                 "results": results,
             },
@@ -215,14 +180,13 @@ class _Run:
 def _task_solve_elliptic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    lam = cfg.get_complex("parameters", "lambda", 1.0 + 0.0j)
     f = build_forcing(cfg, prob.grid, prob.dim, run.rng())
     rep = coercive_report(
         prob,
         f,
-        lam,
-        s_set=_s_set(cfg, prob.order.gamma),
-        p=_exponent(cfg, "p"),
+        cfg.value("parameters", "lambda"),
+        s_set=cfg.value("parameters", "s_set"),
+        p=cfg.value("parameters", "p"),
     )
     _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     run.report(rep.to_jsonable(), [])
@@ -231,16 +195,12 @@ def _task_solve_elliptic(run: _Run) -> bool:
 
 def _profile_weights(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     """The ``[parameters] time_profile`` weight at each of ``times``."""
-    profile = cfg.get_str("parameters", "time_profile", "constant")
-    if profile == "constant":
-        return np.ones(times.size)
+    profile = cfg.value("parameters", "time_profile")
     if profile == "sine":
         return np.sin(times)
     if profile == "ramp":
         return times.copy()
-    raise ConfigError(
-        f"[parameters] time_profile must be 'constant', 'sine' or 'ramp', got {profile!r}"
-    )
+    return np.ones(times.size)
 
 
 def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTimeFunction:
@@ -251,8 +211,8 @@ def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTime
 
 
 def _time_steps(cfg: RunConfig, grid, dim: int) -> int:
-    """``[parameters] nt``, at least 2, whose (nt+1) x N x d field fits in memory."""
-    steps = _count(cfg, "nt", 64, 2)
+    """``[parameters] nt``, whose (nt+1) x N x d field fits in memory."""
+    steps = cfg.value("parameters", "nt")
     _require_memory("[parameters] nt", steps, (steps + 1, grid.size, dim))
     return steps
 
@@ -264,13 +224,13 @@ def _task_solve_parabolic(run: _Run) -> bool:
     pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
     with _horizon_overflow(pprob.horizon):
-        u = solve_parabolic(pprob, f, _scheme(cfg, "exact"))
+        u = solve_parabolic(pprob, f, cfg.value("parameters", "scheme") or "exact")
     rep = parabolic_coercive_report(
         pprob,
         f,
         u=u,
-        p=_exponent(cfg, "p"),
-        p1=_exponent(cfg, "p1"),
+        p=cfg.value("parameters", "p"),
+        p1=cfg.value("parameters", "p1"),
     )
     _write_space_time_solution(run.out / "solution.csv", u)
     run.report(rep.to_jsonable(), [])
@@ -280,23 +240,20 @@ def _task_solve_parabolic(run: _Run) -> bool:
 def _task_resolvent_sweep(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    sweep_angle = cfg.get_float("parameters", "sweep_angle", prob.sector.angle)
+    sweep_angle = cfg.value("parameters", "sweep_angle")
     try:
-        sweep_sector = Sector(sweep_angle)
+        sweep_sector = prob.sector if sweep_angle is None else Sector(sweep_angle)
     except ValueError as exc:
         raise ConfigError(f"[parameters] sweep_angle: {exc}") from exc
-    radii = cfg.get_list("parameters", "radii", "1e-3:1e3:25", log_range=True)
-    if not radii or min(radii) < 0.0:
-        raise ConfigError(f"[parameters] radii must be non-empty and non-negative, got {radii}")
     rep = resolvent_sweep(
         prob,
         sweep_sector,
-        radii=radii,
-        angles=_count(cfg, "angles", 17, 2),
-        probes=_count(cfg, "probes", 0, 0),
-        p=_exponent(cfg, "p"),
+        radii=cfg.value("parameters", "radii"),
+        angles=cfg.value("parameters", "angles"),
+        probes=cfg.value("parameters", "probes"),
+        p=cfg.value("parameters", "p"),
         seed=run.seed,
-        refine=cfg.get_bool("parameters", "refine", True),
+        refine=cfg.value("parameters", "refine"),
     )
     lams = np.array(rep.lambdas, dtype=complex)
     header = ["re_lambda", "im_lambda", "value"]
@@ -317,20 +274,17 @@ def _task_resolvent_sweep(run: _Run) -> bool:
 def _task_verify_conditions(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    phi1_angle = cfg.get_float("parameters", "phi1", prob.sector.angle)
+    phi1_angle = cfg.value("parameters", "phi1")
     try:
-        phi1 = Sector(phi1_angle)
+        phi1 = prob.sector if phi1_angle is None else Sector(phi1_angle)
     except ValueError as exc:
         raise ConfigError(f"[parameters] phi1: {exc}") from exc
-    lams = cfg.get_list("parameters", "lambda_set", "0,1,10", cast=complex)
-    if not lams:
-        raise ConfigError("[parameters] lambda_set must be non-empty")
     reports = [
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
-        symbol_resolvent_bound(prob, lams),
+        symbol_resolvent_bound(prob, cfg.value("parameters", "lambda_set")),
     ]
-    samples = _count(cfg, "samples", 2000, 1)
+    samples = cfg.value("parameters", "samples")
     try:
         reports.append(scalar_inequality_suite(phi1, prob.sector, samples=samples, seed=run.seed))
     except ValueError as exc:
@@ -343,19 +297,20 @@ def _task_verify_conditions(run: _Run) -> bool:
 def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    trials = _count(cfg, "trials", 50, 1)
-    p = _exponent(cfg, "p")
-    s_set = _s_set(cfg, prob.order.gamma)
     try:
-        rep = separability_check(prob, trials=trials, p=p, s_set=s_set, seed=run.seed)
+        rep = separability_check(
+            prob,
+            trials=cfg.value("parameters", "trials"),
+            p=cfg.value("parameters", "p"),
+            s_set=cfg.value("parameters", "s_set"),
+            seed=run.seed,
+        )
     except OverflowError as exc:
         # name the larger of the two scales of the symbol
-        a_scale = abs(cfg.get_complex("problem", "a_value", -1.0 + 0.0j))
-        op_scale = float(np.abs(cfg.get_matrix("problem", "a_op_matrix", "1")).max())
-        key, default = ("a_value", "-1") if a_scale >= op_scale else ("a_op_matrix", "1")
-        raise ConfigError(
-            f"[problem] {key} = {cfg.get_str('problem', key, default)}: {exc}"
-        ) from exc
+        a_scale = abs(cfg.value("problem", "a_value"))
+        op_scale = float(np.abs(cfg.value("problem", "a_op_matrix")).max())
+        key = "a_value" if a_scale >= op_scale else "a_op_matrix"
+        raise ConfigError(f"[problem] {key} = {cfg.text('problem', key)}: {exc}") from exc
     ratios = np.array(rep.meta["ratios"], dtype=float)
     _write_csv(run.out / "ratios.csv", ["trial", "ratio"], [np.arange(1, ratios.size + 1), ratios])
     run.report(rep.to_jsonable(), [] if rep.passed else [rep.name])
@@ -365,15 +320,15 @@ def _task_separability(run: _Run) -> bool:
 def _task_embedding_probe(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    h_set = cfg.get_list("parameters", "h_set", "0.1,0.3,1.0")
-    draws = _count(cfg, "draws", 8, 1)
+    h_set = cfg.value("parameters", "h_set")
+    draws = cfg.value("parameters", "draws")
     rng = run.rng()
     kwargs = dict(
-        alpha=cfg.get_float("parameters", "alpha", 1.0),
-        s=cfg.get_float("parameters", "s", 2.0),
-        p=_exponent(cfg, "p"),
-        q=_exponent(cfg, "q_exp"),
-        mu=cfg.get_float("parameters", "mu", 0.0),
+        alpha=cfg.value("parameters", "alpha"),
+        s=cfg.value("parameters", "s"),
+        p=cfg.value("parameters", "p"),
+        q=cfg.value("parameters", "q_exp"),
+        mu=cfg.value("parameters", "mu"),
         h_set=h_set,
     )
     ratios = []
@@ -392,9 +347,9 @@ def _task_embedding_probe(run: _Run) -> bool:
     return False
 
 
-def _poly(cfg: RunConfig, key: str, default: str):
+def _poly(cfg: RunConfig, key: str):
     """Polynomial in y from the ascending coefficients "c0,c1,c2" of ``[parameters] key``."""
-    coeffs = cfg.get_list("parameters", key, default)
+    coeffs = cfg.value("parameters", key)
 
     def func(y):
         y = np.asarray(y, dtype=float)
@@ -410,23 +365,23 @@ def _task_bvp(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     coeffs = BVPCoefficients(
-        b2=_poly(cfg, "b2", "1"),
-        b1=_poly(cfg, "b1", "0"),
-        b0=_poly(cfg, "b0", "0"),
-        mesh_size=_count(cfg, "mesh_size", 31, 1),
+        b2=_poly(cfg, "b2"),
+        b1=_poly(cfg, "b1"),
+        b0=_poly(cfg, "b0"),
+        mesh_size=cfg.value("parameters", "mesh_size"),
     )
-    phi0 = cfg.get_float("parameters", "phi0", math.pi / 4.0)
+    phi0 = cfg.value("parameters", "phi0")
     try:
         ell = check_ellipticity(coeffs, Sector(phi0))
     except ValueError as exc:
         raise ConfigError(f"[parameters] phi0: {exc}") from exc
-    lam = cfg.get_complex("parameters", "lambda", 1.0 + 0.0j)
+    lam = cfg.value("parameters", "lambda")
     grid = prob.grid
-    wave = cfg.get_int("parameters", "transverse_mode", 1)
+    wave = cfg.value("parameters", "transverse_mode")
     profile = np.sin(wave * math.pi * coeffs.mesh)
     f = GridFunction(grid, np.exp(-grid.points**2)[:, None] * profile[None, :])
     rep = solve_anisotropic(
-        coeffs, prob.order, prob.a, lam, f, grid, p=_exponent(cfg, "p")
+        coeffs, prob.order, prob.a, lam, f, grid, p=cfg.value("parameters", "p")
     )
     lead = _product_lead(grid.points, coeffs.mesh)
     _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
@@ -437,21 +392,20 @@ def _task_bvp(run: _Run) -> bool:
 
 def _task_system(run: _Run) -> bool:
     cfg = run.cfg
-    entries = cfg.get_matrix("parameters", "matrix", "1")
+    entries = cfg.value("parameters", "matrix")
     try:
         mat = SystemMatrix(entries)
     except ValueError as exc:
         raise ConfigError(f"[parameters] matrix: {exc}") from exc
     prob = build_problem(cfg)
-    lam = cfg.get_complex("parameters", "lambda", 1.0 + 0.0j)
-    mode = cfg.get_str("parameters", "mode", "elliptic")
-    literal = cfg.get_bool("parameters", "literal_shift", False)
-    p = _exponent(cfg, "p")
-    if mode == "elliptic":
+    lam = cfg.value("parameters", "lambda")
+    literal = cfg.value("parameters", "literal_shift")
+    p = cfg.value("parameters", "p")
+    if cfg.value("parameters", "mode") == "elliptic":
         f = build_forcing(cfg, prob.grid, mat.size, run.rng())
         rep = solve_system(mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p)
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
-    elif mode == "parabolic":
+    else:
         steps = _time_steps(cfg, prob.grid, mat.size)
         horizon = _horizon(cfg, steps)
         times = np.linspace(0.0, horizon, steps + 1)
@@ -459,25 +413,23 @@ def _task_system(run: _Run) -> bool:
         with _horizon_overflow(horizon):
             rep = solve_system(
                 mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
-                p1=_exponent(cfg, "p1"),
+                p1=cfg.value("parameters", "p1"),
             )
         _write_space_time_solution(run.out / "solution.csv", rep.solution)
-    else:
-        raise ConfigError(f"[parameters] mode must be 'elliptic' or 'parabolic', got {mode!r}")
     run.report(rep.to_jsonable(), [])
     return False
 
 
 def _task_convergence(run: _Run) -> bool:
     cfg = run.cfg
-    levels = cfg.get_list("parameters", "levels", "64,128,256", cast=int)
+    levels = cfg.value("parameters", "levels")
     if len(levels) < 3:
         raise ConfigError(f"[parameters] levels needs at least 3 entries, got {levels}")
     if sorted(levels) != levels or len(set(levels)) != len(levels):
         raise ConfigError(f"[parameters] levels must be strictly increasing, got {levels}")
     if levels[0] < 2:
         raise ConfigError(f"[parameters] levels entries must be at least 2, got {levels}")
-    scheme = _scheme(cfg, "crank-nicolson")
+    scheme = cfg.value("parameters", "scheme") or "crank-nicolson"
     prob = build_problem(cfg)
     grid = prob.grid
     text = ",".join(map(str, levels))
@@ -538,16 +490,9 @@ _TASKS = {
 }
 
 
-def _resolve(flag, env_name: str, cast, default):
-    if flag is not None:
-        return flag
-    env = os.environ.get(env_name)
-    if env is not None:
-        try:
-            return cast(env)
-        except ValueError as exc:
-            raise ConfigError(f"environment variable {env_name}={env!r}: {exc}") from exc
-    return default
+def _override(flag, env_name: str) -> str | None:
+    """The text of a command-line flag, else of environment variable ``env_name``."""
+    return str(flag) if flag is not None else os.environ.get(env_name)
 
 
 def _parse_args(argv):
@@ -567,24 +512,15 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        config_path = _resolve(args.config, "FRACSPEC_CONFIG", str, None)
+        config_path = _override(args.config, "FRACSPEC_CONFIG")
         if config_path is None:
             raise ConfigError("no config given: pass --config or set FRACSPEC_CONFIG")
         cfg = RunConfig.load(config_path)
-        seed = _resolve(args.seed, "FRACSPEC_SEED", int, None)
-        if seed is None:
-            seed = cfg.get_int("parameters", "seed", DEFAULT_SEED)
-        out_name = _resolve(args.out, "FRACSPEC_OUT", str, None)
-        if out_name is None:
-            out_name = cfg.get_str("output", "directory", "out")
-        threads = _resolve(args.threads, "FRACSPEC_THREADS", int, None)
-        if threads is None:
-            threads = cfg.get_int("output", "threads", 1)
-        if threads < 0:
-            raise ConfigError(f"[output] threads must be >= 0 (0 = all cores), got {threads}")
+        seed = cfg.value("parameters", "seed", _override(args.seed, "FRACSPEC_SEED"))
+        out_dir = Path(cfg.value("output", "directory", _override(args.out, "FRACSPEC_OUT")))
+        threads = cfg.value("output", "threads", _override(args.threads, "FRACSPEC_THREADS"))
         if threads == 0:
             threads = os.cpu_count() or 1
-        out_dir = Path(out_name)
         out_dir.mkdir(parents=True, exist_ok=True)
         run = _Run(cfg, out_dir, seed, threads)
         failed = _TASKS[cfg.task](run)

@@ -1,9 +1,13 @@
 """Flat sectioned key=value run configs and assembly of problem objects.
 
 A run config is an INI file with sections [problem], [task], [parameters]
-and [output].  Everything is a string in the file; typed accessors raise
-:class:`ConfigError` naming the offending section and key so the CLI can
-print a one-line diagnostic and exit.
+and [output].  Every key is declared once in :data:`KEYS` with its reader,
+which parses the text and holds the value to the key's range, and its
+default, written as config text and read like a value from the file.
+:meth:`RunConfig.load` rejects a section or key its task does not declare
+and reads every key present, so a bad config fails before any work with a
+:class:`ConfigError` naming the offending section and key; the CLI prints
+it as a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GridFunction, Sector, SpatialGrid, random_band_limited
+from .core import DEFAULT_SEED, GridFunction, Sector, SpatialGrid, random_band_limited
 from .fractional import FractionalOrder, frac_power_i_xi
+from .parabolic import SCHEMES
 from .symbols import (
+    _Q_FORMS,
     CoefficientSymbol,
     EllipticProblem,
     OperatorSymbol,
@@ -31,185 +37,260 @@ from .symbols import (
 
 __all__ = ["ConfigError", "RunConfig", "build_problem", "build_forcing"]
 
-TASKS = (
-    "solve-elliptic",
-    "solve-parabolic",
-    "resolvent-sweep",
-    "verify-conditions",
-    "separability",
-    "embedding-probe",
-    "bvp",
-    "system",
-    "convergence",
-)
-
 
 class ConfigError(ValueError):
     """A run config is missing, malformed, or inconsistent."""
 
 
-def parse_complex(text: str) -> complex:
+# Readers: the text of a key to its value.  A ValueError carries the rest of
+# the diagnostic that follows "[section] key ".
+
+
+def _int(text: str) -> int:
     try:
-        return complex(text.strip().replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex number from {text!r}") from exc
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def _finite(value, text: str):
+    if not cmath.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+    return _finite(value, text)
+
+
+def _complex(text: str) -> complex:
+    try:
+        value = complex(text.strip().replace(" ", ""))
+    except ValueError:
+        raise ValueError(f"must be a complex number, got {text!r}") from None
+    return _finite(value, text)
+
+
+def _bool(text: str) -> bool:
+    val = text.strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"must be a boolean, got {text!r}")
+
+
+def _matrix(text: str) -> np.ndarray:
+    """Square matrix written as rows "a,b;c,d"; real when every entry is."""
     rows = [r for r in text.strip().split(";") if r.strip()]
-    try:
-        cells = [[parse_complex(c) for c in row.split(",")] for row in rows]
-    except ConfigError as exc:
-        raise ConfigError(f"cannot parse matrix from {text!r}") from exc
+    cells = [[_complex(c) for c in row.split(",")] for row in rows]
     if len({len(row) for row in cells}) > 1:
-        raise ConfigError(f"matrix {text!r} has rows of unequal length")
+        raise ValueError(f"must have rows of equal length, got {text!r}")
     mat = np.array(cells)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigError(f"matrix {text!r} is not square")
+        raise ValueError(f"must be a square matrix, got {text!r}")
     if np.all(mat.imag == 0.0):
         return mat.real.copy()
     return mat
 
 
+def _list(read):
+    """Reader of a comma list whose entries are read by ``read``."""
+    return lambda text: [read(c.strip()) for c in text.split(",") if c.strip()]
+
+
 def _log_range(text: str) -> list[float]:
-    """"start:stop:count" as ``count`` log-spaced floats from start to stop."""
+    """A comma list of floats, or "start:stop:count" as ``count`` log-spaced
+    floats from start to stop."""
+    if ":" not in text:
+        return _list(_float)(text)
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError("log range must be start:stop:count")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError("log range endpoints must be finite")
+        raise ValueError(f"must be a comma list or start:stop:count, got {text!r}")
+    lo, hi, n = _float(parts[0]), _float(parts[1]), _int(parts[2])
     if lo <= 0.0 or hi <= 0.0 or n < 1:
-        raise ConfigError("log range endpoints and count must be positive")
+        raise ValueError(f"must have positive endpoints and count, got {text!r}")
     return list(np.logspace(math.log10(lo), math.log10(hi), n))
 
 
-def _finite(section: str, key: str, text: str, value):
-    """``value`` parsed from ``text``; a nan or infinite float or complex is a ConfigError."""
-    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {text!r}")
-    return value
+def _choice(*options: str):
+    either = ", ".join(map(repr, options[:-1])) + f" or {options[-1]!r}"
+
+    def read(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be {either}, got {text!r}")
+        return text
+
+    return read
+
+
+def _ranged(read, test, rule: str):
+    """``read``, then a ValueError unless ``test(value)``: the value must ``rule``."""
+
+    def checked(text: str):
+        value = read(text)
+        if not test(value):
+            raise ValueError(f"must {rule}, got {value}")
+        return value
+
+    return checked
+
+
+def _at_least(least: int):
+    return _ranged(_int, lambda n: n >= least, f"be at least {least}")
+
+
+_POSITIVE = _ranged(_float, lambda v: v > 0.0, "be finite and positive")
+_EXPONENT = _ranged(_float, lambda p: p > 1.0, "lie in (1, inf)")  # Lebesgue exponent
+_QUARTER_PI = "0.7853981633974483"
+
+_FORCING = ("forcing", "forcing_mode_index")
+_TIME = ("time_profile", "t")
+
+# The [parameters] keys of each task besides seed, which every task reads
+# along with every key of [task], [problem] and [output].
+TASK_PARAMETERS = {
+    "solve-elliptic": ("lambda", *_FORCING, "s_set", "p"),
+    "solve-parabolic": (*_FORCING, *_TIME, "nt", "scheme", "p", "p1"),
+    "resolvent-sweep": ("sweep_angle", "radii", "angles", "probes", "p", "refine"),
+    "verify-conditions": ("phi1", "lambda_set", "samples"),
+    "separability": ("trials", "p", "s_set"),
+    "embedding-probe": ("h_set", "draws", "alpha", "s", "p", "q_exp", "mu"),
+    "bvp": ("b2", "b1", "b0", "mesh_size", "phi0", "lambda", "transverse_mode", "p"),
+    "system": ("matrix", "mode", "lambda", "literal_shift", "p", *_FORCING, *_TIME, "nt", "p1"),
+    "convergence": ("levels", "scheme", *_TIME, *_FORCING),
+}
+TASKS = tuple(TASK_PARAMETERS)
+
+# Section -> key -> (reader, default as config text).  A None default marks a
+# key whose absence the task handles: a_op_perturbation is required by the
+# perturbed family; s_set, sweep_angle, phi1 and scheme default to values
+# derived from other keys or from the task.
+KEYS = {
+    # No task is named "": an absent name fails its reader.
+    "task": {"name": (_choice(*TASKS), "")},
+    "problem": {
+        "gamma": (_float, "2.0"),
+        "l": (_POSITIVE, "10.0"),
+        "n": (_int, "256"),
+        "a_family": (_choice("constant", "scaled_decay"), "constant"),
+        "a_value": (_complex, "-1"),
+        "a_op_family": (_choice("constant", "perturbed"), "constant"),
+        "a_op_matrix": (_matrix, "1"),
+        "a_op_perturbation": (_matrix, None),
+        "sector_angle": (_float, _QUARTER_PI),
+        "q_form": (_choice(*_Q_FORMS), "unfactored"),
+    },
+    "parameters": {
+        "seed": (_int, str(DEFAULT_SEED)),
+        "lambda": (_complex, "1"),
+        "forcing": (_choice("gaussian", "mode", "random"), "gaussian"),
+        "forcing_mode_index": (_int, "1"),
+        "time_profile": (_choice("constant", "sine", "ramp"), "constant"),
+        "t": (_POSITIVE, "1.0"),
+        "nt": (_at_least(2), "64"),
+        "scheme": (_choice(*SCHEMES), None),
+        "p": (_EXPONENT, "2.0"),
+        "p1": (_EXPONENT, "2.0"),
+        "s_set": (_list(_float), None),
+        "sweep_angle": (_float, None),
+        "radii": (
+            _ranged(_log_range, lambda r: r and min(r) >= 0.0, "be non-empty and non-negative"),
+            "1e-3:1e3:25",
+        ),
+        "angles": (_at_least(2), "17"),
+        "probes": (_at_least(0), "0"),
+        "refine": (_bool, "true"),
+        "phi1": (_float, None),
+        "lambda_set": (_ranged(_list(_complex), bool, "be non-empty"), "0,1,10"),
+        "samples": (_at_least(1), "2000"),
+        "trials": (_at_least(1), "50"),
+        "h_set": (_list(_float), "0.1,0.3,1.0"),
+        "draws": (_at_least(1), "8"),
+        "alpha": (_float, "1.0"),
+        "s": (_float, "2.0"),
+        "q_exp": (_EXPONENT, "2.0"),
+        "mu": (_float, "0.0"),
+        "b2": (_list(_float), "1"),
+        "b1": (_list(_float), "0"),
+        "b0": (_list(_float), "0"),
+        "mesh_size": (_at_least(1), "31"),
+        "phi0": (_float, _QUARTER_PI),
+        "transverse_mode": (_int, "1"),
+        "matrix": (_matrix, "1"),
+        "mode": (_choice("elliptic", "parabolic"), "elliptic"),
+        "literal_shift": (_bool, "false"),
+        "levels": (_list(_int), "64,128,256"),
+    },
+    "output": {
+        "directory": (str, "out"),
+        "threads": (_ranged(_int, lambda n: n >= 0, "be >= 0 (0 = all cores)"), "1"),
+    },
+}
 
 
 @dataclass
 class RunConfig:
-    """Parsed run config: raw section dicts plus typed accessors."""
+    """A run config as the text of each section; :meth:`value` reads a key."""
 
     sections: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        """Parse ``path``, check its task, then reject any section or key the
+        task does not declare and read every key present, in file order."""
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # Values are read verbatim (no interpolation), and [DEFAULT] is an
+        # ordinary section, not one copied into every other.
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+        )
         try:
             parser.read(p)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {p}: {exc}") from exc
-        sections = {name: dict(parser[name]) for name in parser.sections()}
-        cfg = cls(sections)
-        task = cfg.task
-        if task not in TASKS:
-            raise ConfigError(f"[task] name must be one of {', '.join(TASKS)}; got {task!r}")
+        cfg = cls({name: dict(parser[name]) for name in parser.sections()})
+        task = cfg.value("task", "name")
+        declared = {**KEYS, "parameters": ("seed", *TASK_PARAMETERS[task])}
+        for section, values in cfg.sections.items():
+            if section not in declared:
+                raise ConfigError(f"[{section}]: not a section of task {task}")
+            for key in values:
+                if key not in declared[section]:
+                    raise ConfigError(f"[{section}] {key}: not a key of task {task}")
+                cfg.value(section, key)
         return cfg
 
     @property
     def task(self) -> str:
-        return self.get_str("task", "name", "")
+        return self.sections.get("task", {}).get("name", "")
 
-    def _raw(self, section: str, key: str):
-        return self.sections.get(section, {}).get(key)
+    def text(self, section: str, key: str) -> str | None:
+        """The text of ``[section] key``: the file's, else its declared default."""
+        return self.sections.get(section, {}).get(key, KEYS[section][key][1])
 
-    def get_str(self, section: str, key: str, default: str | None = None) -> str:
-        raw = self._raw(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key [{section}] {key}")
-            return default
-        return raw.strip()
-
-    def get_float(self, section: str, key: str, default: float | None = None) -> float:
-        raw = self._raw(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key [{section}] {key}")
-            return default
+    def value(self, section: str, key: str, text: str | None = None):
+        """``[section] key`` read by its declared reader from ``text`` when
+        given (a command-line or environment override), else from
+        :meth:`text`; None for an absent key without a default."""
+        if text is None:
+            text = self.text(section, key)
+        if text is None:
+            return None
         try:
-            value = float(raw)
+            return KEYS[section][key][0](text)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from exc
-        return _finite(section, key, raw, value)
-
-    def get_int(self, section: str, key: str, default: int | None = None) -> int:
-        raw = self._raw(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key [{section}] {key}")
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from exc
-
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        val = raw.strip().lower()
-        if val in ("1", "true", "yes", "on"):
-            return True
-        if val in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
-
-    def get_complex(self, section: str, key: str, default: complex | None = None) -> complex:
-        raw = self._raw(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key [{section}] {key}")
-            return default
-        try:
-            value = parse_complex(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        return _finite(section, key, raw, value)
-
-    def get_matrix(self, section: str, key: str, default: str | None = None) -> np.ndarray:
-        """Square matrix written as rows "a,b;c,d" (see :func:`parse_matrix`)."""
-        text = self.get_str(section, key, default)
-        try:
-            mat = parse_matrix(text)
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        if not np.all(np.isfinite(mat)):
-            raise ConfigError(f"[{section}] {key} must be finite, got {text!r}")
-        return mat
-
-    def get_list(
-        self, section: str, key: str, default: str, cast=float, log_range: bool = False
-    ) -> list:
-        """Comma list with every entry converted by ``cast``; with
-        ``log_range`` the value may also be a "start:stop:count" log range."""
-        raw = self.get_str(section, key, default)
-        try:
-            if log_range and ":" in raw:
-                return _log_range(raw)
-            entries = [c.strip() for c in raw.split(",") if c.strip()]
-            values = [cast(c) for c in entries]
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
-        return [_finite(section, key, c, v) for c, v in zip(entries, values)]
-
-    def to_jsonable(self) -> dict:
-        return {name: dict(vals) for name, vals in self.sections.items()}
+            raise ConfigError(f"[{section}] {key} {exc}") from exc
 
 
 def build_grid(cfg: RunConfig) -> SpatialGrid:
-    half_width = cfg.get_float("problem", "l", 10.0)
-    if half_width <= 0.0:
-        raise ConfigError(f"[problem] l must be finite and positive, got {half_width}")
-    size = cfg.get_int("problem", "n", 256)
+    half_width, size = cfg.value("problem", "l"), cfg.value("problem", "n")
     try:
         return SpatialGrid(half_width=half_width, size=size)
     except ValueError as exc:
@@ -217,7 +298,7 @@ def build_grid(cfg: RunConfig) -> SpatialGrid:
 
 
 def build_order(cfg: RunConfig) -> FractionalOrder:
-    gamma = cfg.get_float("problem", "gamma", 2.0)
+    gamma = cfg.value("problem", "gamma")
     try:
         return FractionalOrder(gamma)
     except ValueError as exc:
@@ -225,28 +306,21 @@ def build_order(cfg: RunConfig) -> FractionalOrder:
 
 
 def build_coefficient(cfg: RunConfig, gamma: float) -> CoefficientSymbol:
-    family = cfg.get_str("problem", "a_family", "constant")
-    value = cfg.get_complex("problem", "a_value", -1.0 + 0.0j)
-    if family == "constant":
-        return constant_coefficient(value)
-    if family == "scaled_decay":
+    value = cfg.value("problem", "a_value")
+    if cfg.value("problem", "a_family") == "scaled_decay":
         return scaled_decay_coefficient(value, gamma)
-    raise ConfigError(f"[problem] a_family must be 'constant' or 'scaled_decay', got {family!r}")
+    return constant_coefficient(value)
 
 
 def build_operator(cfg: RunConfig) -> OperatorSymbol:
-    family = cfg.get_str("problem", "a_op_family", "constant")
-    mat = cfg.get_matrix("problem", "a_op_matrix", "1")
-    if family == "perturbed":
-        bump = cfg.get_matrix("problem", "a_op_perturbation")
-    elif family != "constant":
-        raise ConfigError(
-            f"[problem] a_op_family must be 'constant' or 'perturbed', got {family!r}"
-        )
+    mat = cfg.value("problem", "a_op_matrix")
+    bump = None
+    if cfg.value("problem", "a_op_family") == "perturbed":
+        bump = cfg.value("problem", "a_op_perturbation")
+        if bump is None:
+            raise ConfigError("missing required key [problem] a_op_perturbation")
     try:
-        if family == "constant":
-            return constant_operator(mat)
-        return perturbed_operator(mat, bump)
+        return constant_operator(mat) if bump is None else perturbed_operator(mat, bump)
     except ValueError as exc:
         raise ConfigError(f"[problem] operator symbol: {exc}") from exc
 
@@ -269,7 +343,7 @@ def _require_memory(key: str, text, shape: tuple[int, ...]) -> None:
 
 def build_problem(cfg: RunConfig) -> EllipticProblem:
     order = build_order(cfg)
-    sector_angle = cfg.get_float("problem", "sector_angle", math.pi / 4.0)
+    sector_angle = cfg.value("problem", "sector_angle")
     try:
         sector = Sector(sector_angle)
     except ValueError as exc:
@@ -279,23 +353,15 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     grid = build_grid(cfg)
     # Every task assembles the N x d x d symbol stack Q(xi).
     _require_memory("[problem] n", grid.size, (grid.size, op.dim, op.dim))
-    try:
-        prob = EllipticProblem(
-            order=order,
-            a=a,
-            A=op,
-            sector=sector,
-            grid=grid,
-            q_form=cfg.get_str("problem", "q_form", "unfactored"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[problem] q_form: {exc}") from exc
+    prob = EllipticProblem(
+        order=order, a=a, A=op, sector=sector, grid=grid, q_form=cfg.value("problem", "q_form")
+    )
     xi = grid.frequencies
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(a(xi) * frac_power_i_xi(xi, order.gamma))
     if not finite.all():
         raise ConfigError(
-            f"[problem] a_value = {cfg.get_str('problem', 'a_value', '-1')}: a(xi) (i xi)^gamma "
+            f"[problem] a_value = {cfg.text('problem', 'a_value')}: a(xi) (i xi)^gamma "
             f"overflows the float range at xi = {xi[np.argmin(finite)]:.6g}"
         )
     return prob
@@ -304,21 +370,17 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
 def build_forcing(
     cfg: RunConfig, grid: SpatialGrid, dim: int, rng: np.random.Generator
 ) -> GridFunction:
-    family = cfg.get_str("parameters", "forcing", "gaussian")
+    family = cfg.value("parameters", "forcing")
+    if family == "random":
+        return random_band_limited(grid, dim, rng)
     if family == "gaussian":
         vals = np.exp(-grid.points**2)
-        return GridFunction(grid, np.tile(vals[:, None], (1, dim)))
-    if family == "mode":
-        k = cfg.get_int("parameters", "forcing_mode_index", 1)
+    else:
+        k = cfg.value("parameters", "forcing_mode_index")
         if not -grid.size // 2 <= k < grid.size // 2:
             raise ConfigError(
                 f"[parameters] forcing_mode_index {k} outside the grid's index range"
             )
         xi = math.pi * k / grid.half_width
         vals = np.exp(1j * xi * grid.points)
-        return GridFunction(grid, np.tile(vals[:, None], (1, dim)))
-    if family == "random":
-        return random_band_limited(grid, dim, rng)
-    raise ConfigError(
-        f"[parameters] forcing must be 'gaussian', 'mode' or 'random', got {family!r}"
-    )
+    return GridFunction(grid, np.tile(vals[:, None], (1, dim)))

@@ -219,8 +219,9 @@ def test_separability_overflow_names_the_scale_key(
     "task", ["solve-elliptic", "verify-conditions", "resolvent-sweep", "solve-parabolic"]
 )
 def test_overflowing_a_value_names_the_key(tmp_path, capsys, task):
+    params = {"resolvent-sweep": "radii = 1\nangles = 2", "solve-parabolic": "nt = 4"}
     ini, out = _write_ini(
-        tmp_path, task, params="nt = 4\nradii = 1\nangles = 2", problem_extra="a_value = 1e308"
+        tmp_path, task, params=params.get(task, ""), problem_extra="a_value = 1e308"
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -619,6 +620,12 @@ _OVERSIZED = [
             "with phi2 = [problem] sector_angle",
         ),
         *_OVERSIZED,
+        (_task_edit("solve-elliptic", "lamda = 5"), [], "[parameters] lamda: not a key of task "),
+        (("directory =", "thraeds = 4\ndirectory ="), [], "[output] thraeds: not a key of task "),
+        (("[parameters]", "[paramters]"), [], "[paramters]: not a section of task solve-elliptic"),
+        (_task_edit("solve-elliptic", "nt = 4"), [], "[parameters] nt: not a key of task "),
+        (_task_edit("solve-elliptic", "lambda = 1%"), [], "[parameters] lambda"),
+        (("[problem]", "[DEFAULT]\nn = 64\n\n[problem]"), [], "[DEFAULT]: not a section of task "),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -632,6 +639,18 @@ def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: " + key)
     assert not (out / "report.json").exists()
+
+
+def test_unknown_keys_exit_before_the_output_directory(tmp_path, capsys):
+    ini, out = _write_ini(
+        tmp_path, "solve-elliptic", params="lamda = 5\nforcng = mode", output_extra="thraeds = 4"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(ini)]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == "error: [parameters] lamda: not a key of task solve-elliptic\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, argv, key", _OVERSIZED)

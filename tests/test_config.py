@@ -1,0 +1,36 @@
+"""The declared config schema against the README key reference and the benchmark's configs."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+from fracspec.config import KEYS, TASK_PARAMETERS, TASKS, RunConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_key_reference_matches_schema():
+    declared = {(s, k, t) for s in ("task", "problem", "output") for k in KEYS[s] for t in TASKS}
+    declared |= {
+        ("parameters", k, t) for t, keys in TASK_PARAMETERS.items() for k in ("seed", *keys)
+    }
+    rows = re.findall(
+        r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \|", (ROOT / "README.md").read_text(), re.MULTILINE
+    )
+    documented = set()
+    for section, key, tasks in rows:
+        names = TASKS if tasks.strip() == "all" else [t.strip() for t in tasks.split(",")]
+        documented |= {(section, key, t) for t in names}
+    assert documented == declared
+
+
+def test_every_benchmark_config_loads(tmp_path, monkeypatch):
+    """The benchmark's task configs all pass the loader, which rejects undeclared keys."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        paths = workloads.write_configs(workload, tmp_path / workload.name)
+        assert [RunConfig.load(path).task for path in paths] == [t.name for t in workload.tasks]
