@@ -26,7 +26,7 @@ from .core import (
     lp_norm,
     multiplier_norm,
 )
-from .elliptic import SolveReport, _solve_with_spectrum
+from .elliptic import SolveReport, _coercive_weights, _probe_orders, _solve_with_spectrum
 from .fractional import FractionalOrder, frac_power_i_xi
 from .symbols import (
     CoefficientSymbol,
@@ -142,11 +142,12 @@ def check_ellipticity(
     best_at = None
     witnesses: list[Witness] = []
 
+    denom = np.abs(sigma)[:, None] + xi[None, :] ** 2
+    ok = denom > 0.0
+    xi_nz = xi[xi != 0.0]
     # lattice sweep, vectorized over (sigma, xi) for each y
     for yi, b2i in zip(y, b2v):
         c = b2i * xi**2  # (nxi,)
-        denom = np.abs(sigma)[:, None] + xi[None, :] ** 2
-        ok = denom > 0.0
         vals = np.abs(sigma[:, None] + c[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             normed = np.where(ok, vals / denom, math.inf)
@@ -167,23 +168,16 @@ def check_ellipticity(
                     magnitude=float(normed.flat[flat]),
                 )
             )
-        # analytic candidate sigma* = -b2(y) xi^2 whenever it sits in the sector
-        for xij in xi[xi != 0.0]:
-            cand = -b2i * xij**2
-            if cand == 0.0 or abs(np.angle(cand)) > phi0.angle:
-                continue
-            val = abs(cand + b2i * xij**2) / (abs(cand) + xij**2)
-            if val < best:
-                best = float(val)
-                best_at = {"y": float(yi), "sigma": complex(cand), "xi": float(xij)}
-            if val < _ELLIPTICITY_FLOOR:
-                witnesses.append(
-                    Witness(
-                        label="ellipticity",
-                        location={"y": float(yi), "sigma": complex(cand), "xi": float(xij)},
-                        magnitude=float(val),
-                    )
-                )
+        # The analytic candidate sigma* = -b2(y) xi^2 is real, so with
+        # phi0 < pi/2 it lies in the sector exactly when it is positive
+        # (b2(y) < 0), and then |sigma* + b2(y) xi^2| is exactly 0.  An
+        # overflowing candidate gives inf - inf, which tests nothing.
+        cand = -b2i * xi_nz**2
+        for j in np.nonzero((cand > 0.0) & (cand < math.inf))[0]:
+            at = {"y": float(yi), "sigma": complex(cand[j]), "xi": float(xi_nz[j])}
+            if best > 0.0:
+                best, best_at = 0.0, at
+            witnesses.append(Witness(label="ellipticity", location=at, magnitude=0.0))
 
     witnesses = witnesses[:16]
     return ConditionReport(
@@ -244,21 +238,15 @@ def solve_anisotropic(
 
     hy = coeffs.mesh_spacing
     sqrt_hy = math.sqrt(hy)
-    gamma = order.gamma
-    s_set = (0.0, gamma / 2.0, gamma)
+    s_set = _probe_orders(order.gamma)
 
     xi = grid.frequencies
     terms: dict[str, float] = {}
     lhs = 0.0
-    for s in s_set:
-        if s == gamma:
-            # the solve's ledger already holds a*D^gamma u
-            norm = rep.term_norms[f"a*D^{gamma:g} u"]
-        else:
-            norm = multiplier_norm(u_spec, core.a(xi) * frac_power_i_xi(xi, s), p)
-        val = sqrt_hy * norm
+    for s, w in zip(s_set, _coercive_weights(order.gamma, lam, s_set)):
+        val = sqrt_hy * multiplier_norm(u_spec, core.a(xi) * frac_power_i_xi(xi, s), p)
         terms[f"a*Dx^{s:g} u"] = val
-        lhs += abs(lam) ** (1.0 - s / gamma) * val
+        lhs += w * val
     d0, d1, d2 = _y_derivative_stencils(u.values, hy)
     for b, dv in enumerate((d0, d1, d2)):
         val = sqrt_hy * lp_norm(GridFunction(grid, dv), p)

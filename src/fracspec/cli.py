@@ -10,7 +10,6 @@ Unix, and random draws come from a seeded generator.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from .config import (
     _require_memory,
     build_forcing,
     build_problem,
+    naming,
 )
 from .core import (
     GridFunction,
@@ -86,6 +86,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     ]
     line = ",".join(fmts) + "\n"
     width = len(columns)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
@@ -97,6 +98,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
@@ -140,15 +142,6 @@ def _horizon(cfg: RunConfig, steps: int) -> float:
             f"[parameters] t = {horizon} over {steps} steps gives a subnormal time step"
         )
     return horizon
-
-
-@contextlib.contextmanager
-def _horizon_overflow(horizon: float):
-    """Name ``[parameters] t`` when its time step overflows a parabolic solve."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise ConfigError(f"[parameters] t = {horizon}: {exc}") from exc
 
 
 class _Run:
@@ -223,7 +216,7 @@ def _task_solve_parabolic(run: _Run) -> bool:
     steps = _time_steps(cfg, prob.grid, prob.dim)
     pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
     f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
-    with _horizon_overflow(pprob.horizon):
+    with naming(f"[parameters] t = {pprob.horizon}", OverflowError):
         u = solve_parabolic(pprob, f, cfg.value("parameters", "scheme") or "exact")
     rep = parabolic_coercive_report(
         pprob,
@@ -241,10 +234,8 @@ def _task_resolvent_sweep(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     sweep_angle = cfg.value("parameters", "sweep_angle")
-    try:
+    with naming("[parameters] sweep_angle"):
         sweep_sector = prob.sector if sweep_angle is None else Sector(sweep_angle)
-    except ValueError as exc:
-        raise ConfigError(f"[parameters] sweep_angle: {exc}") from exc
     rep = resolvent_sweep(
         prob,
         sweep_sector,
@@ -275,10 +266,8 @@ def _task_verify_conditions(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     phi1_angle = cfg.value("parameters", "phi1")
-    try:
+    with naming("[parameters] phi1"):
         phi1 = prob.sector if phi1_angle is None else Sector(phi1_angle)
-    except ValueError as exc:
-        raise ConfigError(f"[parameters] phi1: {exc}") from exc
     reports = [
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
@@ -297,7 +286,11 @@ def _task_verify_conditions(run: _Run) -> bool:
 def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    try:
+    # An overflow names the larger of the two scales of the symbol.
+    a_scale = abs(cfg.value("problem", "a_value"))
+    op_scale = float(np.abs(cfg.value("problem", "a_op_matrix")).max())
+    key = "a_value" if a_scale >= op_scale else "a_op_matrix"
+    with naming(f"[problem] {key} = {cfg.text('problem', key)}", OverflowError):
         rep = separability_check(
             prob,
             trials=cfg.value("parameters", "trials"),
@@ -305,12 +298,6 @@ def _task_separability(run: _Run) -> bool:
             s_set=cfg.value("parameters", "s_set"),
             seed=run.seed,
         )
-    except OverflowError as exc:
-        # name the larger of the two scales of the symbol
-        a_scale = abs(cfg.value("problem", "a_value"))
-        op_scale = float(np.abs(cfg.value("problem", "a_op_matrix")).max())
-        key = "a_value" if a_scale >= op_scale else "a_op_matrix"
-        raise ConfigError(f"[problem] {key} = {cfg.text('problem', key)}: {exc}") from exc
     ratios = np.array(rep.meta["ratios"], dtype=float)
     _write_csv(run.out / "ratios.csv", ["trial", "ratio"], [np.arange(1, ratios.size + 1), ratios])
     run.report(rep.to_jsonable(), [] if rep.passed else [rep.name])
@@ -371,10 +358,8 @@ def _task_bvp(run: _Run) -> bool:
         mesh_size=cfg.value("parameters", "mesh_size"),
     )
     phi0 = cfg.value("parameters", "phi0")
-    try:
+    with naming("[parameters] phi0"):
         ell = check_ellipticity(coeffs, Sector(phi0))
-    except ValueError as exc:
-        raise ConfigError(f"[parameters] phi0: {exc}") from exc
     lam = cfg.value("parameters", "lambda")
     grid = prob.grid
     wave = cfg.value("parameters", "transverse_mode")
@@ -393,10 +378,8 @@ def _task_bvp(run: _Run) -> bool:
 def _task_system(run: _Run) -> bool:
     cfg = run.cfg
     entries = cfg.value("parameters", "matrix")
-    try:
+    with naming("[parameters] matrix"):
         mat = SystemMatrix(entries)
-    except ValueError as exc:
-        raise ConfigError(f"[parameters] matrix: {exc}") from exc
     prob = build_problem(cfg)
     lam = cfg.value("parameters", "lambda")
     literal = cfg.value("parameters", "literal_shift")
@@ -410,7 +393,7 @@ def _task_system(run: _Run) -> bool:
         horizon = _horizon(cfg, steps)
         times = np.linspace(0.0, horizon, steps + 1)
         f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
-        with _horizon_overflow(horizon):
+        with naming(f"[parameters] t = {horizon}", OverflowError):
             rep = solve_system(
                 mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
                 p1=cfg.value("parameters", "p1"),
@@ -423,12 +406,6 @@ def _task_system(run: _Run) -> bool:
 def _task_convergence(run: _Run) -> bool:
     cfg = run.cfg
     levels = cfg.value("parameters", "levels")
-    if len(levels) < 3:
-        raise ConfigError(f"[parameters] levels needs at least 3 entries, got {levels}")
-    if sorted(levels) != levels or len(set(levels)) != len(levels):
-        raise ConfigError(f"[parameters] levels must be strictly increasing, got {levels}")
-    if levels[0] < 2:
-        raise ConfigError(f"[parameters] levels entries must be at least 2, got {levels}")
     scheme = cfg.value("parameters", "scheme") or "crank-nicolson"
     prob = build_problem(cfg)
     grid = prob.grid
@@ -446,7 +423,7 @@ def _task_convergence(run: _Run) -> bool:
 
     def final_state(pprob: ParabolicProblem, w: np.ndarray, integrator: str) -> np.ndarray:
         # The forcing spectrum of step m is formed when the loop reads it.
-        with _horizon_overflow(horizon):
+        with naming(f"[parameters] t = {horizon}", OverflowError):
             uhat = _evolve(pprob, q0, lambda m: w[m] * shat, integrator)
         return grid.to_physical(uhat)
 
@@ -521,7 +498,6 @@ def main(argv=None) -> int:
         threads = cfg.value("output", "threads", _override(args.threads, "FRACSPEC_THREADS"))
         if threads == 0:
             threads = os.cpu_count() or 1
-        out_dir.mkdir(parents=True, exist_ok=True)
         run = _Run(cfg, out_dir, seed, threads)
         failed = _TASKS[cfg.task](run)
     except Exception as exc:  # noqa: BLE001 - single funnel to exit code 1

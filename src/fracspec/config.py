@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import configparser
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -40,6 +41,16 @@ __all__ = ["ConfigError", "RunConfig", "build_problem", "build_forcing"]
 
 class ConfigError(ValueError):
     """A run config is missing, malformed, or inconsistent."""
+
+
+@contextlib.contextmanager
+def naming(label: str, *errors: type[Exception]):
+    """Re-raise a ValueError from the block, or one of ``errors`` when given,
+    as ``ConfigError(f"{label}: {exc}")``: ``label`` names the key at fault."""
+    try:
+        yield
+    except (errors or ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 # Readers: the text of a key to its value.  A ValueError carries the rest of
@@ -144,12 +155,26 @@ def _at_least(least: int):
     return _ranged(_int, lambda n: n >= least, f"be at least {least}")
 
 
+def _levels(text: str) -> list[int]:
+    """At least 3 strictly increasing step counts, each at least 2."""
+    levels = _list(_int)(text)
+    if len(levels) < 3:
+        raise ValueError(f"needs at least 3 entries, got {levels}")
+    if sorted(levels) != levels or len(set(levels)) != len(levels):
+        raise ValueError(f"must be strictly increasing, got {levels}")
+    if levels[0] < 2:
+        raise ValueError(f"entries must be at least 2, got {levels}")
+    return levels
+
+
 _POSITIVE = _ranged(_float, lambda v: v > 0.0, "be finite and positive")
 _EXPONENT = _ranged(_float, lambda p: p > 1.0, "lie in (1, inf)")  # Lebesgue exponent
 _QUARTER_PI = "0.7853981633974483"
 
 _FORCING = ("forcing", "forcing_mode_index")
 _TIME = ("time_profile", "t")
+# The [parameters] keys that system takes only with mode = parabolic.
+SYSTEM_PARABOLIC = (*_TIME, "nt", "p1")
 
 # The [parameters] keys of each task besides seed, which every task reads
 # along with every key of [task], [problem] and [output].
@@ -161,7 +186,7 @@ TASK_PARAMETERS = {
     "separability": ("trials", "p", "s_set"),
     "embedding-probe": ("h_set", "draws", "alpha", "s", "p", "q_exp", "mu"),
     "bvp": ("b2", "b1", "b0", "mesh_size", "phi0", "lambda", "transverse_mode", "p"),
-    "system": ("matrix", "mode", "lambda", "literal_shift", "p", *_FORCING, *_TIME, "nt", "p1"),
+    "system": ("matrix", "mode", "lambda", "literal_shift", "p", *_FORCING, *SYSTEM_PARABOLIC),
     "convergence": ("levels", "scheme", *_TIME, *_FORCING),
 }
 TASKS = tuple(TASK_PARAMETERS)
@@ -224,7 +249,7 @@ KEYS = {
         "matrix": (_matrix, "1"),
         "mode": (_choice("elliptic", "parabolic"), "elliptic"),
         "literal_shift": (_bool, "false"),
-        "levels": (_list(_int), "64,128,256"),
+        "levels": (_levels, "64,128,256"),
     },
     "output": {
         "directory": (str, "out"),
@@ -242,7 +267,8 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         """Parse ``path``, check its task, then reject any section or key the
-        task does not declare and read every key present, in file order."""
+        task (in its mode, for system) does not declare and read every key
+        present, in file order."""
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
@@ -257,13 +283,17 @@ class RunConfig:
             raise ConfigError(f"cannot parse config {p}: {exc}") from exc
         cfg = cls({name: dict(parser[name]) for name in parser.sections()})
         task = cfg.value("task", "name")
-        declared = {**KEYS, "parameters": ("seed", *TASK_PARAMETERS[task])}
+        scope, parameters = f"task {task}", TASK_PARAMETERS[task]
+        if task == "system" and cfg.value("parameters", "mode") == "elliptic":
+            scope += " with mode = elliptic"
+            parameters = [key for key in parameters if key not in SYSTEM_PARABOLIC]
+        declared = {**KEYS, "parameters": ("seed", *parameters)}
         for section, values in cfg.sections.items():
             if section not in declared:
                 raise ConfigError(f"[{section}]: not a section of task {task}")
             for key in values:
                 if key not in declared[section]:
-                    raise ConfigError(f"[{section}] {key}: not a key of task {task}")
+                    raise ConfigError(f"[{section}] {key}: not a key of {scope}")
                 cfg.value(section, key)
         return cfg
 
@@ -289,22 +319,6 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} {exc}") from exc
 
 
-def build_grid(cfg: RunConfig) -> SpatialGrid:
-    half_width, size = cfg.value("problem", "l"), cfg.value("problem", "n")
-    try:
-        return SpatialGrid(half_width=half_width, size=size)
-    except ValueError as exc:
-        raise ConfigError(f"[problem] n: {exc}") from exc
-
-
-def build_order(cfg: RunConfig) -> FractionalOrder:
-    gamma = cfg.value("problem", "gamma")
-    try:
-        return FractionalOrder(gamma)
-    except ValueError as exc:
-        raise ConfigError(f"[problem] gamma: {exc}") from exc
-
-
 def build_coefficient(cfg: RunConfig, gamma: float) -> CoefficientSymbol:
     value = cfg.value("problem", "a_value")
     if cfg.value("problem", "a_family") == "scaled_decay":
@@ -314,15 +328,14 @@ def build_coefficient(cfg: RunConfig, gamma: float) -> CoefficientSymbol:
 
 def build_operator(cfg: RunConfig) -> OperatorSymbol:
     mat = cfg.value("problem", "a_op_matrix")
-    bump = None
-    if cfg.value("problem", "a_op_family") == "perturbed":
-        bump = cfg.value("problem", "a_op_perturbation")
-        if bump is None:
-            raise ConfigError("missing required key [problem] a_op_perturbation")
-    try:
-        return constant_operator(mat) if bump is None else perturbed_operator(mat, bump)
-    except ValueError as exc:
-        raise ConfigError(f"[problem] operator symbol: {exc}") from exc
+    if cfg.value("problem", "a_op_family") == "constant":
+        with naming("[problem] a_op_matrix"):
+            return constant_operator(mat)
+    bump = cfg.value("problem", "a_op_perturbation")
+    if bump is None:
+        raise ConfigError("missing required key [problem] a_op_perturbation")
+    with naming("[problem] a_op_perturbation"):
+        return perturbed_operator(mat, bump)
 
 
 def _require_memory(key: str, text, shape: tuple[int, ...]) -> None:
@@ -342,15 +355,17 @@ def _require_memory(key: str, text, shape: tuple[int, ...]) -> None:
 
 
 def build_problem(cfg: RunConfig) -> EllipticProblem:
-    order = build_order(cfg)
+    gamma = cfg.value("problem", "gamma")
+    with naming("[problem] gamma"):
+        order = FractionalOrder(gamma)
     sector_angle = cfg.value("problem", "sector_angle")
-    try:
+    with naming("[problem] sector_angle"):
         sector = Sector(sector_angle)
-    except ValueError as exc:
-        raise ConfigError(f"[problem] sector_angle: {exc}") from exc
     a = build_coefficient(cfg, order.gamma)
     op = build_operator(cfg)
-    grid = build_grid(cfg)
+    half_width, size = cfg.value("problem", "l"), cfg.value("problem", "n")
+    with naming("[problem] n"):
+        grid = SpatialGrid(half_width=half_width, size=size)
     # Every task assembles the N x d x d symbol stack Q(xi).
     _require_memory("[problem] n", grid.size, (grid.size, op.dim, op.dim))
     prob = EllipticProblem(

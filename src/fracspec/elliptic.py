@@ -167,7 +167,13 @@ def _solve_with_spectrum(
     ), u_spec
 
 
+def _probe_orders(gamma: float) -> tuple[float, float, float]:
+    """The default probe orders {0, gamma/2, gamma} of the term sums."""
+    return (0.0, gamma / 2.0, gamma)
+
+
 def _coercive_weights(gamma: float, lam: complex, s_set: Sequence[float]) -> list[float]:
+    """The weight |lambda|^(1-s/gamma) of each probe order s."""
     return [abs(lam) ** (1.0 - s / gamma) for s in s_set]
 
 
@@ -189,7 +195,7 @@ def coercive_report(
     """
     gamma = prob.order.gamma
     if s_set is None:
-        s_set = (0.0, gamma / 2.0, gamma)
+        s_set = _probe_orders(gamma)
     for s in s_set:
         if not 0.0 <= s <= gamma:
             raise ValueError(f"probe order {s} outside [0, {gamma}]")
@@ -203,11 +209,7 @@ def coercive_report(
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
         frac = frac_power_i_xi(xi, s)
-        if s == gamma:
-            # the solve's ledger already holds a*D^gamma u
-            n_conv = rep.term_norms[f"a*D^{s:g} u"]
-        else:
-            n_conv = multiplier_norm(u_spec, prob.a(xi) * frac, p)
+        n_conv = multiplier_norm(u_spec, prob.a(xi) * frac, p)
         n_plain = multiplier_norm(u_spec, frac, p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain
@@ -358,7 +360,7 @@ def separability_check(
     _check_exponent(p)
     gamma = prob.order.gamma
     if s_set is None:
-        s_set = (0.0, gamma / 2.0, gamma)
+        s_set = _probe_orders(gamma)
     xi = prob.grid.frequencies
     rng = np.random.default_rng(seed)
     ratios = []

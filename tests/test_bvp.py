@@ -1,6 +1,8 @@
 """Transverse boundary-operator discretization and the anisotropic solver."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,25 @@ def test_ellipticity_variable_coefficient_passes():
     rep = fs.check_ellipticity(coeffs, fs.Sector(math.pi / 4.0))
     assert rep.passed
     assert rep.constants["min_normalized"] >= math.cos(math.pi / 8.0) - 1e-9
+
+
+# Reports of the per-(y, xi) candidate loop that the closed-form rule replaced,
+# recorded under tests/data/ellipticity: b2 < 0 everywhere, and b2 crossing
+# zero on the mesh (y = 0.5 at mesh_size = 9) from either side.
+_ELLIPTICITY_GOLDENS = {
+    "b2-minus-one": (_const(-1.0), math.pi / 4.0),
+    "b2-y-minus-half": (lambda y: y - 0.5, math.pi / 4.0),
+    "b2-half-minus-y": (lambda y: 0.5 - y, math.pi / 4.0),
+    "b2-half-minus-y-phi0-zero": (lambda y: 0.5 - y, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELLIPTICITY_GOLDENS))
+def test_ellipticity_report_matches_golden(name):
+    b2, phi0 = _ELLIPTICITY_GOLDENS[name]
+    rep = fs.check_ellipticity(fs.BVPCoefficients(b2, _const(0.0), _const(0.0), 9), fs.Sector(phi0))
+    golden = Path(__file__).parent / "data" / "ellipticity" / f"{name}.json"
+    assert json.dumps(rep.to_jsonable(), sort_keys=True, indent=1) + "\n" == golden.read_text()
 
 
 def test_ellipticity_sector_gate():

@@ -212,7 +212,7 @@ def test_separability_overflow_names_the_scale_key(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: [problem] {key} = ")
     assert "overflow" in err
-    assert not (out / "report.json").exists() and not (out / "ratios.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -230,7 +230,7 @@ def test_overflowing_a_value_names_the_key(tmp_path, capsys, task):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: [problem] a_value = 1e308: ")
     assert "overflow" in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -456,7 +456,7 @@ def test_non_dissipative_convergence_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: operator symbol is not dissipative at xi=-10.0531: eigenvalue ")
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_hard_errors_exit_one(tmp_path, capsys):
@@ -563,7 +563,7 @@ _OVERSIZED = [
         (_task_edit("convergence", "t = inf"), [], "[parameters] t"),
         (_task_edit("convergence", "t = -1"), [], "[parameters] t"),
         (_problem_edit("a_family = foo"), [], "[problem] a_family"),
-        (_problem_edit("a_op_matrix = 0"), [], "[problem] operator symbol"),
+        (_problem_edit("a_op_matrix = 0"), [], "[problem] a_op_matrix"),
         (_problem_edit("q_form = sideways"), [], "[problem] q_form"),
         (_task_edit("solve-parabolic", "scheme = leapfrog"), [], "[parameters] scheme"),
         (_task_edit("convergence", "scheme = leapfrog"), [], "[parameters] scheme"),
@@ -626,6 +626,11 @@ _OVERSIZED = [
         (_task_edit("solve-elliptic", "nt = 4"), [], "[parameters] nt: not a key of task "),
         (_task_edit("solve-elliptic", "lambda = 1%"), [], "[parameters] lambda"),
         (("[problem]", "[DEFAULT]\nn = 64\n\n[problem]"), [], "[DEFAULT]: not a section of task "),
+        (
+            _task_edit("system", "nt = 8\np1 = 3"),
+            [],
+            "[parameters] nt: not a key of task system with mode = elliptic",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -638,7 +643,30 @@ def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
     assert caught == []
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: " + key)
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "task, params, edit",
+    [
+        ("solve-elliptic", "", ("gamma = 1.5", "gamma = 2.5")),
+        ("solve-elliptic", "", ("n = 64", "n = 63")),
+        ("system", "matrix = 1,2;2,1", None),
+        ("convergence", "levels = 64,32,128", None),
+        ("solve-elliptic", "", _problem_edit("a_op_matrix = 0")),
+        ("embedding-probe", "h_set = 0,1", None),
+        ("solve-elliptic", "", _problem_edit("a_op_family = perturbed")),
+    ],
+)
+def test_failed_run_writes_nothing(tmp_path, capsys, task, params, edit):
+    """A run that exits 1 leaves no output directory, whichever check fails."""
+    ini, out = _write_ini(tmp_path, task, params=params)
+    if edit is not None:
+        ini.write_text(ini.read_text().replace(*edit))
+    assert main(["--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_keys_exit_before_the_output_directory(tmp_path, capsys):

@@ -5,7 +5,7 @@ import re
 import sys
 from pathlib import Path
 
-from fracspec.config import KEYS, TASK_PARAMETERS, TASKS, RunConfig
+from fracspec.config import KEYS, SYSTEM_PARABOLIC, TASK_PARAMETERS, TASKS, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,11 +18,16 @@ def test_readme_key_reference_matches_schema():
     rows = re.findall(
         r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \|", (ROOT / "README.md").read_text(), re.MULTILINE
     )
-    documented = set()
+    documented, parabolic_only = set(), set()
     for section, key, tasks in rows:
         names = TASKS if tasks.strip() == "all" else [t.strip() for t in tasks.split(",")]
-        documented |= {(section, key, t) for t in names}
+        for name in names:
+            task = name.removesuffix(" (mode = parabolic)")
+            documented.add((section, key, task))
+            if task != name:
+                parabolic_only.add((task, key))
     assert documented == declared
+    assert parabolic_only == {("system", key) for key in SYSTEM_PARABOLIC}
 
 
 def test_every_benchmark_config_loads(tmp_path, monkeypatch):
