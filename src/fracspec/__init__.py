@@ -2,133 +2,27 @@
 the real line: direct elliptic and parabolic solvers, symbol condition
 checks, resolvent sweeps, and an anisotropic two-variable extension with a
 discretized boundary operator in the second variable.
+
+Each public name is declared once, in the ``__all__`` of its module; the
+package re-exports those six lists.
 """
 
-from .bvp import (
-    BVPCoefficients,
-    check_ellipticity,
-    discretize_bvp,
-    solve_anisotropic,
-)
-from .core import (
-    DEFAULT_SEED,
-    GridFunction,
-    Sector,
-    SpaceTimeFunction,
-    SpatialGrid,
-    SpectralFunction,
-    apply_multiplier,
-    band_limited_spectrum,
-    forward_transform,
-    inverse_transform,
-    lp_norm,
-    mixed_norm,
-    multiplier_norm,
-    random_band_limited,
-)
-from .elliptic import (
-    SectorialityReport,
-    SolveError,
-    SolveReport,
-    coercive_report,
-    embedding_probe,
-    resolvent_sweep,
-    separability_check,
-    solve_elliptic,
-)
-from .fractional import (
-    FractionalOrder,
-    frac_power_i_xi,
-    gl_weights,
-    liouville_derivative,
-    matrix_fractional_power,
-    rl_derivative_oracle,
-)
-from .parabolic import (
-    ParabolicProblem,
-    SystemMatrix,
-    parabolic_coercive_report,
-    solve_parabolic,
-    solve_system,
-)
-from .symbols import (
-    CoefficientSymbol,
-    ConditionReport,
-    EllipticProblem,
-    JsonRecord,
-    OperatorSymbol,
-    Witness,
-    check_mikhlin_bounds,
-    check_sector_growth,
-    constant_coefficient,
-    constant_operator,
-    perturbed_operator,
-    q_matrices,
-    scalar_inequality_suite,
-    scaled_decay_coefficient,
-    smallest_singular_values,
-    symbol_kernel,
-    symbol_resolvent_bound,
-    symbol_smin,
-)
+from . import bvp, core, elliptic, fractional, parabolic, symbols
+from .bvp import *
+from .core import *
+from .elliptic import *
+from .fractional import *
+from .parabolic import *
+from .symbols import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BVPCoefficients",
-    "CoefficientSymbol",
-    "ConditionReport",
-    "DEFAULT_SEED",
-    "EllipticProblem",
-    "FractionalOrder",
-    "GridFunction",
-    "JsonRecord",
-    "OperatorSymbol",
-    "ParabolicProblem",
-    "Sector",
-    "SectorialityReport",
-    "SolveError",
-    "SolveReport",
-    "SpaceTimeFunction",
-    "SpatialGrid",
-    "SpectralFunction",
-    "SystemMatrix",
-    "Witness",
-    "apply_multiplier",
-    "band_limited_spectrum",
-    "check_ellipticity",
-    "check_mikhlin_bounds",
-    "check_sector_growth",
-    "coercive_report",
-    "constant_coefficient",
-    "constant_operator",
-    "discretize_bvp",
-    "embedding_probe",
-    "forward_transform",
-    "frac_power_i_xi",
-    "gl_weights",
-    "inverse_transform",
-    "liouville_derivative",
-    "lp_norm",
-    "matrix_fractional_power",
-    "mixed_norm",
-    "multiplier_norm",
-    "parabolic_coercive_report",
-    "perturbed_operator",
-    "q_matrices",
-    "random_band_limited",
-    "resolvent_sweep",
-    "rl_derivative_oracle",
-    "scalar_inequality_suite",
-    "scaled_decay_coefficient",
-    "separability_check",
-    "smallest_singular_values",
-    "solve_anisotropic",
-    "solve_elliptic",
-    "solve_parabolic",
-    "solve_system",
-    "symbol_kernel",
-    "symbol_resolvent_bound",
-    "symbol_smin",
+    *core.__all__,
+    *fractional.__all__,
+    *symbols.__all__,
+    *elliptic.__all__,
+    *parabolic.__all__,
+    *bvp.__all__,
     "__version__",
 ]

@@ -74,32 +74,49 @@ class BVPCoefficients:
         """Interior mesh points y_i = i*h_y, i = 1..m."""
         return self.mesh_spacing * np.arange(1, self.mesh_size + 1)
 
-    def coefficient_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        y = self.mesh
-        vals = []
-        for label, fn in (("b2", self.b2), ("b1", self.b1), ("b0", self.b0)):
-            v = np.asarray(fn(y), dtype=float)
-            v = np.broadcast_to(v, y.shape).copy() if v.shape != y.shape else v
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"coefficient {label} is not finite on the mesh")
-            vals.append(v)
-        return vals[0], vals[1], vals[2]
+
+def _stencil_coefficient(coeffs: BVPCoefficients, label: str) -> np.ndarray:
+    """Coefficient ``label`` ("b2", "b1" or "b0") on the interior mesh, held
+    to the rules of the stencil.
+
+    Every value must be finite, and b2 must stay away from zero,
+    |b2| >= 1e-8.  Each coefficient times its scale in the stencil
+    (2 / h_y^2 for b2, 1 / (2 h_y) for b1, 1 for b0) must stay within half
+    the float range: an entry sums at most two such terms, so the matrix
+    is then finite.  A ValueError names the coefficient.
+    """
+    y = coeffs.mesh
+    values = np.asarray(getattr(coeffs, label)(y), dtype=float)
+    values = np.broadcast_to(values, y.shape).copy() if values.shape != y.shape else values
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"coefficient {label} is not finite on the mesh")
+    if label == "b2":
+        small = np.abs(values) < _B2_FLOOR
+        if small.any():
+            raise ValueError(
+                f"principal coefficient b2 degenerates at y={y[np.argmax(small)]:.6g}: "
+                f"|b2| < {_B2_FLOOR:g}"
+            )
+    hy = coeffs.mesh_spacing
+    scale = {"b2": 2.0 / hy**2, "b1": 0.5 / hy, "b0": 1.0}[label]
+    big = np.abs(values) > 0.5 * np.finfo(float).max / scale
+    if big.any():
+        raise ValueError(
+            f"coefficient {label} = {values[np.argmax(big)]:.6g} at y={y[np.argmax(big)]:.6g} "
+            f"overflows the stencil: times its scale {scale:.6g} it exceeds half the float range"
+        )
+    return values
 
 
 def discretize_bvp(coeffs: BVPCoefficients) -> np.ndarray:
     """Central-difference matrix of the boundary operator on the interior mesh.
 
     The principal coefficient must stay away from zero, |b2| >= 1e-8, on
-    the mesh.  With b1 = 0 the matrix is real symmetric; b1 enters through
-    the skew stencil of -i d/dy.
+    the mesh, and no coefficient may overflow its stencil entries (see
+    :func:`_stencil_coefficient`).  With b1 = 0 the matrix is real
+    symmetric; b1 enters through the skew stencil of -i d/dy.
     """
-    b2v, b1v, b0v = coeffs.coefficient_values()
-    small = np.abs(b2v) < _B2_FLOOR
-    if small.any():
-        y_bad = float(coeffs.mesh[int(np.nonzero(small)[0][0])])
-        raise ValueError(
-            f"principal coefficient b2 degenerates at y={y_bad:.6g}: |b2| < {_B2_FLOOR:g}"
-        )
+    b2v, b1v, b0v = (_stencil_coefficient(coeffs, label) for label in ("b2", "b1", "b0"))
     m = coeffs.mesh_size
     hy = coeffs.mesh_spacing
     mat = np.zeros((m, m), dtype=complex)

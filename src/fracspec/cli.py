@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bvp import BVPCoefficients, check_ellipticity, solve_anisotropic
+from .bvp import BVPCoefficients, _stencil_coefficient, check_ellipticity, solve_anisotropic
 from .config import (
     ConfigError,
     RunConfig,
@@ -35,11 +35,17 @@ from .core import (
     random_band_limited,
 )
 from .elliptic import (
+    _check_kappa,
+    _check_mu,
+    _embedding_kappa,
+    _embedding_matrix,
+    _probe_orders,
     coercive_report,
     embedding_probe,
     resolvent_sweep,
     separability_check,
 )
+from .fractional import matrix_fractional_power
 from .parabolic import (
     ParabolicProblem,
     SystemMatrix,
@@ -50,6 +56,7 @@ from .parabolic import (
     solve_system,
 )
 from .symbols import (
+    _in_sector,
     check_mikhlin_bounds,
     check_sector_growth,
     scalar_inequality_suite,
@@ -170,17 +177,20 @@ class _Run:
         )
 
 
+def _s_set(cfg: RunConfig, gamma: float):
+    """``[parameters] s_set``, each order in [0, gamma], or the default orders."""
+    with naming("[parameters] s_set"):
+        return _probe_orders(gamma, cfg.value("parameters", "s_set"))
+
+
 def _task_solve_elliptic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
+    with naming("[parameters] lambda"):
+        lam = _in_sector(prob.sector, cfg.value("parameters", "lambda"))
+    s_set = _s_set(cfg, prob.order.gamma)
     f = build_forcing(cfg, prob.grid, prob.dim, run.rng())
-    rep = coercive_report(
-        prob,
-        f,
-        cfg.value("parameters", "lambda"),
-        s_set=cfg.value("parameters", "s_set"),
-        p=cfg.value("parameters", "p"),
-    )
+    rep = coercive_report(prob, f, lam, s_set=s_set, p=cfg.value("parameters", "p"))
     _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     run.report(rep.to_jsonable(), [])
     return False
@@ -268,10 +278,12 @@ def _task_verify_conditions(run: _Run) -> bool:
     phi1_angle = cfg.value("parameters", "phi1")
     with naming("[parameters] phi1"):
         phi1 = prob.sector if phi1_angle is None else Sector(phi1_angle)
+    with naming("[parameters] lambda_set"):
+        lambda_set = [_in_sector(prob.sector, lam) for lam in cfg.value("parameters", "lambda_set")]
     reports = [
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
-        symbol_resolvent_bound(prob, cfg.value("parameters", "lambda_set")),
+        symbol_resolvent_bound(prob, lambda_set),
     ]
     samples = cfg.value("parameters", "samples")
     try:
@@ -295,7 +307,7 @@ def _task_separability(run: _Run) -> bool:
             prob,
             trials=cfg.value("parameters", "trials"),
             p=cfg.value("parameters", "p"),
-            s_set=cfg.value("parameters", "s_set"),
+            s_set=_s_set(cfg, prob.order.gamma),
             seed=run.seed,
         )
     ratios = np.array(rep.meta["ratios"], dtype=float)
@@ -309,15 +321,20 @@ def _task_embedding_probe(run: _Run) -> bool:
     prob = build_problem(cfg)
     h_set = cfg.value("parameters", "h_set")
     draws = cfg.value("parameters", "draws")
+    alpha, s, p, q, mu = (cfg.value("parameters", k) for k in ("alpha", "s", "p", "q_exp", "mu"))
+    # The rules of embedding_probe that tie keys together, each named by its key.
+    with naming("[problem] a_op_family"):
+        a_mat = _embedding_matrix(prob)
+    with naming("[parameters] q_exp"):
+        kappa = _embedding_kappa(alpha, s, p, q)
+    with naming("[parameters] alpha"):
+        _check_kappa(kappa)
+    with naming("[parameters] mu"):
+        _check_mu(mu, kappa)
+    with naming("[problem] a_op_matrix"):
+        matrix_fractional_power(a_mat, 1.0 - kappa - mu)
     rng = run.rng()
-    kwargs = dict(
-        alpha=cfg.value("parameters", "alpha"),
-        s=cfg.value("parameters", "s"),
-        p=cfg.value("parameters", "p"),
-        q=cfg.value("parameters", "q_exp"),
-        mu=cfg.value("parameters", "mu"),
-        h_set=h_set,
-    )
+    kwargs = dict(alpha=alpha, s=s, p=p, q=q, mu=mu, h_set=h_set)
     ratios = []
     reports = []
     max_ratio = 0.0
@@ -325,7 +342,7 @@ def _task_embedding_probe(run: _Run) -> bool:
         u = random_band_limited(prob.grid, prob.dim, rng)
         rep = embedding_probe(prob, u, **kwargs)
         reports.append(rep.to_jsonable())
-        ratios += [rep.meta["ratios_by_h"][f"{h:g}"] for h in h_set]
+        ratios += rep.meta["ratios"]
         max_ratio = max(max_ratio, rep.constants["max_ratio"])
     draw = np.repeat(np.arange(1, draws + 1), len(h_set))
     columns = [draw, np.tile(np.array(h_set, dtype=float), draws), np.array(ratios, dtype=float)]
@@ -341,8 +358,10 @@ def _poly(cfg: RunConfig, key: str):
     def func(y):
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
-        for c in reversed(coeffs):
-            out = out * y + c
+        # a value that overflows is inf, which the stencil rules name
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in reversed(coeffs):
+                out = out * y + c
         return out
 
     return func
@@ -351,17 +370,26 @@ def _poly(cfg: RunConfig, key: str):
 def _task_bvp(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
+    grid = prob.grid
+    mesh_size = cfg.value("parameters", "mesh_size")
+    # The solve assembles the N x m x m symbol stack of the boundary operator.
+    _require_memory("[parameters] mesh_size", mesh_size, (grid.size, mesh_size, mesh_size))
     coeffs = BVPCoefficients(
         b2=_poly(cfg, "b2"),
         b1=_poly(cfg, "b1"),
         b0=_poly(cfg, "b0"),
-        mesh_size=cfg.value("parameters", "mesh_size"),
+        mesh_size=mesh_size,
     )
+    for key in ("b2", "b1", "b0"):
+        with naming(f"[parameters] {key}"):
+            _stencil_coefficient(coeffs, key)
+    lam = cfg.value("parameters", "lambda")
+    with naming("[parameters] lambda"):
+        # the solve's sector is the narrowest one holding lambda
+        _in_sector(Sector.enclosing(lam), lam)
     phi0 = cfg.value("parameters", "phi0")
     with naming("[parameters] phi0"):
         ell = check_ellipticity(coeffs, Sector(phi0))
-    lam = cfg.value("parameters", "lambda")
-    grid = prob.grid
     wave = cfg.value("parameters", "transverse_mode")
     profile = np.sin(wave * math.pi * coeffs.mesh)
     f = GridFunction(grid, np.exp(-grid.points**2)[:, None] * profile[None, :])

@@ -190,6 +190,10 @@ TASK_PARAMETERS = {
     "convergence": ("levels", "scheme", *_TIME, *_FORCING),
 }
 TASKS = tuple(TASK_PARAMETERS)
+# The [problem] keys of the operator symbol, its sector and the form of Q.
+# bvp and system do not read them: they take the scalar equation alone.
+OPERATOR_KEYS = ("a_op_family", "a_op_matrix", "a_op_perturbation", "sector_angle", "q_form")
+SCALAR_TASKS = ("bvp", "system")
 
 # Section -> key -> (reader, default as config text).  A None default marks a
 # key whose absence the task handles: a_op_perturbation is required by the
@@ -234,10 +238,10 @@ KEYS = {
         "lambda_set": (_ranged(_list(_complex), bool, "be non-empty"), "0,1,10"),
         "samples": (_at_least(1), "2000"),
         "trials": (_at_least(1), "50"),
-        "h_set": (_list(_float), "0.1,0.3,1.0"),
+        "h_set": (_ranged(_list(_POSITIVE), bool, "be non-empty"), "0.1,0.3,1.0"),
         "draws": (_at_least(1), "8"),
-        "alpha": (_float, "1.0"),
-        "s": (_float, "2.0"),
+        "alpha": (_ranged(_float, lambda v: v >= 0.0, "be >= 0"), "1.0"),
+        "s": (_POSITIVE, "2.0"),
         "q_exp": (_EXPONENT, "2.0"),
         "mu": (_float, "0.0"),
         "b2": (_list(_float), "1"),
@@ -283,17 +287,21 @@ class RunConfig:
             raise ConfigError(f"cannot parse config {p}: {exc}") from exc
         cfg = cls({name: dict(parser[name]) for name in parser.sections()})
         task = cfg.value("task", "name")
-        scope, parameters = f"task {task}", TASK_PARAMETERS[task]
+        declared = {**KEYS, "parameters": ("seed", *TASK_PARAMETERS[task])}
+        scope = {section: f"task {task}" for section in declared}
+        if task in SCALAR_TASKS:
+            declared["problem"] = [key for key in KEYS["problem"] if key not in OPERATOR_KEYS]
         if task == "system" and cfg.value("parameters", "mode") == "elliptic":
-            scope += " with mode = elliptic"
-            parameters = [key for key in parameters if key not in SYSTEM_PARABOLIC]
-        declared = {**KEYS, "parameters": ("seed", *parameters)}
+            scope["parameters"] += " with mode = elliptic"
+            declared["parameters"] = [
+                key for key in declared["parameters"] if key not in SYSTEM_PARABOLIC
+            ]
         for section, values in cfg.sections.items():
             if section not in declared:
                 raise ConfigError(f"[{section}]: not a section of task {task}")
             for key in values:
                 if key not in declared[section]:
-                    raise ConfigError(f"[{section}] {key}: not a key of {scope}")
+                    raise ConfigError(f"[{section}] {key}: not a key of {scope[section]}")
                 cfg.value(section, key)
         return cfg
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
+    "DEFAULT_SEED",
     "SpatialGrid",
     "GridFunction",
     "SpectralFunction",
@@ -132,16 +132,6 @@ class GridFunction:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def from_callable(cls, grid: SpatialGrid, func: Callable, dim: int = 1) -> "GridFunction":
-        """Sample ``func(x)`` on the grid; func may return scalars or length-d vectors."""
-        vals = np.asarray([func(x) for x in grid.points], dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[1] != dim:
-            raise ValueError(f"callable returned dimension {vals.shape[1]}, expected {dim}")
-        return cls(grid, vals)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if self.grid != other.grid:

@@ -38,6 +38,7 @@ from .symbols import (
     EllipticProblem,
     JsonRecord,
     Witness,
+    _in_sector,
     q_matrices,
     symbol_kernel,
     symbol_smin,
@@ -124,11 +125,7 @@ def _solve_with_spectrum(
         raise ValueError("grid mismatch between forcing and problem")
     if f.dim != prob.dim:
         raise ValueError(f"forcing dimension {f.dim} does not match problem dimension {prob.dim}")
-    lam = complex(lam)
-    if not prob.sector.contains(lam):
-        raise ValueError(
-            f"lambda {lam} lies outside the problem sector (angle {prob.sector.angle:.6g})"
-        )
+    lam = _in_sector(prob.sector, lam)
 
     xi = prob.grid.frequencies
     _, bad = symbol_smin(prob, lam)
@@ -167,9 +164,15 @@ def _solve_with_spectrum(
     ), u_spec
 
 
-def _probe_orders(gamma: float) -> tuple[float, float, float]:
-    """The default probe orders {0, gamma/2, gamma} of the term sums."""
-    return (0.0, gamma / 2.0, gamma)
+def _probe_orders(gamma: float, s_set: Sequence[float] | None = None) -> Sequence[float]:
+    """The probe orders of the term sums: ``s_set``, each checked to lie in
+    [0, gamma], or by default {0, gamma/2, gamma}."""
+    if s_set is None:
+        return (0.0, gamma / 2.0, gamma)
+    for s in s_set:
+        if not 0.0 <= s <= gamma:
+            raise ValueError(f"probe order {s} outside [0, {gamma}]")
+    return s_set
 
 
 def _coercive_weights(gamma: float, lam: complex, s_set: Sequence[float]) -> list[float]:
@@ -194,12 +197,7 @@ def coercive_report(
     plain-form ratio rides along in ``meta``.
     """
     gamma = prob.order.gamma
-    if s_set is None:
-        s_set = _probe_orders(gamma)
-    for s in s_set:
-        if not 0.0 <= s <= gamma:
-            raise ValueError(f"probe order {s} outside [0, {gamma}]")
-
+    s_set = _probe_orders(gamma, s_set)
     rep, u_spec = _solve_with_spectrum(prob, f, lam, p)
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
@@ -359,8 +357,7 @@ def separability_check(
         raise ValueError("trial count must be positive")
     _check_exponent(p)
     gamma = prob.order.gamma
-    if s_set is None:
-        s_set = _probe_orders(gamma)
+    s_set = _probe_orders(gamma, s_set)
     xi = prob.grid.frequencies
     rng = np.random.default_rng(seed)
     ratios = []
@@ -403,6 +400,32 @@ def separability_check(
     )
 
 
+def _embedding_matrix(prob: EllipticProblem) -> np.ndarray:
+    """The matrix of the probe's operator symbol, which must be constant."""
+    if prob.A.constant_matrix is None:
+        raise ValueError("embedding probe requires a constant operator symbol")
+    return prob.A.constant_matrix
+
+
+def _embedding_kappa(alpha: float, s: float, p: float, q: float) -> float:
+    """kappa = (alpha + 1/p - 1/q)/s, for s > 0, alpha >= 0 and p <= q."""
+    if s <= 0.0 or alpha < 0.0:
+        raise ValueError("need s > 0 and alpha >= 0")
+    if q < p:
+        raise ValueError(f"exponents must satisfy p <= q, got p={p}, q={q}")
+    return (alpha + 1.0 / p - 1.0 / q) / s
+
+
+def _check_kappa(kappa: float) -> None:
+    if kappa > 1.0 + 1e-15:
+        raise ValueError(f"kappa = {kappa:.6g} exceeds 1; the inequality does not apply")
+
+
+def _check_mu(mu: float, kappa: float) -> None:
+    if not -1e-15 <= mu <= 1.0 - kappa + 1e-15:
+        raise ValueError(f"mu = {mu} outside [0, 1 - kappa] = [0, {1.0 - kappa:.6g}]")
+
+
 def embedding_probe(
     prob: EllipticProblem,
     u: GridFunction,
@@ -419,25 +442,18 @@ def embedding_probe(
 
     with kappa = (alpha + 1/p - 1/q)/s and the W-norm
     ||A u||_p + ||Finv (1+xi^2)^(s/2) F u||_p, over every h in ``h_set``.
-    Requires a constant SPD operator symbol.
+    Requires a constant SPD operator symbol.  ``meta["ratios"]`` holds
+    the ratio of each h in ``h_set`` order.
     """
-    if prob.A.constant_matrix is None:
-        raise ValueError("embedding probe requires a constant operator symbol")
+    a_mat = _embedding_matrix(prob)
     if u.grid != prob.grid or u.dim != prob.dim:
         raise ValueError("probe function does not match the problem grid/dimension")
-    if s <= 0.0 or alpha < 0.0:
-        raise ValueError("need s > 0 and alpha >= 0")
-    if q < p:
-        raise ValueError(f"exponents must satisfy p <= q, got p={p}, q={q}")
-    kappa = (alpha + 1.0 / p - 1.0 / q) / s
-    if kappa > 1.0 + 1e-15:
-        raise ValueError(f"kappa = {kappa:.6g} exceeds 1; the inequality does not apply")
-    if not -1e-15 <= mu <= 1.0 - kappa + 1e-15:
-        raise ValueError(f"mu = {mu} outside [0, 1 - kappa] = [0, {1.0 - kappa:.6g}]")
+    kappa = _embedding_kappa(alpha, s, p, q)
+    _check_kappa(kappa)
+    _check_mu(mu, kappa)
     if not h_set:
         raise ValueError("h_set must be non-empty")
 
-    a_mat = prob.A.constant_matrix
     power = matrix_fractional_power(a_mat, 1.0 - kappa - mu)
 
     xi = prob.grid.frequencies
@@ -450,20 +466,20 @@ def embedding_probe(
     w_norm = lp_norm(au, p) + multiplier_norm(u_spec, bessel, p)
     u_norm = lp_norm(u, p)
 
-    per_h = {}
+    ratios = []
     for h in h_set:
         if h <= 0.0:
             raise ValueError(f"h must be positive, got {h}")
-        rhs = h**mu * w_norm + h ** (mu - 1.0) * u_norm
-        per_h[float(h)] = lhs / rhs
+        ratios.append(float(lhs / (h**mu * w_norm + h ** (mu - 1.0) * u_norm)))
 
     return ConditionReport(
         name="embedding-probe",
         passed=True,
-        constants={"max_ratio": float(max(per_h.values())), "kappa": float(kappa)},
+        constants={"max_ratio": max(ratios), "kappa": float(kappa)},
         witnesses=(),
         meta={
-            "ratios_by_h": {f"{h:g}": float(r) for h, r in per_h.items()},
+            "ratios": ratios,
+            "ratios_by_h": {f"{h:g}": r for h, r in zip(h_set, ratios)},
             "lhs": float(lhs),
             "w_norm": float(w_norm),
             "u_norm": float(u_norm),

@@ -118,9 +118,10 @@ class CoefficientSymbol:
         out = np.asarray(self.func(arr), dtype=complex)
         return np.broadcast_to(out, arr.shape).copy() if out.shape != arr.shape else out
 
-    def derivative_at(self, xi, force_fd: bool = False) -> np.ndarray:
+    def derivative_at(self, xi) -> np.ndarray:
+        """a'(xi): the analytic derivative when given, else a central difference."""
         arr = np.asarray(xi, dtype=float)
-        if self.derivative is not None and not force_fd:
+        if self.derivative is not None:
             out = np.asarray(self.derivative(arr), dtype=complex)
             return np.broadcast_to(out, arr.shape).copy() if out.shape != arr.shape else out
         step = _FD_STEP * np.maximum(1.0, np.abs(arr))
@@ -177,9 +178,10 @@ class OperatorSymbol:
     def at(self, xi: float) -> np.ndarray:
         return self(np.array([float(xi)]))[0]
 
-    def derivative_at(self, xi, force_fd: bool = False) -> np.ndarray:
+    def derivative_at(self, xi) -> np.ndarray:
+        """A'(xi): the analytic derivative when given, else a central difference."""
         arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.derivative is not None and not force_fd:
+        if self.derivative is not None:
             out = np.asarray(self.derivative(arr), dtype=complex)
             if out.shape != (arr.size, self.dim, self.dim):
                 raise ValueError(
@@ -230,7 +232,7 @@ def _square(mat: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def constant_operator(mat: np.ndarray, name: str | None = None, xi0: float = 1.0) -> OperatorSymbol:
+def constant_operator(mat: np.ndarray, name: str | None = None) -> OperatorSymbol:
     m = _square(mat, "operator matrix")
     d = m.shape[0]
     return OperatorSymbol(
@@ -238,14 +240,11 @@ def constant_operator(mat: np.ndarray, name: str | None = None, xi0: float = 1.0
         dim=d,
         func=lambda xi: np.broadcast_to(m, (np.size(xi), d, d)),
         derivative=lambda xi: np.zeros((np.size(xi), d, d), dtype=complex),
-        xi0=xi0,
         constant_matrix=m,
     )
 
 
-def perturbed_operator(
-    base: np.ndarray, bump: np.ndarray, name: str | None = None, xi0: float = 1.0
-) -> OperatorSymbol:
+def perturbed_operator(base: np.ndarray, bump: np.ndarray, name: str | None = None) -> OperatorSymbol:
     """A0 + B/(1 + xi^2): a decaying perturbation of a constant operator."""
     a0 = _square(base, "base matrix")
     b = _square(bump, "perturbation matrix")
@@ -261,7 +260,7 @@ def perturbed_operator(
         w = -2.0 * xi / (1.0 + xi**2) ** 2
         return w[:, None, None] * b[None, :, :]
 
-    return OperatorSymbol(name=name or f"perturbed[{d}x{d}]", dim=d, func=func, derivative=deriv, xi0=xi0)
+    return OperatorSymbol(name=name or f"perturbed[{d}x{d}]", dim=d, func=func, derivative=deriv)
 
 
 _Q_FORMS = ("unfactored", "factored")
@@ -291,6 +290,14 @@ class EllipticProblem:
     @property
     def dim(self) -> int:
         return self.A.dim
+
+
+def _in_sector(sector: Sector, lam: complex) -> complex:
+    """``lam`` as a complex number; ValueError unless ``sector`` holds it."""
+    lam = complex(lam)
+    if not sector.contains(lam):
+        raise ValueError(f"lambda {lam} lies outside the problem sector (angle {sector.angle:.6g})")
+    return lam
 
 
 def _q_stack(prob: EllipticProblem, xi: np.ndarray, lam: complex) -> np.ndarray:
@@ -425,14 +432,15 @@ def check_sector_growth(prob: EllipticProblem, phi1: Sector) -> ConditionReport:
     )
 
 
-def check_mikhlin_bounds(prob: EllipticProblem, use_fd: bool = False) -> ConditionReport:
+def check_mikhlin_bounds(prob: EllipticProblem) -> ConditionReport:
     """Empirical multiplier bounds sup |xi|^b |D^b a| and
     sup ||xi|^b D^b A(xi) A(xi0)^{-1}| for b in {0, 1}.
 
     A term fails when its sup sits in the outer half-band |xi| >= xi_max/2
     and exceeds 1.25x the mid-band sup, i.e. the quantity is still growing
-    at the edge of the resolved spectrum.  ``use_fd`` forces central
-    finite-difference derivatives even when analytic ones are available.
+    at the edge of the resolved spectrum.  A symbol without an analytic
+    derivative is differenced centrally; ``meta["used_fd"]`` says whether
+    any was.
     """
     xi = prob.grid.frequencies
     xi = xi[xi != 0.0]
@@ -440,13 +448,14 @@ def check_mikhlin_bounds(prob: EllipticProblem, use_fd: bool = False) -> Conditi
 
     terms = {
         "coeff_b0": np.abs(prob.a(xi)),
-        "coeff_b1": np.abs(xi) * np.abs(prob.a.derivative_at(xi, force_fd=use_fd)),
+        "coeff_b1": np.abs(xi) * np.abs(prob.a.derivative_at(xi)),
     }
     const = prob.A.constant_matrix
+    used_fd = prob.a.derivative is None or (const is None and prob.A.derivative is None)
     if const is None:
         terms["op_b0"] = np.linalg.norm(prob.A(xi) @ ref_inv, ord=2, axis=(1, 2))
         terms["op_b1"] = np.abs(xi) * np.linalg.norm(
-            prob.A.derivative_at(xi, force_fd=use_fd) @ ref_inv, ord=2, axis=(1, 2)
+            prob.A.derivative_at(xi) @ ref_inv, ord=2, axis=(1, 2)
         )
     else:
         # a constant operator has one norm and a derivative that is exactly 0
@@ -474,7 +483,7 @@ def check_mikhlin_bounds(prob: EllipticProblem, use_fd: bool = False) -> Conditi
             "C2": max(sups["op_b0"], sups["op_b1"]),
         },
         witnesses=tuple(witnesses),
-        meta={"term_sups": sups, "used_fd": bool(use_fd), "grid_size": prob.grid.size},
+        meta={"term_sups": sups, "used_fd": used_fd, "grid_size": prob.grid.size},
     )
 
 
@@ -486,15 +495,13 @@ def symbol_resolvent_bound(
     Every lambda must lie in the problem sector; a singular Q is a hard
     error naming the offending (xi, lambda).
     """
-    lam_values = [complex(lam) for lam in lam_values]
+    lam_values = [_in_sector(prob.sector, lam) for lam in lam_values]
     if not lam_values:
         raise ValueError("lambda set must be non-empty")
     xi = prob.grid.frequencies
     best = -math.inf
     argmax = {"xi": 0.0, "lambda": 0j}
     for lam in lam_values:
-        if not prob.sector.contains(lam):
-            raise ValueError(f"lambda {lam} lies outside the problem sector")
         smin, k = symbol_smin(prob, lam)
         if k is not None:
             raise ValueError(f"singular symbol at xi={xi[k]:.6g}, lambda={lam}")

@@ -64,7 +64,7 @@ def test_coefficient_validations():
     bad = fs.BVPCoefficients(lambda y: y / (y - y), _const(0.0), _const(0.0), 4)
     with pytest.raises(ValueError, match="b2 is not finite"):
         with np.errstate(divide="ignore", invalid="ignore"):
-            bad.coefficient_values()
+            fs.discretize_bvp(bad)
 
 
 def test_ellipticity_constant_coefficient_value():

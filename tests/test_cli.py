@@ -264,6 +264,22 @@ def test_embedding_probe_artifacts(tmp_path):
     assert _report(out)["results"]["max_ratio"] > 0.0
 
 
+def test_embedding_probe_ratios_follow_h_set(tmp_path):
+    # the first two entries are distinct floats that both format as 0.1 under %g
+    h_set = [0.1000001, 0.1000002, 1.0]
+    ini, out = _write_ini(
+        tmp_path, "embedding-probe", gamma="2.0",
+        params="draws = 1\nh_set = " + ",".join(map(str, h_set)),
+    )
+    assert main(["--config", str(ini)]) == 0
+    rows = [line.split(",") for line in (out / "ratios.csv").read_text().splitlines()[1:]]
+    ratios = _report(out)["results"]["draws"][0]["meta"]["ratios"]
+    assert [float(row[1]) for row in rows] == h_set
+    assert [float(row[2]) for row in rows] == ratios
+    # with mu = 0 the right-hand side shrinks as h grows, so each ratio grows
+    assert ratios[0] < ratios[1] < ratios[2]
+
+
 def test_bvp_artifacts_and_ellipticity_failure(tmp_path):
     ini, out = _write_ini(tmp_path, "bvp", gamma="2.0", params="mesh_size = 7")
     assert main(["--config", str(ini)]) == 0
@@ -518,8 +534,14 @@ def _problem_edit(lines):
     return ("n = 64", f"n = 64\n{lines}")
 
 
+def _task_problem_edit(task, lines):
+    """Config edit that switches the task to ``task`` and adds ``lines`` to [problem]."""
+    return ("n = 64\n\n[task]\nname = solve-elliptic", f"n = 64\n{lines}\n\n[task]\nname = {task}")
+
+
 # Sizes whose largest complex field exceeds the physical memory of any host
-# (n alone is 1.5 TiB; the time fields at n = 64 are about 93 TiB).
+# (n alone is 1.5 TiB; the time fields at n = 64 are about 93 TiB; the
+# bvp symbol stack at n = 64 and mesh_size = 40000 is 1.5 TiB).
 _OVERSIZED = [
     (("n = 64", "n = 100000000000"), [], "[problem] n = 100000000000: "),
     (_task_edit("solve-parabolic", "nt = 100000000000"), [], "[parameters] nt = 100000000000: "),
@@ -533,6 +555,7 @@ _OVERSIZED = [
         [],
         "[parameters] levels = 4,8,100000000000: ",
     ),
+    (_task_edit("bvp", "mesh_size = 40000"), [], "[parameters] mesh_size = 40000: "),
 ]
 
 
@@ -619,7 +642,8 @@ _OVERSIZED = [
             "[parameters] phi1: sector angles must satisfy phi1 + phi2 < pi, got 4.0, "
             "with phi2 = [problem] sector_angle",
         ),
-        *_OVERSIZED,
+        # later _OVERSIZED cases are appended at the end, so these ids stay put
+        *_OVERSIZED[:4],
         (_task_edit("solve-elliptic", "lamda = 5"), [], "[parameters] lamda: not a key of task "),
         (("directory =", "thraeds = 4\ndirectory ="), [], "[output] thraeds: not a key of task "),
         (("[parameters]", "[paramters]"), [], "[paramters]: not a section of task solve-elliptic"),
@@ -631,6 +655,48 @@ _OVERSIZED = [
             [],
             "[parameters] nt: not a key of task system with mode = elliptic",
         ),
+        (_task_edit("embedding-probe", "s = 0"), [], "[parameters] s must be "),
+        (_task_edit("embedding-probe", "alpha = -1"), [], "[parameters] alpha must be "),
+        (_task_edit("embedding-probe", "q_exp = 1.5\np = 2"), [], "[parameters] q_exp: "),
+        (_task_edit("embedding-probe", "alpha = 3"), [], "[parameters] alpha: kappa = 1.5"),
+        (_task_edit("embedding-probe", "mu = 5"), [], "[parameters] mu: mu = 5.0"),
+        (_task_edit("embedding-probe", "h_set = 0,1"), [], "[parameters] h_set must be "),
+        (_task_edit("embedding-probe", "h_set ="), [], "[parameters] h_set must be non-empty"),
+        (
+            _task_problem_edit("embedding-probe", "a_op_matrix = 1,2;2,1"),
+            [],
+            "[problem] a_op_matrix: matrix is not positive definite",
+        ),
+        (
+            _task_problem_edit("embedding-probe", _PERTURBED + "1,0;0,1"),
+            [],
+            "[problem] a_op_family: embedding probe requires a constant operator symbol",
+        ),
+        (_task_edit("bvp", "b2 = -0.5,1\nmesh_size = 9"), [], "[parameters] b2: principal "),
+        (_task_edit("bvp", "b1 = 1e308"), [], "[parameters] b1: coefficient b1 = 1e+308"),
+        (_task_edit("bvp", "b0 = 1e308"), [], "[parameters] b0: coefficient b0 = 1e+308"),
+        (_task_edit("bvp", "b2 = 1e308,1e308"), [], "[parameters] b2: coefficient b2 is not finite"),
+        (_task_edit("bvp", "lambda = -1"), [], "[parameters] lambda: lambda (-1+0j) lies outside"),
+        (_task_edit("solve-elliptic", "lambda = -1"), [], "[parameters] lambda: lambda (-1+0j)"),
+        (_task_edit("verify-conditions", "lambda_set = -1"), [], "[parameters] lambda_set: lambda"),
+        (_task_edit("solve-elliptic", "s_set = 5"), [], "[parameters] s_set: probe order 5.0"),
+        (_task_edit("separability", "s_set = 5"), [], "[parameters] s_set: probe order 5.0"),
+        (
+            _task_problem_edit("system", "q_form = factored"),
+            [],
+            "[problem] q_form: not a key of task system\n",
+        ),
+        (
+            _task_problem_edit("system", "sector_angle = 3.2"),
+            [],
+            "[problem] sector_angle: not a key of task system\n",
+        ),
+        (
+            _task_problem_edit("bvp", "a_op_matrix = 0"),
+            [],
+            "[problem] a_op_matrix: not a key of task bvp\n",
+        ),
+        *_OVERSIZED[4:],
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

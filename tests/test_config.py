@@ -5,13 +5,22 @@ import re
 import sys
 from pathlib import Path
 
-from fracspec.config import KEYS, SYSTEM_PARABOLIC, TASK_PARAMETERS, TASKS, RunConfig
+from fracspec.config import (
+    KEYS,
+    OPERATOR_KEYS,
+    SCALAR_TASKS,
+    SYSTEM_PARABOLIC,
+    TASK_PARAMETERS,
+    TASKS,
+    RunConfig,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_readme_key_reference_matches_schema():
     declared = {(s, k, t) for s in ("task", "problem", "output") for k in KEYS[s] for t in TASKS}
+    declared -= {("problem", k, t) for k in OPERATOR_KEYS for t in SCALAR_TASKS}
     declared |= {
         ("parameters", k, t) for t, keys in TASK_PARAMETERS.items() for k in ("seed", *keys)
     }

@@ -20,7 +20,7 @@ def test_single_mode_closed_form():
     np.testing.assert_allclose(rep.solution.values, np.ones((64, 1)) / 3.0, atol=1e-13)
 
     xi5 = g.frequencies[5]
-    mode = fs.GridFunction.from_callable(g, lambda x: np.exp(1j * xi5 * x))
+    mode = fs.GridFunction(g, np.exp(1j * xi5 * g.points))
     rep = fs.solve_elliptic(prob, mode, 1.0)
     # a = -1, gamma = 2: symbol xi^2 + 2 + 1
     np.testing.assert_allclose(
@@ -118,7 +118,7 @@ def test_factored_form_with_vanishing_coefficient_is_singular():
 def test_coercive_report_canonical_bound():
     g = fs.SpatialGrid(10.0, 128)
     prob = make_problem(g, gamma=2.0)
-    f = fs.GridFunction.from_callable(g, lambda x: math.exp(-(x**2)))
+    f = fs.GridFunction(g, np.exp(-g.points**2))
     for k in range(-2, 5):
         rep = fs.coercive_report(prob, f, 10.0**k)
         assert rep.coercive_ratio <= 3.01
@@ -135,7 +135,7 @@ def test_coercive_report_canonical_bound():
 def test_coercive_report_lambda_zero_uses_zero_power_convention():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=1.5)
-    f = fs.GridFunction.from_callable(g, lambda x: math.exp(-(x**2)))
+    f = fs.GridFunction(g, np.exp(-g.points**2))
     rep = fs.coercive_report(prob, f, 0.0)
     # 0^0 = 1 keeps the s = gamma weight alive at lambda = 0
     assert rep.meta["weights"] == [0.0, 0.0, 1.0]
@@ -196,7 +196,7 @@ def test_resolvent_sweep_refined_grid_entirely_singular():
 def test_resolvent_large_lambda_limit():
     g = fs.SpatialGrid(10.0, 128)
     prob = make_problem(g, gamma=1.5)
-    f = fs.GridFunction.from_callable(g, lambda x: math.exp(-(x**2)))
+    f = fs.GridFunction(g, np.exp(-g.points**2))
     rep = fs.solve_elliptic(prob, f, 1e6)
     ratio = rep.term_norms["lambda*u"] / fs.lp_norm(f, 2.0)
     assert 0.98 <= ratio <= 1.0 + 1e-9
@@ -221,7 +221,7 @@ def test_embedding_probe_single_mode_closed_form():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=2.0, mat=np.array([[4.0]]))
     xi6 = g.frequencies[6]
-    u = fs.GridFunction.from_callable(g, lambda x: np.exp(1j * xi6 * x))
+    u = fs.GridFunction(g, np.exp(1j * xi6 * g.points))
     rep = fs.embedding_probe(prob, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.1, 1.0])
     assert rep.constants["kappa"] == pytest.approx(0.5)
     norm_u = fs.lp_norm(u, 2.0)

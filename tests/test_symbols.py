@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,14 +75,15 @@ def test_coefficient_symbols():
 
 
 def test_symbol_derivatives_match_finite_differences():
+    # the same symbol without its analytic derivative is differenced centrally
     a = fs.scaled_decay_coefficient(-1.0, 1.5)
     xi = np.array([-2.0, -0.5, 0.7, 5.0])
     np.testing.assert_allclose(
-        a.derivative_at(xi), a.derivative_at(xi, force_fd=True), atol=1e-6
+        a.derivative_at(xi), replace(a, derivative=None).derivative_at(xi), atol=1e-6
     )
     op = fs.perturbed_operator(np.diag([2.0, 3.0]), np.array([[0.5, 0.2], [0.2, 0.1]]))
     np.testing.assert_allclose(
-        op.derivative_at(xi), op.derivative_at(xi, force_fd=True), atol=1e-6
+        op.derivative_at(xi), replace(op, derivative=None).derivative_at(xi), atol=1e-6
     )
 
 
@@ -264,16 +266,18 @@ def test_mikhlin_constant_operator_matches_the_stacked_norms(use_fd):
     g = fs.SpatialGrid(10.0, 256)
     mat = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
     const = fs.constant_operator(mat)
-    # the same symbol without constant_matrix takes the per-frequency stacks
+    # the same symbol without constant_matrix takes the per-frequency stacks;
+    # with use_fd neither symbol has an analytic derivative
     stacked = fs.OperatorSymbol(
-        name="stacked", dim=3, func=const.func, derivative=const.derivative
+        name="stacked", dim=3, func=const.func, derivative=None if use_fd else const.derivative
     )
-    reps = [
-        fs.check_mikhlin_bounds(
-            make_problem(g, gamma=1.5, a_family="scaled_decay", operator=op), use_fd=use_fd
-        )
-        for op in (const, stacked)
-    ]
+    reps = []
+    for op in (const, stacked):
+        prob = make_problem(g, gamma=1.5, a_family="scaled_decay", operator=op)
+        if use_fd:
+            prob = replace(prob, a=replace(prob.a, derivative=None))
+        reps.append(fs.check_mikhlin_bounds(prob))
+    assert [r.meta["used_fd"] for r in reps] == [use_fd, use_fd]
     got, want = (r.meta["term_sups"] for r in reps)
     assert got.keys() == want.keys()
     for key in got:
@@ -327,12 +331,14 @@ def test_sector_growth_angle_violation():
 
 def test_mikhlin_bounds_constant_problem():
     g = fs.SpatialGrid(10.0, 64)
-    rep = fs.check_mikhlin_bounds(make_problem(g, gamma=1.5))
+    prob = make_problem(g, gamma=1.5)
+    rep = fs.check_mikhlin_bounds(prob)
     assert rep.passed
+    assert rep.meta["used_fd"] is False
     assert rep.constants["C1"] == pytest.approx(1.0, abs=1e-12)
     assert rep.constants["C2"] == pytest.approx(1.0, abs=1e-12)
-    # forcing finite differences must not change the verdict
-    rep_fd = fs.check_mikhlin_bounds(make_problem(g, gamma=1.5), use_fd=True)
+    # a coefficient without an analytic derivative is differenced, with the same verdict
+    rep_fd = fs.check_mikhlin_bounds(replace(prob, a=replace(prob.a, derivative=None)))
     assert rep_fd.passed
     assert rep_fd.meta["used_fd"] is True
 
@@ -351,6 +357,8 @@ def test_mikhlin_bounds_flags_unbounded_growth():
     )
     rep = fs.check_mikhlin_bounds(prob)
     assert not rep.passed
+    # bessel-growth has no analytic derivative, so D a is a finite difference
+    assert rep.meta["used_fd"] is True
     assert {w.label for w in rep.witnesses} <= {"coeff_b0", "coeff_b1"}
     edge = max(abs(w.location["xi"]) for w in rep.witnesses)
     assert edge >= 0.5 * np.abs(g.frequencies).max()
