@@ -164,7 +164,10 @@ def check_ellipticity(
     xi_nz = xi[xi != 0.0]
     # lattice sweep, vectorized over (sigma, xi) for each y
     for yi, b2i in zip(y, b2v):
-        c = b2i * xi**2  # (nxi,)
+        # b2 at the ends y = 0, 1 is not bound by the stencil rules: a product
+        # that overflows is inf, which reads as far from the sector.
+        with np.errstate(over="ignore"):
+            c = b2i * xi**2  # (nxi,)
         vals = np.abs(sigma[:, None] + c[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             normed = np.where(ok, vals / denom, math.inf)
@@ -189,7 +192,8 @@ def check_ellipticity(
         # phi0 < pi/2 it lies in the sector exactly when it is positive
         # (b2(y) < 0), and then |sigma* + b2(y) xi^2| is exactly 0.  An
         # overflowing candidate gives inf - inf, which tests nothing.
-        cand = -b2i * xi_nz**2
+        with np.errstate(over="ignore"):
+            cand = -b2i * xi_nz**2
         for j in np.nonzero((cand > 0.0) & (cand < math.inf))[0]:
             at = {"y": float(yi), "sigma": complex(cand[j]), "xi": float(xi_nz[j])}
             if best > 0.0:

@@ -10,6 +10,7 @@ Unix, and random draws come from a seeded generator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from .fractional import matrix_fractional_power
 from .parabolic import (
     ParabolicProblem,
     SystemMatrix,
+    _coupling_symbol,
     _dissipative_gate,
     _evolve,
     parabolic_coercive_report,
@@ -72,36 +74,165 @@ FLOOR = 1e-11
 # Rows formatted per write in _write_csv; bounds the text held in memory.
 CSV_BLOCK_ROWS = 4096
 
+# The ``%.16e`` fast path takes |x| in [1e-280, 1e280].  Its decimal exponents
+# k lie in [-_K_MAX, _K_MAX], allowing for a log10 estimate one off and for
+# the carry; there every 10^(16-k) and every product below stays normal.
+_K_MAX = 282
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+@functools.cache
+def _float_tables():
+    """Tables of the ``%.16e`` fast path, indexed by k + _K_MAX or by value.
+
+    - hi, lo: 10^(16-k) as a double-double, each part correctly rounded
+      (int / int true division is), and hh + hl = hi split in halves.
+    - digits: the 4 ASCII digits of 0..9999 in the low bytes of a ``<u8``.
+    - exps: ``e+XX`` / ``e-XXX`` in the low bytes of a ``<u8``.
+    """
+    pow10 = []
+    for k in range(-_K_MAX, _K_MAX + 1):
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        t = hi * _SPLIT
+        hh = t - (t - hi)
+        pow10.append((hi, (num * d - n * den) / (den * d), hh, hi - hh))
+    i = np.arange(10000, dtype=np.uint16)
+    digits = np.zeros((i.size, 8), np.uint8)
+    for place, power in enumerate((1000, 100, 10, 1)):
+        digits[:, place] = i // power % 10 + ord("0")
+    exps = [b"e%+03d" % k for k in range(-_K_MAX, _K_MAX + 1)]
+    return (
+        tuple(np.array(part) for part in zip(*pow10)),
+        digits.view("<u8").ravel(),
+        np.array(exps, dtype="S8").view("<u8"),
+    )
+
+
+def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16-k) as a double-double (yh, yl), with k = i - _K_MAX.
+
+    The table gives 10^(16-k) = hi + lo + e, |e| <= 2^-53 |lo| <= 2^-106 hi.
+    Dekker's two-product makes ph + pl = a * hi exactly; a * lo is rounded
+    once (error <= 2^-106 a hi) and so is pl + a * lo (error <= 2^-53 *
+    2^-52 a hi, as |pl|, |a lo| <= 2^-53 a hi); the final fast two-sum is
+    exact.  So |yh + yl - a 10^(16-k)| <= 2^-104 a hi, which is below
+    2^-104 * 1e17 < 5e-15 wherever the result lies in [1e16, 1e17).
+    """
+    hi, lo, hh, hl = (part.take(i) for part in _float_tables()[0])
+    ph = a * hi
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    s = (((ah * hh - ph) + ah * hl + al * hh) + al * hl) + a * lo
+    yh = ph + s
+    return yh, s - (yh - ph)
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``'%.16e' % x`` of each float of ``values`` as the rows of an (n, 32)
+    uint8 matrix, left to right with 0 bytes for padding.
+
+    A cell prints |x| as n * 10^(k-16), with n the 17-digit integer nearest
+    y = |x| 10^(16-k) and y in [1e16, 1e17).  k starts from log10 and moves one
+    step where the double-double y (``_scaled``) lies outside that range;
+    near either end both choices of k print the same digits, since y then
+    rounds to a power of ten.  y lies within 5e-15 of yh + yl and yh is an
+    integer (y > 2^53), so rounding yh + yl to an integer rounds y alike
+    unless the fraction of yl lies within 1e-9 of 1/2, exact ties included.
+    Those cells, non-finite values and |x| outside [1e-280, 1e280] take
+    ``'%.16e' % x`` itself; +-0.0 stay on the fast path.
+    """
+    _, digits, exps = _float_tables()
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) + _K_MAX
+    yh, yl = _scaled(a, i)
+    step = ((yh > 1e17) | ((yh == 1e17) & (yl >= 0.0))).astype(np.intp)
+    step -= (yh < 1e16) | ((yh == 1e16) & (yl < 0.0))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        i[moved] += step[moved]
+        yh[moved], yl[moved] = _scaled(a[moved], i[moved])
+    r = np.rint(yl)
+    n = yh.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    i += carry
+    zero = x == 0.0
+    n[zero] = 0
+    i[zero] = _K_MAX
+    slow = ~(fast | zero) | (np.abs(np.abs(yl - r) - 0.5) < 1e-9)
+
+    # Four little-endian words per cell: sign, lead digit and point in the
+    # top bytes of the first, 8 digits in each of the next two, the exponent.
+    cells = np.empty((x.size, 4), "<u8")
+    lead = n // 10**16
+    np.left_shift(lead.view(np.uint64) + ord("0"), 48, out=cells[:, 0])
+    cells[:, 0] |= np.signbit(x) * np.uint64(ord("-") << 40) | np.uint64(ord(".") << 56)
+    for word, block in ((1, (n - lead * 10**16) // 10**8), (2, n % 10**8)):
+        upper = block // 10**4
+        cells[:, word] = digits.take(upper) | digits.take(block - upper * 10**4) << np.uint64(32)
+    cells[:, 3] = exps.take(i)
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = np.array(["%.16e" % v for v in x[slow].tolist()], dtype="S32")
+        cells[slow] = text.view(np.uint8).reshape(-1, 32)
+    return cells
+
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write one CSV table given as equal-length 1-D columns.
 
-    Each column's format follows its dtype: integers as ``%d``, floats as
-    ``%.16e``, anything else verbatim.  Rows are formatted and written
-    ``CSV_BLOCK_ROWS`` at a time, so the file is never held whole.
+    Each column's format follows its dtype: floats as ``%.16e``, integers as
+    ``%d`` and anything else verbatim (both through ``astype("S")``).  Floats
+    are printed by ``_float_cells``, which proves each cell's rounding in
+    fixed precision and hands the cells it cannot prove to ``'%.16e' % x``,
+    so every byte is that of ``%``-formatting.  Rows are formatted and
+    written ``CSV_BLOCK_ROWS`` at a time, so the file is never held whole.
     """
     columns = [np.asarray(c) for c in columns]
     rows = columns[0].size
     if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
         shapes = [c.shape for c in columns]
         raise ValueError(f"{path.name}: columns {header} have unequal shapes {shapes}")
-    fmts = [
-        "%d" if np.issubdtype(c.dtype, np.integer)
-        else "%.16e" if np.issubdtype(c.dtype, np.floating)
-        else "%s"
-        for c in columns
-    ]
-    line = ",".join(fmts) + "\n"
-    width = len(columns)
+    floats = [np.issubdtype(c.dtype, np.floating) for c in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, rows)
-            flat = [None] * ((stop - start) * width)
-            for k, col in enumerate(columns):
-                flat[k::width] = col[start:stop].tolist()
-            fh.write(line * (stop - start) % tuple(flat))
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            fh.write(_csv_block(block, floats))
+
+
+def _csv_block(block: list[np.ndarray], floats: list[bool]) -> bytes:
+    """The CSV rows of equal-length column slices; ``floats`` marks the float ones.
+
+    Each column renders into a (rows, width) uint8 matrix padded with 0
+    bytes; the matrices are joined with comma and newline columns and the
+    padding is dropped.
+    """
+    rows = block[0].size
+    float_cells = iter(())
+    if any(floats):
+        stacked = np.column_stack([c for c, f in zip(block, floats) if f])
+        float_cells = iter(_float_cells(stacked).reshape(rows, -1, 32).transpose(1, 0, 2))
+    comma = np.full((rows, 1), ord(","), np.uint8)
+    parts = []
+    for col, is_float in zip(block, floats):
+        if is_float:
+            parts.append(next(float_cells))
+        else:
+            text = col.astype("S")
+            parts.append(text.view(np.uint8).reshape(rows, text.itemsize))
+        parts.append(comma)
+    parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+    table = np.concatenate(parts, axis=1).ravel()
+    return table[table != 0].tobytes()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -121,20 +252,10 @@ def _write_solution(path: Path, lead: list[str], lead_cols: list, values: np.nda
     _write_csv(path, header, cols)
 
 
-def _float_text(values) -> np.ndarray:
-    """The ``%.16e`` text of each value of a 1-D float array, as an object array."""
-    return np.array(["%.16e" % v for v in np.asarray(values, dtype=float).tolist()], dtype=object)
-
-
 def _product_lead(outer, inner) -> list:
-    """Lead columns of the grid ``outer`` x ``inner``, outer varying slowest.
-
-    Each distinct value is formatted once and its text repeated;
-    ``_write_csv`` writes text columns verbatim, so the bytes are those of
-    formatting every row.
-    """
-    outer_text, inner_text = _float_text(outer), _float_text(inner)
-    return [np.repeat(outer_text, inner_text.size), np.tile(inner_text, outer_text.size)]
+    """Float lead columns of the grid ``outer`` x ``inner``, outer varying slowest."""
+    outer, inner = np.asarray(outer, dtype=float), np.asarray(inner, dtype=float)
+    return [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
 
 
 def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
@@ -411,6 +532,8 @@ def _task_system(run: _Run) -> bool:
     prob = build_problem(cfg)
     lam = cfg.value("parameters", "lambda")
     literal = cfg.value("parameters", "literal_shift")
+    with naming("[parameters] lambda"):
+        _coupling_symbol(mat, lam, literal)
     p = cfg.value("parameters", "p")
     if cfg.value("parameters", "mode") == "elliptic":
         f = build_forcing(cfg, prob.grid, mat.size, run.rng())

@@ -17,6 +17,7 @@ import configparser
 import contextlib
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,6 +169,8 @@ def _levels(text: str) -> list[int]:
 
 
 _POSITIVE = _ranged(_float, lambda v: v > 0.0, "be finite and positive")
+# Not subnormal either: the embedding probe raises each h to the power mu - 1.
+_NORMAL = _ranged(_float, lambda v: v >= sys.float_info.min, "be finite, positive and normal")
 _EXPONENT = _ranged(_float, lambda p: p > 1.0, "lie in (1, inf)")  # Lebesgue exponent
 _QUARTER_PI = "0.7853981633974483"
 
@@ -238,7 +241,7 @@ KEYS = {
         "lambda_set": (_ranged(_list(_complex), bool, "be non-empty"), "0,1,10"),
         "samples": (_at_least(1), "2000"),
         "trials": (_at_least(1), "50"),
-        "h_set": (_ranged(_list(_POSITIVE), bool, "be non-empty"), "0.1,0.3,1.0"),
+        "h_set": (_ranged(_list(_NORMAL), bool, "be non-empty"), "0.1,0.3,1.0"),
         "draws": (_at_least(1), "8"),
         "alpha": (_ranged(_float, lambda v: v >= 0.0, "be >= 0"), "1.0"),
         "s": (_POSITIVE, "2.0"),

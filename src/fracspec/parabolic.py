@@ -33,6 +33,7 @@ from .fractional import FractionalOrder, frac_power_i_xi
 from .symbols import (
     CoefficientSymbol,
     EllipticProblem,
+    OperatorSymbol,
     constant_operator,
     q_matrices,
 )
@@ -319,6 +320,11 @@ def _shifted_coupling(mat: SystemMatrix, lam: complex, literal_shift: bool) -> n
     return mat.entries + lam * np.eye(mat.size)
 
 
+def _coupling_symbol(mat: SystemMatrix, lam: complex, literal_shift: bool) -> OperatorSymbol:
+    """The constant operator symbol of the shifted coupling; a singular one is rejected."""
+    return constant_operator(_shifted_coupling(mat, lam, literal_shift), name="coupling+shift")
+
+
 def solve_system(
     mat: SystemMatrix,
     order: FractionalOrder,
@@ -352,7 +358,7 @@ def solve_system(
     core = EllipticProblem(
         order=order,
         a=a,
-        A=constant_operator(_shifted_coupling(mat, lam, literal_shift), name="coupling+shift"),
+        A=_coupling_symbol(mat, lam, literal_shift),
         sector=Sector.enclosing(lam),
         grid=grid,
     )

@@ -697,6 +697,22 @@ _OVERSIZED = [
             "[problem] a_op_matrix: not a key of task bvp\n",
         ),
         *_OVERSIZED[4:],
+        (_task_edit("system", "lambda = -1"), [], "[parameters] lambda: operator symbol "),
+        (
+            _task_edit("system", "mode = parabolic\nlambda = -1"),
+            [],
+            "[parameters] lambda: operator symbol ",
+        ),
+        (
+            _task_edit("system", "lambda = -1\nliteral_shift = true"),
+            [],
+            "[parameters] lambda: operator symbol ",
+        ),
+        (
+            _task_edit("embedding-probe", "h_set = 0.1,1e-320"),
+            [],
+            "[parameters] h_set must be finite, positive and normal, got 1e-320",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -733,6 +749,16 @@ def test_failed_run_writes_nothing(tmp_path, capsys, task, params, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bvp_coefficient_overflowing_at_the_ends_warns_nothing(tmp_path):
+    """b2 = 1e304 (1 + y) is within the stencil bound on the mesh, but b2 xi^2
+    overflows at y = 0, 1 in the ellipticity lattice."""
+    ini, out = _write_ini(tmp_path, "bvp", gamma="2.0", params="b2 = 1e304,1e304")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(ini)]) == 0
+    assert _report(out)["failed_checks"] == []
 
 
 def test_unknown_keys_exit_before_the_output_directory(tmp_path, capsys):
@@ -803,6 +829,71 @@ def test_write_csv_checks_column_lengths_before_opening(tmp_path):
     with pytest.raises(ValueError, match="unequal shapes"):
         _write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
     assert not path.exists()
+
+
+def _assert_formats_as_percent(values):
+    """``_float_cells`` prints each value as ``'%.16e' % v`` does."""
+    values = np.asarray(values, dtype=float)
+    cells = cli._float_cells(values)
+    assert cells.shape == (values.size, 32)
+    lines = np.concatenate([cells, np.full((values.size, 1), ord("\n"), np.uint8)], axis=1)
+    lines = lines.ravel()
+    want = "".join("%.16e\n" % v for v in values.tolist()).encode()
+    assert lines[lines != 0].tobytes() == want
+
+
+def test_float_cells_match_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(16).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert values.size > 199_000
+    _assert_formats_as_percent(values)
+
+
+def test_float_cells_match_percent_on_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    ties = (2.0**53 - np.arange(1, 2001)) / 4  # quarters: the 18th digit is an exact 5
+    assert "%.17e" % ties[0] == "2.25179981368524775e+15"
+    subnormals = np.random.default_rng(5).integers(1, 2**52, 1000, dtype=np.uint64)
+    special = [0.0, math.nan, math.inf, sys.float_info.max, sys.float_info.min, 5e-324]
+    magnitudes = np.concatenate([
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, math.inf),
+        ties,
+        subnormals.view(np.float64),
+        special,
+    ])
+    _assert_formats_as_percent(np.concatenate([magnitudes, -magnitudes]))
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    def peak(rows):
+        columns = [np.linspace(-1.0, 1.0, rows), np.linspace(0.0, 1e-3, rows)]
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", ["x", "y"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cli._float_tables()  # built once per process, before either trace
+    small, large = peak(66_560), peak(4 * 66_560)
+    assert large < small + 2**16
+
+
+def test_import_builds_no_format_table():
+    code = "import fracspec.cli as cli; print(cli._float_tables.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(fracspec.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def _oracle_rows(header, rows) -> bytes:
