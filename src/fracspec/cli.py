@@ -83,7 +83,8 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
 @functools.cache
 def _float_tables():
-    """Tables of the ``%.16e`` fast path, indexed by k + _K_MAX or by value.
+    """Tables of the ``%.16e`` fast path, indexed by k + _K_MAX or by value;
+    built at the first CSV write, so importing the module stays cheap.
 
     - hi, lo: 10^(16-k) as a double-double, each part correctly rounded
       (int / int true division is), and hh + hl = hi split in halves.
