@@ -96,8 +96,7 @@ def _float_tables():
         num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
         hi = num / den
         n, d = hi.as_integer_ratio()
-        t = hi * _SPLIT
-        hh = t - (t - hi)
+        hh = _upper_half(hi)
         pow10.append((hi, (num * d - n * den) / (den * d), hh, hi - hh))
     i = np.arange(10000, dtype=np.uint16)
     digits = np.zeros((i.size, 8), np.uint8)
@@ -109,6 +108,13 @@ def _float_tables():
         digits.view("<u8").ravel(),
         np.array(exps, dtype="S8").view("<u8"),
     )
+
+
+def _upper_half(v):
+    """Veltkamp's split: the upper 26 significant bits of ``v``, so that
+    ``v - _upper_half(v)`` holds the rest and products of halves are exact."""
+    t = v * _SPLIT
+    return t - (t - v)
 
 
 def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +129,7 @@ def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     hi, lo, hh, hl = (part.take(i) for part in _float_tables()[0])
     ph = a * hi
-    t = a * _SPLIT
-    ah = t - (t - a)
+    ah = _upper_half(a)
     al = a - ah
     s = (((ah * hh - ph) + ah * hl + al * hh) + al * hl) + a * lo
     yh = ph + s
