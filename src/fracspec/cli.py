@@ -425,11 +425,14 @@ def _task_verify_conditions(run: _Run) -> bool:
 def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    # An overflow names the larger of the two scales of the symbol.
+    # An overflow names the larger of the two scales of the symbol; a norm
+    # ||O u|| that underflows to 0 names the half-width, whose weight h = 2l/n does it.
     a_scale = abs(cfg.value("problem", "a_value"))
     op_scale = float(np.abs(cfg.value("problem", "a_op_matrix")).max())
     key = "a_value" if a_scale >= op_scale else "a_op_matrix"
-    with naming(f"[problem] {key} = {cfg.text('problem', key)}", OverflowError):
+    with naming(f"[problem] {key} = {cfg.text('problem', key)}", OverflowError), naming(
+        f"[problem] l = {cfg.text('problem', 'l')}", ZeroDivisionError
+    ):
         rep = separability_check(
             prob,
             trials=cfg.value("parameters", "trials"),

@@ -207,7 +207,7 @@ KEYS = {
     "task": {"name": (_choice(*TASKS), "")},
     "problem": {
         "gamma": (_float, "2.0"),
-        "l": (_POSITIVE, "10.0"),
+        "l": (_ranged(_POSITIVE, lambda v: 2.0 * v < math.inf, "have a finite period 2l"), "10.0"),
         "n": (_int, "256"),
         "a_family": (_choice("constant", "scaled_decay"), "constant"),
         "a_value": (_complex, "-1"),

@@ -25,7 +25,6 @@ from .core import (
     SpectralFunction,
     _check_exponent,
     apply_multiplier,
-    band_limited_spectrum,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -57,6 +56,9 @@ __all__ = [
 
 # Residual gate: ||(O + lambda) u - f||_2 <= _RESIDUAL_TOL * ||f||_2.
 _RESIDUAL_TOL = 1e-9
+
+# Trials separability_check draws and evaluates at once: its working set.
+_TRIAL_BLOCK = 8
 
 
 class SolveError(RuntimeError):
@@ -128,12 +130,13 @@ def _solve_with_spectrum(
     lam = _in_sector(prob.sector, lam)
 
     xi = prob.grid.frequencies
-    _, bad = symbol_smin(prob, lam)
+    q = q_matrices(prob, lam)
+    _, bad = symbol_smin(prob, lam, q)
     if bad is not None:
         raise SolveError(f"singular symbol at frequency xi={xi[bad]:.6g} for lambda={lam}")
 
     spec = forward_transform(f)
-    uhat = np.linalg.solve(q_matrices(prob, lam), spec.values[:, :, None])[:, :, 0]
+    uhat = np.linalg.solve(q, spec.values[:, :, None])[:, :, 0]
     u = inverse_transform(SpectralFunction(spec.grid, uhat))
     u_spec = forward_transform(u)
 
@@ -335,6 +338,33 @@ def resolvent_sweep(
     )
 
 
+def _band_limited_block(rng: np.random.Generator, trials: int, modes: int, dim: int) -> np.ndarray:
+    """The (trials, dim, modes) kept-mode values of ``trials`` consecutive
+    ``band_limited_spectrum`` draws with ``modes`` kept modes, in one draw."""
+    z = rng.standard_normal((trials, 2, modes, dim)).transpose(1, 0, 3, 2)
+    spec = np.empty(z.shape[1:], dtype=complex)
+    spec.real, spec.imag = z
+    return spec
+
+
+def _image_norms(grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p):
+    """``multiplier_norm`` of each (d, K) spectrum in ``spec`` (zero off ``keep``)
+    under ``mult`` on the kept modes: a scalar (K,) or a transposed (d, d, K) stack."""
+    if mult.ndim == 1:
+        image = mult * spec
+    else:
+        image = mult[0] * spec[:, :1]
+        for j in range(1, spec.shape[1]):
+            image += mult[j] * spec[:, j : j + 1]
+    if p == 2.0:
+        parts = image.view(float).reshape(len(image), -1)
+        return np.sqrt(np.einsum("ij,ij->i", parts, parts) / (2.0 * grid.half_width))
+    full = np.zeros((len(image), grid.size, spec.shape[1]), dtype=complex)
+    full[:, keep] = image.transpose(0, 2, 1)
+    mags = np.linalg.norm(grid.to_physical(full), axis=-1)
+    return (grid.spacing * np.sum(mags**p, axis=-1)) ** (1.0 / p)
+
+
 def separability_check(
     prob: EllipticProblem,
     trials: int,
@@ -349,49 +379,49 @@ def separability_check(
     whenever gamma is in the probe set, so any ratio below 1 is a witness.
     Empirical constants C1 (min ratio) and C2 (max ratio) are reported;
     per-trial ratios ride in ``meta`` for stability studies. The ratio is
-    scale-invariant, so each trial uses its drawn spectrum as is and runs
-    no transform. A trial whose multiplier images or norms overflow the
-    float range raises ``OverflowError``.
+    scale-invariant, so trials use their drawn spectra as is, ``_TRIAL_BLOCK``
+    at a time on the kept modes; p = 2 runs no transform. A trial whose norms
+    overflow raises ``OverflowError``; a zero ||O u||_p ``ZeroDivisionError``.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
     _check_exponent(p)
-    gamma = prob.order.gamma
-    s_set = _probe_orders(gamma, s_set)
-    xi = prob.grid.frequencies
+    s_set = _probe_orders(prob.order.gamma, s_set)
+    grid = prob.grid
+    xi = grid.frequencies
+    keep = np.abs(grid.indices) <= grid.size // 4
     rng = np.random.default_rng(seed)
-    ratios = []
+    ratios: list[float] = []
     witnesses: list[Witness] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        q0 = q_matrices(prob, 0.0)
-        a_mats = prob.A(xi)
-        frac_mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
-        for t in range(trials):
-            u_spec = band_limited_spectrum(prob.grid, prob.dim, rng)
-            try:
-                ou_norm = multiplier_norm(u_spec, q0, p)
-                term_sum = sum(multiplier_norm(u_spec, m, p) for m in frac_mults)
-                term_sum += multiplier_norm(u_spec, a_mats, p)
-                finite = math.isfinite(ou_norm) and math.isfinite(term_sum)
-            except ValueError:
-                # p is valid, so the error is a non-finite multiplier image:
-                # the symbol or its product with the spectrum overflowed
-                finite = False
-            if not finite:
-                raise OverflowError(f"the norms of separability trial {t + 1} overflow")
-            ratio = term_sum / ou_norm
-            ratios.append(ratio)
-            if term_sum < ou_norm:
-                witnesses.append(
-                    Witness(label="lower-bound", location={"trial": t}, magnitude=ratio)
-                )
+        mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
+        mults += [prob.A(xi), q_matrices(prob, 0.0)]
+        # off the band a non-finite multiplier meets inf * 0 = nan in every trial
+        finite = all(np.isfinite(m).all() for m in mults)
+        mults = [np.ascontiguousarray(m[keep].T) for m in mults]
+        for start in range(0, trials, _TRIAL_BLOCK):
+            spec = _band_limited_block(rng, min(_TRIAL_BLOCK, trials - start), keep.sum(), prob.dim)
+            *terms, ou_norm = [_image_norms(grid, keep, spec, m, p) for m in mults]
+            term_sum = sum(terms)
+            ok = finite & np.isfinite(term_sum) & np.isfinite(ou_norm)
+            bad = np.flatnonzero(~ok | (ou_norm == 0.0))
+            if bad.size:
+                t = start + bad[0] + 1
+                if ok[bad[0]]:
+                    raise ZeroDivisionError(f"||O u|| of separability trial {t} is 0")
+                raise OverflowError(f"the norms of separability trial {t} overflow")
+            ratios += (term_sum / ou_norm).tolist()
+            witnesses += [
+                Witness(label="lower-bound", location={"trial": t}, magnitude=ratios[t])
+                for t in (start + np.flatnonzero(term_sum < ou_norm)).tolist()
+            ]
     return ConditionReport(
         name="separability",
         passed=not witnesses,
         constants={"C1": float(min(ratios)), "C2": float(max(ratios))},
         witnesses=tuple(witnesses),
         meta={
-            "ratios": [float(r) for r in ratios],
+            "ratios": ratios,
             "trials": int(trials),
             "p": p,
             "s_set": list(s_set),

@@ -337,7 +337,9 @@ def symbol_kernel(prob: EllipticProblem) -> str:
     return "svd" if _normal_operator(prob) is None else "hermitian-eig"
 
 
-def symbol_smin(prob: EllipticProblem, lam: complex) -> tuple[np.ndarray, int | None]:
+def symbol_smin(
+    prob: EllipticProblem, lam: complex, q: np.ndarray | None = None
+) -> tuple[np.ndarray, int | None]:
     """``smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)``
     without the SVD when Q is normal: the singular-symbol gate.
 
@@ -345,26 +347,25 @@ def symbol_smin(prob: EllipticProblem, lam: complex) -> tuple[np.ndarray, int | 
     nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
     a ((i xi)^gamma + lambda + mu_j) (factored), with mu_j the eigenvalues
     of A(xi); one ``eigvalsh`` gives every mu_j.  Other problems take the
-    SVD.
+    SVD, of ``q`` when the caller has built the stack already.
     """
     a = _normal_operator(prob)
-    if a is None:
-        return smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)
-    xi = prob.grid.frequencies
-    mu = a[..., 0] if prob.dim == 1 else np.linalg.eigvalsh(a)
-    a_vals = prob.a(xi)[:, None]
-    frac = frac_power_i_xi(xi, prob.order.gamma)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if prob.q_form == "unfactored":
-            mods = np.abs(a_vals * frac + lam + mu)
-        else:
-            mods = np.abs(a_vals * (frac + lam + mu))
-    if not np.isfinite(mods).all():
+    if a is not None:
+        xi = prob.grid.frequencies
+        mu = a[..., 0] if prob.dim == 1 else np.linalg.eigvalsh(a)
+        a_vals = prob.a(xi)[:, None]
+        frac = frac_power_i_xi(xi, prob.order.gamma)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if prob.q_form == "unfactored":
+                mods = np.abs(a_vals * frac + lam + mu)
+            else:
+                mods = np.abs(a_vals * (frac + lam + mu))
         # an overflowed modulus bounds nothing: leave the verdict to the SVD
-        return smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)
-    smin = mods.min(axis=1)
-    bad = np.flatnonzero(smin <= _SINGULAR_TOL * np.maximum(mods.max(axis=1), 1.0))
-    return smin, (int(bad[0]) if bad.size else None)
+        if np.isfinite(mods).all():
+            smin = mods.min(axis=1)
+            bad = np.flatnonzero(smin <= _SINGULAR_TOL * np.maximum(mods.max(axis=1), 1.0))
+            return smin, (int(bad[0]) if bad.size else None)
+    return smallest_singular_values(q_matrices(prob, lam) if q is None else q, _SINGULAR_TOL)
 
 
 def _grouped_by_magnitude(xi: np.ndarray, vals: np.ndarray):

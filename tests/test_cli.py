@@ -539,6 +539,15 @@ def _task_problem_edit(task, lines):
     return ("n = 64\n\n[task]\nname = solve-elliptic", f"n = 64\n{lines}\n\n[task]\nname = {task}")
 
 
+def _separability_l_edit(half_width, line):
+    """Config edit that switches the task to 3 separability trials, with one
+    parameter line, on the half-width ``half_width``."""
+    return (
+        "l = 10.0\nn = 64\n\n[task]\nname = solve-elliptic\n\n[parameters]",
+        f"l = {half_width}\nn = 64\n\n[task]\nname = separability\n\n[parameters]\ntrials = 3\n{line}",
+    )
+
+
 # Sizes whose largest complex field exceeds the physical memory of any host
 # (n alone is 1.5 TiB; the time fields at n = 64 are about 93 TiB; the
 # bvp symbol stack at n = 64 and mesh_size = 40000 is 1.5 TiB).
@@ -712,6 +721,16 @@ _OVERSIZED = [
             _task_edit("embedding-probe", "h_set = 0.1,1e-320"),
             [],
             "[parameters] h_set must be finite, positive and normal, got 1e-320",
+        ),
+        (
+            _separability_l_edit("1e308", ""),
+            [],
+            "[problem] l must have a finite period 2l, got 1e+308\n",
+        ),
+        (
+            _separability_l_edit("1e200", "p = 3"),
+            [],
+            "[problem] l = 1e200: ||O u|| of separability trial 1 is 0\n",
         ),
     ],
 )

@@ -1,14 +1,17 @@
 """Direct solver against the dense reference, and the estimate machinery."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracspec as fs
 from conftest import dense_operator, dense_solve, make_problem, rel_linf
+from fracspec.elliptic import _TRIAL_BLOCK, _band_limited_block
 
 
 def test_single_mode_closed_form():
@@ -333,3 +336,161 @@ def test_separability_trials_run_no_transform(monkeypatch):
     calls = _counting_ffts(monkeypatch)
     fs.separability_check(prob, trials=5)
     assert calls["n"] == 0
+
+
+def _per_trial_separability(prob, trials, p, seed):
+    """``separability_check`` one trial at a time: each trial's spectrum from
+    ``band_limited_spectrum`` and its five norms from ``multiplier_norm``.
+    Returns the ratios and the lower-bound witness trials, or the number of
+    the first trial whose norms are not finite."""
+    xi = prob.grid.frequencies
+    gamma = prob.order.gamma
+    rng = np.random.default_rng(seed)
+    ratios, witnesses = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        mults = [prob.a(xi) * fs.frac_power_i_xi(xi, s) for s in (0.0, gamma / 2.0, gamma)]
+        mults += [prob.A(xi), fs.q_matrices(prob, 0.0)]
+        for t in range(trials):
+            u_spec = fs.band_limited_spectrum(prob.grid, prob.dim, rng)
+            try:
+                *terms, ou_norm = [fs.multiplier_norm(u_spec, m, p) for m in mults]
+            except ValueError:  # a non-finite image
+                return t + 1
+            term_sum = sum(terms)
+            if not (math.isfinite(term_sum) and math.isfinite(ou_norm)):
+                return t + 1
+            ratios.append(term_sum / ou_norm)
+            if term_sum < ou_norm:
+                witnesses.append(t)
+    return ratios, witnesses
+
+
+def _separability_problem(d, perturbed, q_form, weights=(-1.0, 1.0), scale=1.0):
+    """A problem on N = 64 with a d x d operator, not symmetric for d > 1,
+    and the weights (a_value, operator weight). Its symbol images all scale
+    with ``scale``, except A u in the factored form."""
+    g = fs.SpatialGrid(10.0, 64)
+    a_value, op_weight = weights
+    base = np.diag(np.arange(2.0, d + 2.0)) + 0.5 * np.eye(d, k=1) + 0.25 * np.eye(d, k=-1)
+    base *= op_weight * (scale if q_form == "unfactored" else 1.0)
+    if perturbed:
+        op = fs.perturbed_operator(base, np.eye(d) * base[0, 0])
+    else:
+        op = fs.constant_operator(base)
+    return make_problem(
+        g, a_value=scale * a_value, a_family="scaled_decay", operator=op, q_form=q_form
+    )
+
+
+_SEPARABILITY_CASES = dict(
+    d=st.sampled_from([1, 2, 3]),
+    perturbed=st.booleans(),
+    q_form=st.sampled_from(["unfactored", "factored"]),
+    p=st.sampled_from([2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=40)
+@given(
+    # the factored form with the heavy weights has ratios on both sides of 1
+    weights=st.sampled_from([(-1.0, 1.0), (-20.0, 5.0)]),
+    trials=st.integers(1, 3 * _TRIAL_BLOCK).filter(lambda t: t % _TRIAL_BLOCK),
+    **_SEPARABILITY_CASES,
+)
+def test_separability_blocks_match_per_trial_norms(d, perturbed, q_form, p, seed, weights, trials):
+    prob = _separability_problem(d, perturbed, q_form, weights)
+    ratios, witnesses = _per_trial_separability(prob, trials, p, seed)
+    rep = fs.separability_check(prob, trials=trials, p=p, seed=seed)
+    np.testing.assert_allclose(rep.meta["ratios"], ratios, rtol=1e-13, atol=0.0)
+    assert [w.location["trial"] for w in rep.witnesses] == witnesses
+    assert rep.passed == (not witnesses)
+
+
+@settings(max_examples=20)
+@given(**_SEPARABILITY_CASES)
+def test_separability_first_overflowing_trial_matches_per_trial(d, perturbed, q_form, p, seed):
+    """Scale the symbol so that the norms first overflow at the first trial
+    whose largest scaled norm beats every earlier trial's: the threshold
+    sits halfway (geometrically) between the two, far from rounding."""
+    trials = 2 * _TRIAL_BLOCK + 3
+    prob = _separability_problem(d, perturbed, q_form)
+    g = prob.grid
+    xi = g.frequencies
+    gamma = prob.order.gamma
+    scaled = [prob.a(xi) * fs.frac_power_i_xi(xi, s) for s in (0.0, gamma / 2.0, gamma)]
+    scaled.append(fs.q_matrices(prob, 0.0))
+    if q_form == "unfactored":
+        scaled.append(prob.A(xi))
+    rng = np.random.default_rng(seed)
+    largest = []
+    for _ in range(trials):
+        u_spec = fs.band_limited_spectrum(g, d, rng)
+        largest.append(max(fs.multiplier_norm(u_spec, m, p) for m in scaled))
+    records = [t for t in range(1, trials) if largest[t] > max(largest[:t])]
+    assume(records)
+    t0 = records[0]
+    prev = max(largest[:t0])
+    assume(largest[t0] > prev * (1.0 + 1e-9))
+    # the raw sum that overflows is ||image||^p * 2L at p = 2 and ||image||^p / h otherwise
+    weight = 2.0 * g.half_width if p == 2.0 else 1.0 / g.spacing
+    scale = (sys.float_info.max / weight) ** (1.0 / p) / math.sqrt(largest[t0] * prev)
+    big = _separability_problem(d, perturbed, q_form, scale=scale)
+    assert _per_trial_separability(big, trials, p, seed) == t0 + 1
+    with pytest.raises(OverflowError, match=f"^the norms of separability trial {t0 + 1} overflow$"):
+        fs.separability_check(big, trials=trials, p=p, seed=seed)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_separability_multiplier_not_finite_off_the_band_fails_trial_one(p):
+    g = fs.SpatialGrid(10.0, 64)
+    cut = g.frequencies[g.size // 4]
+    spike = fs.CoefficientSymbol("spike", lambda xi: np.where(np.abs(xi) > cut, np.inf, -1.0))
+    prob = fs.EllipticProblem(
+        fs.FractionalOrder(1.5), spike, fs.constant_operator(np.eye(2)), fs.Sector(0.5), g
+    )
+    # finite on every kept mode, so only inf * 0 off the band fails the trial
+    assert np.isfinite(spike(g.frequencies[np.abs(g.indices) <= g.size // 4])).all()
+    assert _per_trial_separability(prob, 3, p, 5) == 1
+    with pytest.raises(OverflowError, match="^the norms of separability trial 1 overflow$"):
+        fs.separability_check(prob, trials=3, p=p, seed=5)
+
+
+def test_separability_zero_operator_norm_is_named():
+    # 2L overflows, so Parseval's weight 1/(2L) takes every p = 2 norm to 0
+    prob = make_problem(fs.SpatialGrid(1e308, 64))
+    with pytest.raises(ZeroDivisionError):
+        _per_trial_separability(prob, 3, 2.0, 5)
+    with pytest.raises(ZeroDivisionError, match=r"^\|\|O u\|\| of separability trial 1 is 0$"):
+        fs.separability_check(prob, trials=3, seed=5)
+
+
+def test_separability_block_draw_is_the_per_trial_stream():
+    g = fs.SpatialGrid(10.0, 64)
+    keep = np.abs(g.indices) <= g.size // 4
+    block_rng, trial_rng = np.random.default_rng(5), np.random.default_rng(5)
+    block = _band_limited_block(block_rng, _TRIAL_BLOCK + 3, int(keep.sum()), 3)
+    for spec in block:
+        want = fs.band_limited_spectrum(g, 3, trial_rng).values
+        assert np.ascontiguousarray(spec.T).tobytes() == want[keep].tobytes()
+        assert not want[~keep].any()
+    assert block_rng.bit_generator.state == trial_rng.bit_generator.state
+
+
+def test_separability_memory_does_not_grow_with_trials():
+    prob = _perturbed_problem(fs.SpatialGrid(10.0, 4096))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            fs.separability_check(prob, trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fs.separability_check(prob, trials=1)
+    small, large = peak(10), peak(100)
+    # The draws of 100 trials alone are 100 x 2049 x 2 complex values, 6.6 MB;
+    # one block of them is 0.5 MB, beside the symbol stacks of the problem.
+    assert small < 3 * 2**20
+    assert large < small + 2**16

@@ -14,6 +14,7 @@ import fracspec as fs
 from conftest import make_problem
 from fracspec.bvp import BVPCoefficients, discretize_bvp
 from fracspec.parabolic import SystemMatrix, _shifted_coupling
+from fracspec import symbols
 from fracspec.symbols import _grouped_by_magnitude, _q_stack
 
 SQ2 = math.sqrt(0.5)
@@ -232,6 +233,26 @@ def test_non_hermitian_operators_keep_the_svd(svd_calls):
     svd_calls.clear()
     fs.symbol_smin(prob, 1.0)
     assert svd_calls == []
+
+
+@pytest.mark.parametrize("mat", [np.array([[2.0, 1.0], [0.0, 2.0]]), np.diag([1.0, 2.0])])
+def test_solve_builds_its_symbol_stack_once(monkeypatch, svd_calls, mat):
+    """Q(xi, lambda) is built once for the gate and the solve, whichever
+    kernel the gate takes, and Q(xi, 0) once more for the residual."""
+    stacks = []
+    real_q_stack = symbols._q_stack
+
+    def counting_q_stack(prob, xi, lam):
+        stacks.append(lam)
+        return real_q_stack(prob, xi, lam)
+
+    prob = _gate_problem(mat)
+    f = fs.random_band_limited(prob.grid, 2, 5)
+    monkeypatch.setattr(symbols, "_q_stack", counting_q_stack)
+    svd_calls.clear()
+    fs.solve_elliptic(prob, f, 1.0)
+    assert stacks == [1.0, 0.0]
+    assert len(svd_calls) == (fs.symbol_kernel(prob) == "svd")
 
 
 def test_symbol_smin_leaves_an_overflowed_modulus_to_the_svd(svd_calls):
