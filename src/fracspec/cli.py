@@ -426,7 +426,7 @@ def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     # An overflow names the larger of the two scales of the symbol; a norm
-    # ||O u|| that underflows to 0 names the half-width, whose weight h = 2l/n does it.
+    # ||O u|| that underflows to 0 names the half-width, whose quadrature weights do that.
     a_scale = abs(cfg.value("problem", "a_value"))
     op_scale = float(np.abs(cfg.value("problem", "a_op_matrix")).max())
     key = "a_value" if a_scale >= op_scale else "a_op_matrix"

@@ -347,9 +347,11 @@ def _band_limited_block(rng: np.random.Generator, trials: int, modes: int, dim: 
     return spec
 
 
-def _image_norms(grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p):
-    """``multiplier_norm`` of each (d, K) spectrum in ``spec`` (zero off ``keep``)
-    under ``mult`` on the kept modes: a scalar (K,) or a transposed (d, d, K) stack."""
+def _image_norms(
+    grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p: float
+) -> np.ndarray:
+    """``multiplier_norm`` of each (d, K) spectrum in ``spec`` (zero off ``keep``) under
+    ``mult`` on the kept modes: a scalar (K,) or the transposed matrices as (d, d, K)."""
     if mult.ndim == 1:
         image = mult * spec
     else:

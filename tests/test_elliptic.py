@@ -456,7 +456,7 @@ def test_separability_multiplier_not_finite_off_the_band_fails_trial_one(p):
         fs.separability_check(prob, trials=3, p=p, seed=5)
 
 
-def test_separability_zero_operator_norm_is_named():
+def test_separability_zero_operator_norm_raises_at_its_trial():
     # 2L overflows, so Parseval's weight 1/(2L) takes every p = 2 norm to 0
     prob = make_problem(fs.SpatialGrid(1e308, 64))
     with pytest.raises(ZeroDivisionError):
