@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     GridFunction,
     Sector,
-    SpatialGrid,
     lp_norm,
     multiplier_norm,
 )
@@ -230,10 +229,9 @@ def solve_anisotropic(
     a: CoefficientSymbol,
     lam: complex,
     f: GridFunction,
-    grid: SpatialGrid,
     p: float = 2.0,
 ) -> SolveReport:
-    """Solve a*D_x^gamma u + (boundary operator in y) u + lambda u = f.
+    """Solve a*D_x^gamma u + (boundary operator in y) u + lambda u = f on the forcing's grid.
 
     ``f`` carries the m interior-mesh values as its vector components.  The
     problem sector is the narrowest one holding lambda.  The report's norms
@@ -242,6 +240,7 @@ def solve_anisotropic(
     b = 0, 1, 2 to the x-terms weighted over s in {0, gamma/2, gamma}.
     """
     lam = complex(lam)
+    grid = f.grid
     mat = discretize_bvp(coeffs)
     if f.dim != coeffs.mesh_size:
         raise ValueError(

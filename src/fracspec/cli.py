@@ -54,7 +54,6 @@ from .parabolic import (
     _dissipative_gate,
     _evolve,
     parabolic_coercive_report,
-    solve_parabolic,
     solve_system,
 )
 from .symbols import (
@@ -340,29 +339,30 @@ def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTime
     return SpaceTimeFunction(grid, times, vals)
 
 
-def _time_steps(cfg: RunConfig, grid, dim: int) -> int:
-    """``[parameters] nt``, whose (nt+1) x N x d field fits in memory."""
+def _parabolic_forcing(cfg: RunConfig, grid, dim: int, rng) -> SpaceTimeFunction:
+    """The forcing on the uniform grid of ``[parameters] nt`` steps over
+    ``[parameters] t``, after checking that its (nt+1) x N x d field fits in
+    memory and that its time step is normal."""
     steps = cfg.value("parameters", "nt")
     _require_memory("[parameters] nt", steps, (steps + 1, grid.size, dim))
-    return steps
+    times = np.linspace(0.0, _horizon(cfg, steps), steps + 1)
+    return _space_time_forcing(cfg, grid, dim, times, rng)
 
 
 def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    steps = _time_steps(cfg, prob.grid, prob.dim)
-    pprob = ParabolicProblem(core=prob, horizon=_horizon(cfg, steps), steps=steps)
-    f = _space_time_forcing(cfg, prob.grid, prob.dim, pprob.times, run.rng())
+    f = _parabolic_forcing(cfg, prob.grid, prob.dim, run.rng())
+    pprob = ParabolicProblem(prob, float(f.times[-1]), f.times.size - 1)
     with naming(f"[parameters] t = {pprob.horizon}", OverflowError):
-        u = solve_parabolic(pprob, f, cfg.value("parameters", "scheme") or "exact")
-    rep = parabolic_coercive_report(
-        pprob,
-        f,
-        u=u,
-        p=cfg.value("parameters", "p"),
-        p1=cfg.value("parameters", "p1"),
-    )
-    _write_space_time_solution(run.out / "solution.csv", u)
+        rep = parabolic_coercive_report(
+            pprob,
+            f,
+            cfg.value("parameters", "scheme") or "exact",
+            p=cfg.value("parameters", "p"),
+            p1=cfg.value("parameters", "p1"),
+        )
+    _write_space_time_solution(run.out / "solution.csv", rep.solution)
     run.report(rep.to_jsonable(), [])
     return False
 
@@ -523,9 +523,7 @@ def _task_bvp(run: _Run) -> bool:
     wave = cfg.value("parameters", "transverse_mode")
     profile = np.sin(wave * math.pi * coeffs.mesh)
     f = GridFunction(grid, np.exp(-grid.points**2)[:, None] * profile[None, :])
-    rep = solve_anisotropic(
-        coeffs, prob.order, prob.a, lam, f, grid, p=cfg.value("parameters", "p")
-    )
+    rep = solve_anisotropic(coeffs, prob.order, prob.a, lam, f, p=cfg.value("parameters", "p"))
     lead = _product_lead(grid.points, coeffs.mesh)
     _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
     failed = [] if ell.passed else [ell.name]
@@ -549,11 +547,8 @@ def _task_system(run: _Run) -> bool:
         rep = solve_system(mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p)
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     else:
-        steps = _time_steps(cfg, prob.grid, mat.size)
-        horizon = _horizon(cfg, steps)
-        times = np.linspace(0.0, horizon, steps + 1)
-        f = _space_time_forcing(cfg, prob.grid, mat.size, times, run.rng())
-        with naming(f"[parameters] t = {horizon}", OverflowError):
+        f = _parabolic_forcing(cfg, prob.grid, mat.size, run.rng())
+        with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError):
             rep = solve_system(
                 mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
                 p1=cfg.value("parameters", "p1"),

@@ -377,6 +377,12 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     half_width, size = cfg.value("problem", "l"), cfg.value("problem", "n")
     with naming("[problem] n"):
         grid = SpatialGrid(half_width=half_width, size=size)
+    # A normal spacing h keeps the top frequency pi/h below 1.42e308.
+    if grid.spacing < sys.float_info.min:
+        raise ConfigError(
+            f"[problem] l = {cfg.text('problem', 'l')} over n = {size} "
+            "gives a subnormal grid spacing"
+        )
     # Every task assembles the N x d x d symbol stack Q(xi).
     _require_memory("[problem] n", grid.size, (grid.size, op.dim, op.dim))
     prob = EllipticProblem(

@@ -331,12 +331,21 @@ def band_limited_spectrum(
         rng = np.random.default_rng(rng)
     keep = np.abs(grid.indices) <= grid.size // 4
     coeffs = np.zeros((grid.size, dim), dtype=complex)
-    coeffs[keep] = rng.standard_normal((int(keep.sum()), dim)) + 1j * rng.standard_normal(
-        (int(keep.sum()), dim)
-    )
+    coeffs[keep] = _band_limited_block(rng, 1, int(keep.sum()), dim)[0].T
     if not np.any(coeffs):
         raise RuntimeError("degenerate random draw")
     return SpectralFunction(grid, coeffs)
+
+
+def _band_limited_block(rng: np.random.Generator, trials: int, modes: int, dim: int) -> np.ndarray:
+    """Complex Gaussians on ``modes`` kept modes for ``trials`` spectra, as a
+    (trials, dim, modes) stack from one draw.  Each trial takes (modes, dim)
+    real parts, then as many imaginary parts, so the block is the stream of
+    ``trials`` consecutive ``band_limited_spectrum`` calls."""
+    z = rng.standard_normal((trials, 2, modes, dim)).transpose(1, 0, 3, 2)
+    spec = np.empty(z.shape[1:], dtype=complex)
+    spec.real, spec.imag = z
+    return spec
 
 
 def random_band_limited(

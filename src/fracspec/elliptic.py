@@ -23,6 +23,7 @@ from .core import (
     Sector,
     SpatialGrid,
     SpectralFunction,
+    _band_limited_block,
     _check_exponent,
     apply_multiplier,
     forward_transform,
@@ -336,15 +337,6 @@ def resolvent_sweep(
             "symbol_kernel": symbol_kernel(prob),
         },
     )
-
-
-def _band_limited_block(rng: np.random.Generator, trials: int, modes: int, dim: int) -> np.ndarray:
-    """The (trials, dim, modes) kept-mode values of ``trials`` consecutive
-    ``band_limited_spectrum`` draws with ``modes`` kept modes, in one draw."""
-    z = rng.standard_normal((trials, 2, modes, dim)).transpose(1, 0, 3, 2)
-    spec = np.empty(z.shape[1:], dtype=complex)
-    spec.real, spec.imag = z
-    return spec
 
 
 def _image_norms(

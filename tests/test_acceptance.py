@@ -299,7 +299,7 @@ def test_criterion_10_bvp_manufactured_convergence():
         f_vals = (gauss * (2.0 - 4.0 * x**2 + math.pi**2 + lam))[:, None] * np.sin(
             math.pi * y
         )[None, :]
-        rep = fs.solve_anisotropic(coeffs, order, a, lam, fs.GridFunction(g, f_vals), g)
+        rep = fs.solve_anisotropic(coeffs, order, a, lam, fs.GridFunction(g, f_vals))
         want = gauss[:, None] * np.sin(math.pi * y)[None, :]
         errs.append(np.max(np.abs(rep.solution.values - want)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]

@@ -128,7 +128,7 @@ def test_anisotropic_manufactured_solution_converges():
         f_vals = (gauss * (2.0 - 4.0 * x**2 + math.pi**2 + lam))[:, None] * np.sin(
             math.pi * y
         )[None, :]
-        rep = fs.solve_anisotropic(coeffs, order, a, lam, fs.GridFunction(g, f_vals), g)
+        rep = fs.solve_anisotropic(coeffs, order, a, lam, fs.GridFunction(g, f_vals))
         want = gauss[:, None] * np.sin(math.pi * y)[None, :]
         errs.append(np.max(np.abs(rep.solution.values - want)))
         assert rep.residual_rel < 1e-9
@@ -143,11 +143,11 @@ def test_anisotropic_report_terms_and_dim_gate():
     order = fs.FractionalOrder(2.0)
     a = fs.constant_coefficient(-1.0)
     f_vals = np.exp(-(g.points**2))[:, None] * np.sin(math.pi * coeffs.mesh)[None, :]
-    rep = fs.solve_anisotropic(coeffs, order, a, 1.0, fs.GridFunction(g, f_vals), g)
+    rep = fs.solve_anisotropic(coeffs, order, a, 1.0, fs.GridFunction(g, f_vals))
     for key in ("a*Dx^0 u", "a*Dx^1 u", "a*Dx^2 u", "Dy^0 u", "Dy^1 u", "Dy^2 u"):
         assert key in rep.term_norms
     assert math.isfinite(rep.coercive_ratio)
     assert rep.meta["mesh_spacing"] == pytest.approx(1.0 / 8.0)
     wrong = fs.GridFunction(g, np.ones((64, 5)))
     with pytest.raises(ValueError, match="expected mesh size"):
-        fs.solve_anisotropic(coeffs, order, a, 1.0, wrong, g)
+        fs.solve_anisotropic(coeffs, order, a, 1.0, wrong)

@@ -180,6 +180,26 @@ def test_resolvent_sweep_probe_column(tmp_path):
     assert header == "re_lambda,im_lambda,value,probe_lower"
 
 
+@pytest.mark.parametrize(
+    "gamma, n, problem_extra, radii, failed",
+    [
+        # A = -1 makes Q(0, 1) = 0 at the sweep's only radius
+        ("1.5", "64", "a_op_matrix = -1", "1", "singular-symbol"),
+        # at |lambda| = 30 the refined grid's bound drifts by 4.87 relative, past 5%
+        ("2.0", "32", "a_value = 1", "30", "refinement-stability"),
+    ],
+)
+def test_resolvent_sweep_failed_checks_exit_two(tmp_path, gamma, n, problem_extra, radii, failed):
+    ini, out = _write_ini(
+        tmp_path, "resolvent-sweep", gamma=gamma, problem_extra=problem_extra,
+        params=f"radii = {radii}\nangles = 3",
+    )
+    ini.write_text(ini.read_text().replace("n = 64", f"n = {n}"))
+    assert main(["--config", str(ini)]) == 2
+    assert _report(out)["failed_checks"] == [failed]
+    assert (out / "sweep.csv").exists()
+
+
 def test_separability_artifacts(tmp_path):
     ini, out = _write_ini(tmp_path, "separability", params="trials = 10")
     assert main(["--config", str(ini)]) == 0
@@ -731,6 +751,16 @@ _OVERSIZED = [
             _separability_l_edit("1e200", "p = 3"),
             [],
             "[problem] l = 1e200: ||O u|| of separability trial 1 is 0\n",
+        ),
+        (
+            ("l = 10.0", "l = 2.2250738585072014e-308"),
+            [],
+            "[problem] l = 2.2250738585072014e-308 over n = 64 gives a subnormal grid spacing\n",
+        ),
+        (
+            _separability_l_edit("1e-320", ""),
+            [],
+            "[problem] l = 1e-320 over n = 64 gives a subnormal grid spacing\n",
         ),
     ],
 )

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import fracspec as fs
 from conftest import dense_operator, dense_solve, make_problem, rel_linf
-from fracspec.elliptic import _TRIAL_BLOCK, _band_limited_block
+from fracspec.core import _band_limited_block
+from fracspec.elliptic import _TRIAL_BLOCK
 
 
 def test_single_mode_closed_form():
@@ -116,6 +117,15 @@ def test_factored_form_with_vanishing_coefficient_is_singular():
     prob = make_problem(g, gamma=1.5, a_family="scaled_decay", q_form="factored")
     with pytest.raises(fs.SolveError, match="singular symbol"):
         fs.solve_elliptic(prob, fs.GridFunction(g, np.ones(64)), 1.0)
+
+
+def test_residual_gate_rejects_a_solve_that_misses_it():
+    # a = -1e8 widens the symbol's range until rounding alone leaves a
+    # residual of 1.5e-7, far above the gate of 1e-9 * ||f|| = 1.1e-9
+    g = fs.SpatialGrid(10.0, 64)
+    prob = make_problem(g, gamma=2.0, a_value=-1e8)
+    with pytest.raises(fs.SolveError, match="^residual"):
+        fs.solve_elliptic(prob, fs.GridFunction(g, np.exp(-g.points**2)), 1.0)
 
 
 def test_coercive_report_canonical_bound():
@@ -293,7 +303,7 @@ def test_each_solution_is_transformed_once(monkeypatch, case, want):
         ones = lambda y: np.ones_like(y)  # noqa: E731
         coeffs = fs.BVPCoefficients(ones, ones, ones, mesh_size=2)
         order, a = fs.FractionalOrder(1.5), fs.constant_coefficient(-1.0)
-        fs.solve_anisotropic(coeffs, order, a, 1.0, f, g)
+        fs.solve_anisotropic(coeffs, order, a, 1.0, f)
     else:
         prob = make_problem(g, mat=mat, q_form="factored" if case == "factored" else "unfactored")
         if case == "coercive":

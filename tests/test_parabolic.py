@@ -169,15 +169,6 @@ def test_coercive_report_residual_uses_the_factored_symbol():
     assert rels[1] == pytest.approx(rels[0], rel=1e-12)
 
 
-def test_coercive_report_shape_gate():
-    g = fs.SpatialGrid(10.0, 32)
-    prob = fs.ParabolicProblem(make_problem(g), 1.0, 8)
-    f = _profiled(g, prob.times, np.ones(9), _gauss(g))
-    other = fs.SpaceTimeFunction(g, np.linspace(0.0, 1.0, 5), np.ones((5, 32)))
-    with pytest.raises(ValueError, match="shapes do not match"):
-        fs.parabolic_coercive_report(prob, f, u=other)
-
-
 def _random_forcing(prob, dim, seed):
     """Non-separable complex Gaussian forcing on the problem's space-time grid."""
     rng = np.random.default_rng(seed)
@@ -214,28 +205,28 @@ def _physical_ledger(prob, u, p, p1, swap):
     ]
 
 
-def _ledger_case(scheme):
+def _ledger_case():
     g = fs.SpatialGrid(10.0, 64)
     prob = fs.ParabolicProblem(make_problem(g, mat=_COUPLED, a_family="scaled_decay"), 1.0, 16)
-    f = _random_forcing(prob, 2, 11)
-    return prob, f, fs.solve_parabolic(prob, f, scheme)
+    return prob, _random_forcing(prob, 2, 11)
 
 
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("scheme", ["exact", "crank-nicolson"])
 def test_p2_ledger_from_spectrum_matches_physical_path(swap, scheme):
-    prob, f, u = _ledger_case(scheme)
-    rep = fs.parabolic_coercive_report(prob, f, u=u, p=2.0, p1=2.0, swap=swap)
+    prob, f = _ledger_case()
+    rep = fs.parabolic_coercive_report(prob, f, scheme, p=2.0, p1=2.0, swap=swap)
     got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
-    assert got == pytest.approx(_physical_ledger(prob, u, 2.0, 2.0, swap), rel=1e-13, abs=0.0)
+    want = _physical_ledger(prob, rep.solution, 2.0, 2.0, swap)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("p, p1, swap", [(2.0, 3.0, False), (2.0, 3.0, True), (3.0, 3.0, False)])
 def test_ledger_off_p2_is_the_physical_path(p, p1, swap):
-    prob, f, u = _ledger_case("exact")
-    rep = fs.parabolic_coercive_report(prob, f, u=u, p=p, p1=p1, swap=swap)
+    prob, f = _ledger_case()
+    rep = fs.parabolic_coercive_report(prob, f, "exact", p=p, p1=p1, swap=swap)
     got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
-    assert got == _physical_ledger(prob, u, p, p1, swap)
+    assert got == _physical_ledger(prob, rep.solution, p, p1, swap)
 
 
 def test_dissipativity_gate():
