@@ -48,7 +48,6 @@ from .elliptic import (
 )
 from .fractional import matrix_fractional_power
 from .parabolic import (
-    ParabolicProblem,
     SystemMatrix,
     _coupling_symbol,
     _dissipative_gate,
@@ -353,10 +352,9 @@ def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     f = _parabolic_forcing(cfg, prob.grid, prob.dim, run.rng())
-    pprob = ParabolicProblem(prob, float(f.times[-1]), f.times.size - 1)
-    with naming(f"[parameters] t = {pprob.horizon}", OverflowError):
+    with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError):
         rep = parabolic_coercive_report(
-            pprob,
+            prob,
             f,
             cfg.value("parameters", "scheme") or "exact",
             p=cfg.value("parameters", "p"),
@@ -572,24 +570,21 @@ def _task_convergence(run: _Run) -> bool:
     # Every level's forcing is w(t_m) s(x): draw and transform s once.
     shat = grid.to_spectral(build_forcing(cfg, grid, prob.dim, run.rng()).values)
 
-    def level(steps: int) -> tuple[ParabolicProblem, np.ndarray]:
-        pprob = ParabolicProblem(core=prob, horizon=horizon, steps=steps)
-        return pprob, _profile_weights(cfg, pprob.times)
+    q0 = _dissipative_gate(prob)
 
-    def final_state(pprob: ParabolicProblem, w: np.ndarray, integrator: str) -> np.ndarray:
+    def final_state(steps: int, integrator: str) -> np.ndarray:
+        w = _profile_weights(cfg, np.linspace(0.0, horizon, steps + 1))
         # The forcing spectrum of step m is formed when the loop reads it.
         with naming(f"[parameters] t = {horizon}", OverflowError):
-            uhat = _evolve(pprob, q0, lambda m: w[m] * shat, integrator)
+            uhat = _evolve(q0, horizon / steps, steps, lambda m: w[m] * shat, integrator)
         return grid.to_physical(uhat)
 
-    ref_prob, ref_w = level(levels[-1])
-    q0 = _dissipative_gate(ref_prob)
-    exact = final_state(ref_prob, ref_w, "exact")
+    exact = final_state(levels[-1], "exact")
     errors = []
     for steps in levels:
         # With the exact scheme the last level is the reference itself.
         same = scheme == "exact" and steps == levels[-1]
-        diff = (exact if same else final_state(*level(steps), scheme)) - exact
+        diff = (exact if same else final_state(steps, scheme)) - exact
         errors.append(lp_norm(GridFunction(grid, diff), 2.0))
 
     orders: list[str] = []

@@ -390,11 +390,15 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     )
     xi = grid.frequencies
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(a(xi) * frac_power_i_xi(xi, order.gamma))
+        power = frac_power_i_xi(xi, order.gamma)
+        finite = np.isfinite(a(xi) * power)
     if not finite.all():
+        # (i xi)^gamma alone overflowing puts the fault on the top frequency pi/h.
+        k = np.argmin(finite)
+        key = "a_value" if np.isfinite(power[k]) else "l"
         raise ConfigError(
-            f"[problem] a_value = {cfg.text('problem', 'a_value')}: a(xi) (i xi)^gamma "
-            f"overflows the float range at xi = {xi[np.argmin(finite)]:.6g}"
+            f"[problem] {key} = {cfg.text('problem', key)}: a(xi) (i xi)^gamma "
+            f"overflows the float range at xi = {xi[k]:.6g}"
         )
     return prob
 

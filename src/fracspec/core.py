@@ -319,7 +319,7 @@ class Sector:
 
 
 def band_limited_spectrum(
-    grid: SpatialGrid, dim: int = 1, rng: np.random.Generator | int | None = None
+    grid: SpatialGrid, dim: int, rng: np.random.Generator | int
 ) -> SpectralFunction:
     """Random spectrum on the central half of the modes.
 
@@ -349,7 +349,7 @@ def _band_limited_block(rng: np.random.Generator, trials: int, modes: int, dim: 
 
 
 def random_band_limited(
-    grid: SpatialGrid, dim: int = 1, rng: np.random.Generator | int | None = None
+    grid: SpatialGrid, dim: int, rng: np.random.Generator | int
 ) -> GridFunction:
     """Unit-L2 inverse transform of :func:`band_limited_spectrum`."""
     u = inverse_transform(band_limited_spectrum(grid, dim, rng))

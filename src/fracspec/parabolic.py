@@ -39,7 +39,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "ParabolicProblem",
     "SystemMatrix",
     "solve_parabolic",
     "parabolic_coercive_report",
@@ -49,46 +48,24 @@ __all__ = [
 SCHEMES = ("exact", "implicit-euler", "crank-nicolson")
 
 
-@dataclass(frozen=True, eq=False)
-class ParabolicProblem:
-    """Evolution problem on [0, horizon] with ``steps`` uniform time steps."""
-
-    core: EllipticProblem
-    horizon: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ValueError(f"time horizon must be positive, got {self.horizon}")
-        if self.steps < 2:
-            raise ValueError(f"need at least 2 time steps, got {self.steps}")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
-
-
-def _check_forcing(prob: ParabolicProblem, f: SpaceTimeFunction) -> None:
-    if f.grid != prob.core.grid:
+def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
+    if f.grid != prob.grid:
         raise ValueError("grid mismatch between forcing and problem")
-    if f.dim != prob.core.dim:
-        raise ValueError(
-            f"forcing dimension {f.dim} does not match problem dimension {prob.core.dim}"
-        )
-    if f.values.shape[0] != prob.steps + 1 or not np.allclose(
-        f.times, prob.times, rtol=0.0, atol=1e-12 * max(1.0, prob.horizon)
-    ):
-        raise ValueError("forcing time samples do not match the problem's uniform grid")
+    if f.dim != prob.dim:
+        raise ValueError(f"forcing dimension {f.dim} does not match problem dimension {prob.dim}")
+    # The ledger's second-order np.gradient needs 3 time samples.
+    if f.times.size < 3:
+        raise ValueError(f"need at least 2 time steps, got {f.times.size - 1}")
 
 
-def _dissipative_gate(prob: ParabolicProblem) -> np.ndarray:
+def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
     """Q(xi, 0) stack after checking every eigenvalue has positive real part."""
-    q0 = q_matrices(prob.core, 0.0)
+    q0 = q_matrices(prob, 0.0)
     eigs = np.linalg.eigvals(q0)
     re_min = eigs.real.min(axis=1)
     if (re_min <= 0.0).any():
         k = int(np.argmin(re_min))
-        xi = prob.core.grid.frequencies[k]
+        xi = prob.grid.frequencies[k]
         j = int(np.argmin(eigs[k].real))
         raise SolveError(
             f"operator symbol is not dissipative at xi={xi:.6g}: eigenvalue {eigs[k, j]:.6g}"
@@ -120,13 +97,14 @@ def _step_matrices(q0: np.ndarray, dt: float):
 
 
 def _evolve(
-    prob: ParabolicProblem,
     q0: np.ndarray,
+    dt: float,
+    steps: int,
     forcing: Callable[[int], np.ndarray],
     scheme: str,
     states: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Spectrum of u(t_steps) on the problem's time grid.
+    """Spectrum of u(t_steps) after ``steps`` uniform steps of length ``dt``.
 
     ``q0`` is the gated stack Q(xi, 0) and ``forcing(m)`` the (N, d)
     spectrum of f(t_m), read once, when step m first needs it.  The loop
@@ -136,7 +114,6 @@ def _evolve(
     ``OverflowError`` at the first state that is not finite, when the
     step is so long that the spectral solution overflows.
     """
-    dt = prob.horizon / prob.steps
     eye = np.eye(q0.shape[1])[None, :, :]
 
     if scheme == "exact":
@@ -162,7 +139,7 @@ def _evolve(
 
     f0 = forcing(0)
     u = np.zeros_like(f0)
-    for m in range(1, prob.steps + 1):
+    for m in range(1, steps + 1):
         f1 = forcing(m)
         u = step(u, f0, f1)
         if not np.isfinite(u).all():
@@ -176,9 +153,10 @@ def _evolve(
 
 
 def solve_parabolic(
-    prob: ParabolicProblem, f: SpaceTimeFunction, scheme: str = "exact"
+    prob: EllipticProblem, f: SpaceTimeFunction, scheme: str = "exact"
 ) -> SpaceTimeFunction:
-    """Evolve u_t + O u = f, u(0) = 0 over the problem's uniform time grid.
+    """Evolve u_t + O u = f, u(0) = 0 over the forcing's uniform time grid,
+    with O the symbol Q(xi, 0) of ``prob``.
 
     "exact" is variation of constants, exact (to rounding) when f is
     piecewise linear on the time grid, in particular for forcing constant
@@ -191,17 +169,18 @@ def solve_parabolic(
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     _check_forcing(prob, f)
     q0 = _dissipative_gate(prob)
-    fhat = prob.core.grid.to_spectral(f.values)
+    fhat = prob.grid.to_spectral(f.values)
     uhat = np.zeros_like(fhat)
-    _evolve(prob, q0, fhat.__getitem__, scheme, uhat)
+    steps = f.times.size - 1
+    _evolve(q0, float(f.times[-1]) / steps, steps, fhat.__getitem__, scheme, uhat)
     # Free the forcing spectrum before the inverse transform allocates its
     # output, so the two never sit on the heap together.
     del fhat
-    return SpaceTimeFunction(prob.core.grid, prob.times, prob.core.grid.to_physical(uhat))
+    return SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(uhat))
 
 
 def parabolic_coercive_report(
-    prob: ParabolicProblem,
+    prob: EllipticProblem,
     f: SpaceTimeFunction,
     scheme: str = "exact",
     p: float = 2.0,
@@ -221,15 +200,15 @@ def parabolic_coercive_report(
     exercised.
     """
     u = solve_parabolic(prob, f, scheme)
-    grid = prob.core.grid
-    dt = prob.horizon / prob.steps
-    du_dt = np.gradient(u.values, dt, axis=0, edge_order=2)
+    grid = prob.grid
+    horizon, steps = float(f.times[-1]), f.times.size - 1
+    du_dt = np.gradient(u.values, horizon / steps, axis=0, edge_order=2)
 
     xi = grid.frequencies
-    gamma = prob.core.order.gamma
-    mult = prob.core.a(xi) * frac_power_i_xi(xi, gamma)
+    gamma = prob.order.gamma
+    mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     uhat = grid.to_spectral(u.values)
-    ou = grid.to_physical(np.einsum("kij,mkj->mki", q_matrices(prob.core, 0.0), uhat))
+    ou = grid.to_physical(np.einsum("kij,mkj->mki", q_matrices(prob, 0.0), uhat))
 
     def _mixed(vals: np.ndarray) -> float:
         return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
@@ -246,7 +225,7 @@ def parabolic_coercive_report(
     terms = {
         "d_t u": _mixed(du_dt),
         f"a*D^{gamma:g} u": _ledger(mult[None, :, None] * uhat),
-        "A*u": _ledger(np.einsum("kij,mkj->mki", prob.core.A(xi), uhat)),
+        "A*u": _ledger(np.einsum("kij,mkj->mki", prob.A(xi), uhat)),
     }
     return SolveReport(
         solution=u,
@@ -258,8 +237,8 @@ def parabolic_coercive_report(
             "p": p,
             "p1": p1,
             "swap": swap,
-            "steps": prob.steps,
-            "horizon": prob.horizon,
+            "steps": steps,
+            "horizon": horizon,
             "forcing_norm": f_norm,
         },
     )
@@ -356,8 +335,7 @@ def solve_system(
         rep = solve_elliptic(core, f, 0.0, p=p)
         weighted = lp_norm(GridFunction(grid, rep.solution.values @ weight.T), p)
     else:
-        pprob = ParabolicProblem(core, float(f.times[-1]), f.times.size - 1)
-        rep = parabolic_coercive_report(pprob, f, p=p, p1=p1)
+        rep = parabolic_coercive_report(core, f, p=p, p1=p1)
         u = rep.solution
         weighted = mixed_norm(
             SpaceTimeFunction(grid, u.times, np.einsum("ij,mkj->mki", weight, u.values)), p, p1

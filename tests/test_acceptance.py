@@ -102,13 +102,13 @@ def test_criterion_03_residual_identities():
     core = make_problem(fs.SpatialGrid(10.0, 64), gamma=1.5)
     rels = {}
     for steps in (256, 1024):
-        pprob = fs.ParabolicProblem(core, 2.0, steps)
+        times = np.linspace(0.0, 2.0, steps + 1)
         f = fs.SpaceTimeFunction(
             core.grid,
-            pprob.times,
-            np.sin(pprob.times)[:, None] * np.exp(-core.grid.points**2)[None, :],
+            times,
+            np.sin(times)[:, None] * np.exp(-core.grid.points**2)[None, :],
         )
-        rels[steps] = fs.parabolic_coercive_report(pprob, f).residual_rel
+        rels[steps] = fs.parabolic_coercive_report(core, f).residual_rel
     ok = worst_elliptic <= 1e-9 and rels[256] <= 0.02 and rels[1024] <= 0.005
     _verdict(
         3,
@@ -221,21 +221,20 @@ def test_criterion_08_parabolic_schemes():
     for scheme in ("implicit-euler", "crank-nicolson"):
         errs = []
         for steps in (32, 64, 128, 256):
-            pprob = fs.ParabolicProblem(core, 2.0, steps)
             f = fs.SpaceTimeFunction(
-                g, pprob.times,
+                g, np.linspace(0.0, 2.0, steps + 1),
                 np.ones(steps + 1)[:, None] * np.exp(-g.points**2)[None, :],
             )
-            ref = fs.solve_parabolic(pprob, f)  # exact for constant forcing
-            u = fs.solve_parabolic(pprob, f, scheme)
+            ref = fs.solve_parabolic(core, f)  # exact for constant forcing
+            u = fs.solve_parabolic(core, f, scheme)
             errs.append(np.max(np.abs(u.values[-1] - ref.values[-1])))
         fit = np.polyfit(np.log2([32, 64, 128, 256]), np.log2(errs), 1)
         slopes[scheme] = -fit[0]
     steady_core = make_problem(fs.SpatialGrid(10.0, 64), gamma=1.5)
-    pprob = fs.ParabolicProblem(steady_core, 50.0, 400)
     phi = np.exp(-steady_core.grid.points**2)
-    f = fs.SpaceTimeFunction(steady_core.grid, pprob.times, np.ones(401)[:, None] * phi[None, :])
-    u_final = fs.solve_parabolic(pprob, f).values[-1]
+    times = np.linspace(0.0, 50.0, 401)
+    f = fs.SpaceTimeFunction(steady_core.grid, times, np.ones(401)[:, None] * phi[None, :])
+    u_final = fs.solve_parabolic(steady_core, f).values[-1]
     steady = fs.solve_elliptic(steady_core, fs.GridFunction(steady_core.grid, phi), 0.0)
     steady_err = np.max(np.abs(u_final - steady.solution.values))
     ok = (

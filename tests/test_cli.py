@@ -427,9 +427,9 @@ def test_convergence_matches_general_path(tmp_path, profile):
     prob = build_problem(cfg)
 
     def final_slice(steps, scheme):
-        pprob = parabolic.ParabolicProblem(prob, 2.0, steps)
-        f = _space_time_forcing(cfg, prob.grid, 1, pprob.times, np.random.default_rng(3))
-        return parabolic.solve_parabolic(pprob, f, scheme).values[-1]
+        times = np.linspace(0.0, 2.0, steps + 1)
+        f = _space_time_forcing(cfg, prob.grid, 1, times, np.random.default_rng(3))
+        return parabolic.solve_parabolic(prob, f, scheme).values[-1]
 
     exact = final_slice(32, "exact")
     want = [
@@ -444,14 +444,14 @@ def test_convergence_gates_once(tmp_path, monkeypatch):
     gate = parabolic._dissipative_gate
 
     def counting_gate(prob):
-        calls.append(prob.steps)
+        calls.append(prob)
         return gate(prob)
 
     monkeypatch.setattr(parabolic, "_dissipative_gate", counting_gate)
     monkeypatch.setattr(cli, "_dissipative_gate", counting_gate)
     ini, _ = _write_ini(tmp_path, "convergence", params="levels = 8,16,32\nscheme = exact")
     assert main(["--config", str(ini)]) == 0
-    assert calls == [32]
+    assert len(calls) == 1
 
 
 def test_exact_convergence_reuses_reference(tmp_path, monkeypatch):
@@ -761,6 +761,12 @@ _OVERSIZED = [
             _separability_l_edit("1e-320", ""),
             [],
             "[problem] l = 1e-320 over n = 64 gives a subnormal grid spacing\n",
+        ),
+        (
+            ("l = 10.0", "l = 1e-300"),
+            [],
+            "[problem] l = 1e-300: a(xi) (i xi)^gamma overflows the float range at xi = "
+            "3.14159e+300\n",
         ),
     ],
 )

@@ -222,8 +222,8 @@ def test_random_band_limited():
 PUBLIC_NAMES = [
     "BVPCoefficients", "CoefficientSymbol", "ConditionReport", "DEFAULT_SEED",
     "EllipticProblem", "FractionalOrder", "GridFunction", "JsonRecord", "OperatorSymbol",
-    "ParabolicProblem", "Sector", "SectorialityReport", "SolveError", "SolveReport",
-    "SpaceTimeFunction", "SpatialGrid", "SpectralFunction", "SystemMatrix", "Witness",
+    "Sector", "SectorialityReport", "SolveError", "SolveReport", "SpaceTimeFunction",
+    "SpatialGrid", "SpectralFunction", "SystemMatrix", "Witness",
     "__version__", "apply_multiplier", "band_limited_spectrum", "check_ellipticity",
     "check_mikhlin_bounds", "check_sector_growth", "coercive_report", "constant_coefficient",
     "constant_operator", "discretize_bvp", "embedding_probe", "forward_transform",

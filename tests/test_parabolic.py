@@ -21,8 +21,8 @@ def _gauss(grid):
 
 def test_zero_forcing_stays_zero():
     g = fs.SpatialGrid(10.0, 32)
-    prob = fs.ParabolicProblem(make_problem(g), 1.0, 8)
-    f = fs.SpaceTimeFunction(g, prob.times, np.zeros((9, 32)))
+    prob = make_problem(g)
+    f = fs.SpaceTimeFunction(g, np.linspace(0.0, 1.0, 9), np.zeros((9, 32)))
     assert np.all(fs.solve_parabolic(prob, f).values == 0.0)
     for scheme in ("implicit-euler", "crank-nicolson"):
         assert np.all(fs.solve_parabolic(prob, f, scheme).values == 0.0)
@@ -30,32 +30,48 @@ def test_zero_forcing_stays_zero():
 
 def test_initial_slice_is_zero():
     g = fs.SpatialGrid(10.0, 32)
-    prob = fs.ParabolicProblem(make_problem(g), 1.0, 8)
-    f = _profiled(g, prob.times, np.ones(9), _gauss(g))
+    prob = make_problem(g)
+    f = _profiled(g, np.linspace(0.0, 1.0, 9), np.ones(9), _gauss(g))
     u = fs.solve_parabolic(prob, f)
     assert np.all(u.values[0] == 0.0)
 
 
 def test_single_mode_constant_forcing_closed_form():
     g = fs.SpatialGrid(10.0, 64)
-    prob = fs.ParabolicProblem(make_problem(g, gamma=2.0, mat=np.array([[2.0]])), 2.0, 16)
+    prob = make_problem(g, gamma=2.0, mat=np.array([[2.0]]))
+    times = np.linspace(0.0, 2.0, 17)
     xi5 = g.frequencies[5]
     q = xi5**2 + 2.0
     phi = np.exp(1j * xi5 * g.points)
-    f = _profiled(g, prob.times, np.ones(17), phi)
+    f = _profiled(g, times, np.ones(17), phi)
     u = fs.solve_parabolic(prob, f)
     # u_t = -q u + 1 per mode: u(t) = (1 - e^(-q t)) / q
-    want = ((1.0 - np.exp(-q * prob.times)) / q)[:, None] * phi[None, :]
+    want = ((1.0 - np.exp(-q * times)) / q)[:, None] * phi[None, :]
     assert np.max(np.abs(u.values[:, :, 0] - want)) < 1e-9
+
+
+def test_solve_and_ledger_take_the_forcing_time_grid():
+    g = fs.SpatialGrid(10.0, 64)
+    prob = make_problem(g, gamma=2.0, mat=np.array([[2.0]]))
+    times = np.linspace(0.0, 0.75, 7)
+    xi3 = g.frequencies[3]
+    q = xi3**2 + 2.0
+    phi = np.exp(1j * xi3 * g.points)
+    f = _profiled(g, times, np.ones(7), phi)
+    rep = fs.parabolic_coercive_report(prob, f)
+    assert rep.meta["steps"] == 6
+    assert rep.meta["horizon"] == 0.75
+    assert np.array_equal(rep.solution.times, f.times)
+    want = ((1.0 - np.exp(-q * times)) / q)[:, None] * phi[None, :]
+    assert np.max(np.abs(rep.solution.values[:, :, 0] - want)) < 1e-9
 
 
 def test_long_horizon_reaches_elliptic_steady_state():
     g = fs.SpatialGrid(10.0, 64)
     core = make_problem(g, gamma=1.5)
-    prob = fs.ParabolicProblem(core, 50.0, 200)
     phi = _gauss(g)
-    f = _profiled(g, prob.times, np.ones(201), phi)
-    u_final = fs.solve_parabolic(prob, f).values[-1]
+    f = _profiled(g, np.linspace(0.0, 50.0, 201), np.ones(201), phi)
+    u_final = fs.solve_parabolic(core, f).values[-1]
     steady = fs.solve_elliptic(core, fs.GridFunction(g, phi), 0.0).solution.values
     assert np.max(np.abs(u_final - steady)) < 1e-6
 
@@ -81,10 +97,10 @@ def test_scheme_convergence_order(scheme, order):
     phi = _gauss(g)
     errs = []
     for steps in (64, 128, 256, 512):
-        prob = fs.ParabolicProblem(core, horizon, steps)
-        f = _profiled(g, prob.times, np.sin(prob.times), phi)
-        u = fs.solve_parabolic(prob, f, scheme)
-        want = _sine_reference(g, prob.times, phi, 2.0)
+        times = np.linspace(0.0, horizon, steps + 1)
+        f = _profiled(g, times, np.sin(times), phi)
+        u = fs.solve_parabolic(core, f, scheme)
+        want = _sine_reference(g, times, phi, 2.0)
         errs.append(np.max(np.abs(u.values[-1, :, 0] - want[-1])))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
     for slope in slopes:
@@ -97,10 +113,10 @@ def test_exact_solver_second_order_on_smooth_forcing():
     phi = _gauss(g)
     errs = []
     for steps in (64, 128, 256):
-        prob = fs.ParabolicProblem(core, 2.0, steps)
-        f = _profiled(g, prob.times, np.sin(prob.times), phi)
-        u = fs.solve_parabolic(prob, f)
-        want = _sine_reference(g, prob.times, phi, 2.0)
+        times = np.linspace(0.0, 2.0, steps + 1)
+        f = _profiled(g, times, np.sin(times), phi)
+        u = fs.solve_parabolic(core, f)
+        want = _sine_reference(g, times, phi, 2.0)
         errs.append(np.max(np.abs(u.values[-1, :, 0] - want[-1])))
     # piecewise-linear interpolation of sin is second order
     for i in range(2):
@@ -109,10 +125,11 @@ def test_exact_solver_second_order_on_smooth_forcing():
 
 def test_causality_of_ramp_forcing():
     g = fs.SpatialGrid(10.0, 32)
-    prob = fs.ParabolicProblem(make_problem(g), 1.0, 16)
+    prob = make_problem(g)
+    times = np.linspace(0.0, 1.0, 17)
     m0 = 6
-    profile = np.maximum(prob.times - prob.times[m0], 0.0)
-    f = _profiled(g, prob.times, profile, _gauss(g))
+    profile = np.maximum(times - times[m0], 0.0)
+    f = _profiled(g, times, profile, _gauss(g))
     u = fs.solve_parabolic(prob, f)
     assert np.all(u.values[: m0 + 1] == 0.0)
     assert np.max(np.abs(u.values[m0 + 1 :])) > 0.0
@@ -123,11 +140,12 @@ def test_causality_of_ramp_forcing():
 
 def test_linearity():
     g = fs.SpatialGrid(10.0, 32)
-    prob = fs.ParabolicProblem(make_problem(g, gamma=1.25), 1.0, 12)
+    prob = make_problem(g, gamma=1.25)
+    times = np.linspace(0.0, 1.0, 13)
     rng = np.random.default_rng(8)
-    f1 = fs.SpaceTimeFunction(g, prob.times, rng.standard_normal((13, 32)))
-    f2 = fs.SpaceTimeFunction(g, prob.times, rng.standard_normal((13, 32)))
-    fsum = fs.SpaceTimeFunction(g, prob.times, f1.values + 2.0 * f2.values)
+    f1 = fs.SpaceTimeFunction(g, times, rng.standard_normal((13, 32)))
+    f2 = fs.SpaceTimeFunction(g, times, rng.standard_normal((13, 32)))
+    fsum = fs.SpaceTimeFunction(g, times, f1.values + 2.0 * f2.values)
     u1 = fs.solve_parabolic(prob, f1).values
     u2 = fs.solve_parabolic(prob, f2).values
     usum = fs.solve_parabolic(prob, fsum).values
@@ -141,9 +159,9 @@ def test_coercive_report_residual_shrinks_with_dt():
     phi = _gauss(g)
     rels = {}
     for steps in (256, 1024):
-        prob = fs.ParabolicProblem(core, 2.0, steps)
-        f = _profiled(g, prob.times, np.sin(prob.times), phi)
-        rep = fs.parabolic_coercive_report(prob, f)
+        times = np.linspace(0.0, 2.0, steps + 1)
+        f = _profiled(g, times, np.sin(times), phi)
+        rep = fs.parabolic_coercive_report(core, f)
         rels[steps] = rep.residual_rel
         assert math.isfinite(rep.coercive_ratio)
         for key in ("d_t u", "a*D^1.5 u", "A*u"):
@@ -161,20 +179,21 @@ def test_coercive_report_residual_uses_the_factored_symbol():
     mat = np.array([[2.0, 1.0], [1.0, 2.0]])
     rels = []
     for q_form, sign in (("unfactored", 1.0), ("factored", -1.0)):
-        prob = fs.ParabolicProblem(make_problem(g, mat=sign * mat, q_form=q_form), 1.0, 16)
+        prob = make_problem(g, mat=sign * mat, q_form=q_form)
+        times = np.linspace(0.0, 1.0, 17)
         phi = np.tile(_gauss(g)[:, None], (1, 2))
-        f = fs.SpaceTimeFunction(g, prob.times, np.sin(prob.times)[:, None, None] * phi)
+        f = fs.SpaceTimeFunction(g, times, np.sin(times)[:, None, None] * phi)
         rels.append(fs.parabolic_coercive_report(prob, f).residual_rel)
     assert rels[0] < 1e-2
     assert rels[1] == pytest.approx(rels[0], rel=1e-12)
 
 
-def _random_forcing(prob, dim, seed):
-    """Non-separable complex Gaussian forcing on the problem's space-time grid."""
+def _random_forcing(grid, dim, seed):
+    """Non-separable complex Gaussian forcing on 16 steps over [0, 1]."""
     rng = np.random.default_rng(seed)
-    shape = (prob.steps + 1, prob.core.grid.size, dim)
+    shape = (17, grid.size, dim)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return fs.SpaceTimeFunction(prob.core.grid, prob.times, vals)
+    return fs.SpaceTimeFunction(grid, np.linspace(0.0, 1.0, 17), vals)
 
 
 _COUPLED = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -183,22 +202,21 @@ _COUPLED = np.array([[2.0, 1.0], [1.0, 2.0]])
 @pytest.mark.parametrize("scheme", parabolic.SCHEMES)
 def test_spectral_evolution_matches_solve_parabolic(scheme):
     g = fs.SpatialGrid(10.0, 64)
-    core = make_problem(g, mat=_COUPLED, a_family="scaled_decay")
-    prob = fs.ParabolicProblem(core, 1.0, 16)
-    f = _random_forcing(prob, 2, 5)
+    prob = make_problem(g, mat=_COUPLED, a_family="scaled_decay")
+    f = _random_forcing(g, 2, 5)
     q0 = parabolic._dissipative_gate(prob)
-    uhat = parabolic._evolve(prob, q0, g.to_spectral(f.values).__getitem__, scheme)
+    uhat = parabolic._evolve(q0, 1.0 / 16, 16, g.to_spectral(f.values).__getitem__, scheme)
     final = fs.solve_parabolic(prob, f, scheme).values[-1]
     assert np.array_equal(g.to_physical(uhat), final)
 
 
 def _physical_ledger(prob, u, p, p1, swap):
     """The a*D^gamma u and A*u mixed norms, each field inverse transformed."""
-    g = prob.core.grid
+    g = prob.grid
     xi = g.frequencies
     uhat = g.to_spectral(u.values)
-    mult = prob.core.a(xi) * fs.frac_power_i_xi(xi, prob.core.order.gamma)
-    spectra = (mult[None, :, None] * uhat, np.einsum("kij,mkj->mki", prob.core.A(xi), uhat))
+    mult = prob.a(xi) * fs.frac_power_i_xi(xi, prob.order.gamma)
+    spectra = (mult[None, :, None] * uhat, np.einsum("kij,mkj->mki", prob.A(xi), uhat))
     return [
         fs.mixed_norm(fs.SpaceTimeFunction(g, u.times, g.to_physical(s)), p, p1, swap=swap)
         for s in spectra
@@ -207,8 +225,8 @@ def _physical_ledger(prob, u, p, p1, swap):
 
 def _ledger_case():
     g = fs.SpatialGrid(10.0, 64)
-    prob = fs.ParabolicProblem(make_problem(g, mat=_COUPLED, a_family="scaled_decay"), 1.0, 16)
-    return prob, _random_forcing(prob, 2, 11)
+    prob = make_problem(g, mat=_COUPLED, a_family="scaled_decay")
+    return prob, _random_forcing(g, 2, 11)
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -231,27 +249,25 @@ def test_ledger_off_p2_is_the_physical_path(p, p1, swap):
 
 def test_dissipativity_gate():
     g = fs.SpatialGrid(10.0, 32)
-    prob = fs.ParabolicProblem(make_problem(g, mat=np.array([[-2.0]])), 1.0, 8)
-    f = _profiled(g, prob.times, np.ones(9), _gauss(g))
+    prob = make_problem(g, mat=np.array([[-2.0]]))
+    f = _profiled(g, np.linspace(0.0, 1.0, 9), np.ones(9), _gauss(g))
     with pytest.raises(fs.SolveError, match="not dissipative"):
         fs.solve_parabolic(prob, f)
 
 
 def test_problem_and_forcing_validations():
     g = fs.SpatialGrid(10.0, 32)
-    core = make_problem(g)
-    with pytest.raises(ValueError, match="horizon"):
-        fs.ParabolicProblem(core, 0.0, 8)
-    with pytest.raises(ValueError, match="time steps"):
-        fs.ParabolicProblem(core, 1.0, 1)
-    prob = fs.ParabolicProblem(core, 1.0, 8)
-    wrong_grid = fs.SpaceTimeFunction(fs.SpatialGrid(5.0, 32), prob.times, np.ones((9, 32)))
+    prob = make_problem(g)
+    times = np.linspace(0.0, 1.0, 9)
+    wrong_grid = fs.SpaceTimeFunction(fs.SpatialGrid(5.0, 32), times, np.ones((9, 32)))
     with pytest.raises(ValueError, match="grid mismatch"):
         fs.solve_parabolic(prob, wrong_grid)
-    wrong_times = fs.SpaceTimeFunction(g, np.linspace(0.0, 1.0, 5), np.ones((5, 32)))
-    with pytest.raises(ValueError, match="time samples"):
-        fs.solve_parabolic(prob, wrong_times)
-    ok = fs.SpaceTimeFunction(g, prob.times, np.ones((9, 32)))
+    one_step = fs.SpaceTimeFunction(g, np.array([0.0, 1.0]), np.ones((2, 32)))
+    with pytest.raises(ValueError, match="need at least 2 time steps, got 1"):
+        fs.solve_parabolic(prob, one_step)
+    with pytest.raises(ValueError, match="need at least 2 time steps, got 1"):
+        fs.parabolic_coercive_report(prob, one_step)
+    ok = fs.SpaceTimeFunction(g, times, np.ones((9, 32)))
     with pytest.raises(ValueError, match="unknown scheme"):
         fs.solve_parabolic(prob, ok, "leapfrog")
 
