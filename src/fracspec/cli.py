@@ -135,7 +135,7 @@ def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
-    """``'%.16e' % x`` of each float of ``values`` as the rows of an (n, 32)
+    """``'%.16e' % x`` of each float of ``values`` as the rows of an (n, 24)
     uint8 matrix, left to right with 0 bytes for padding.
 
     A cell prints |x| as n * 10^(k-16), with n the 17-digit integer nearest
@@ -146,7 +146,8 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     integer (y > 2^53), so rounding yh + yl to an integer rounds y alike
     unless the fraction of yl lies within 1e-9 of 1/2, exact ties included.
     Those cells, non-finite values and |x| outside [1e-280, 1e280] take
-    ``'%.16e' % x`` itself; +-0.0 stay on the fast path.
+    ``'%.16e' % x`` itself; +-0.0 stay on the fast path.  No cell is
+    longer than 24 characters (``-1.2345678901234567e-300``).
     """
     _, digits, exps = _float_tables()
     x = np.asarray(values, dtype=float).ravel()
@@ -173,6 +174,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
     # Four little-endian words per cell: sign, lead digit and point in the
     # top bytes of the first, 8 digits in each of the next two, the exponent.
+    # The text lies in bytes 5..28; the cell is that 24-byte window.
     cells = np.empty((x.size, 4), "<u8")
     lead = n // 10**16
     np.left_shift(lead.view(np.uint64) + ord("0"), 48, out=cells[:, 0])
@@ -181,27 +183,33 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         upper = block // 10**4
         cells[:, word] = digits.take(upper) | digits.take(block - upper * 10**4) << np.uint64(32)
     cells[:, 3] = exps.take(i)
-    cells = cells.view(np.uint8)
+    cells = cells.view(np.uint8)[:, 5:29]
     slow = np.flatnonzero(slow)
     if slow.size:
-        text = np.array(["%.16e" % v for v in x[slow].tolist()], dtype="S32")
-        cells[slow] = text.view(np.uint8).reshape(-1, 32)
+        text = np.array(["%.16e" % v for v in x[slow].tolist()], dtype="S24")
+        cells[slow] = text.view(np.uint8).reshape(-1, 24)
     return cells
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write one CSV table given as equal-length 1-D columns.
+    """Write one CSV table given as equal-length columns.
 
-    Each column's format follows its dtype: floats as ``%.16e``, integers as
-    ``%d`` and anything else verbatim (both through ``astype("S")``).  Floats
-    are printed by ``_float_cells``, which proves each cell's rounding in
-    fixed precision and hands the cells it cannot prove to ``'%.16e' % x``,
-    so every byte is that of ``%``-formatting.  Rows are formatted and
-    written ``CSV_BLOCK_ROWS`` at a time, so the file is never held whole.
+    A 1-D column's format follows its dtype: floats as ``%.16e``, integers
+    as ``%d`` and anything else verbatim (both through ``astype("S")``).
+    Floats are printed by ``_float_cells``, which proves each cell's
+    rounding in fixed precision and hands the cells it cannot prove to
+    ``'%.16e' % x``, so every byte is that of ``%``-formatting.  A 2-D
+    uint8 column holds rendered cells, one row each, padded with 0 bytes
+    (as ``_product_lead`` makes them).  Rows are formatted and written
+    ``CSV_BLOCK_ROWS`` at a time, so the file is never held whole.
     """
     columns = [np.asarray(c) for c in columns]
-    rows = columns[0].size
-    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
+    rows = len(columns[0])
+
+    def fits(c):
+        return c.shape == (rows,) or (c.ndim == 2 and c.dtype == np.uint8 and len(c) == rows)
+
+    if len(columns) != len(header) or not all(map(fits, columns)):
         shapes = [c.shape for c in columns]
         raise ValueError(f"{path.name}: columns {header} have unequal shapes {shapes}")
     floats = [np.issubdtype(c.dtype, np.floating) for c in columns]
@@ -217,26 +225,27 @@ def _csv_block(block: list[np.ndarray], floats: list[bool]) -> bytes:
     """The CSV rows of equal-length column slices; ``floats`` marks the float ones.
 
     Each column renders into a (rows, width) uint8 matrix padded with 0
-    bytes; the matrices are joined with comma and newline columns and the
-    padding is dropped.
+    bytes (a 2-D uint8 column is one already); the matrices are joined with
+    comma and newline columns and the padding is dropped.
     """
-    rows = block[0].size
+    rows = len(block[0])
     float_cells = iter(())
     if any(floats):
         stacked = np.column_stack([c for c, f in zip(block, floats) if f])
-        float_cells = iter(_float_cells(stacked).reshape(rows, -1, 32).transpose(1, 0, 2))
+        float_cells = iter(_float_cells(stacked).reshape(rows, -1, 24).transpose(1, 0, 2))
     comma = np.full((rows, 1), ord(","), np.uint8)
     parts = []
     for col, is_float in zip(block, floats):
         if is_float:
             parts.append(next(float_cells))
+        elif col.ndim == 2:
+            parts.append(col)
         else:
             text = col.astype("S")
             parts.append(text.view(np.uint8).reshape(rows, text.itemsize))
         parts.append(comma)
     parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-    table = np.concatenate(parts, axis=1).ravel()
-    return table[table != 0].tobytes()
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -257,9 +266,10 @@ def _write_solution(path: Path, lead: list[str], lead_cols: list, values: np.nda
 
 
 def _product_lead(outer, inner) -> list:
-    """Float lead columns of the grid ``outer`` x ``inner``, outer varying slowest."""
-    outer, inner = np.asarray(outer, dtype=float), np.asarray(inner, dtype=float)
-    return [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
+    """Lead columns of the grid ``outer`` x ``inner``, outer varying slowest,
+    as rendered float cells: each distinct value is formatted once."""
+    outer, inner = (_float_cells(np.asarray(v, dtype=float)) for v in (outer, inner))
+    return [np.repeat(outer, len(inner), axis=0), np.tile(inner, (len(outer), 1))]
 
 
 def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
@@ -567,8 +577,10 @@ def _task_convergence(run: _Run) -> bool:
     # (steps+1) x N x d work, not a resident field.
     _require_memory("[parameters] levels", text, (levels[-1] + 1, grid.size, prob.dim))
     horizon = _horizon(cfg, levels[-1])
-    # Every level's forcing is w(t_m) s(x): draw and transform s once.
-    shat = grid.to_spectral(build_forcing(cfg, grid, prob.dim, run.rng()).values)
+    # Every level's forcing is w(t_m) s(x): draw and transform s once, and
+    # hold its spectrum planar (d, N), as the time loop reads it.
+    spatial = build_forcing(cfg, grid, prob.dim, run.rng())
+    shat = np.ascontiguousarray(grid.to_spectral(spatial.values).T)
 
     q0 = _dissipative_gate(prob)
 
@@ -577,7 +589,7 @@ def _task_convergence(run: _Run) -> bool:
         # The forcing spectrum of step m is formed when the loop reads it.
         with naming(f"[parameters] t = {horizon}", OverflowError):
             uhat = _evolve(q0, horizon / steps, steps, lambda m: w[m] * shat, integrator)
-        return grid.to_physical(uhat)
+        return grid.to_physical(uhat.T)
 
     exact = final_state(levels[-1], "exact")
     errors = []

@@ -383,6 +383,12 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
             f"[problem] l = {cfg.text('problem', 'l')} over n = {size} "
             "gives a subnormal grid spacing"
         )
+    # Forcings, draws, ledgers and the Mikhlin ratios square values of the order
+    # of l or pi/l; separability and resolvent-sweep run at any l of finite
+    # period (separability names an l whose trial norms underflow).
+    squares = cfg.task not in ("separability", "resolvent-sweep")
+    if squares and half_width * half_width == math.inf:
+        raise ConfigError(f"[problem] l = {cfg.text('problem', 'l')}: l^2 overflows the float range")
     # Every task assembles the N x d x d symbol stack Q(xi).
     _require_memory("[problem] n", grid.size, (grid.size, op.dim, op.dim))
     prob = EllipticProblem(

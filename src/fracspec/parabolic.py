@@ -106,36 +106,44 @@ def _evolve(
 ) -> np.ndarray:
     """Spectrum of u(t_steps) after ``steps`` uniform steps of length ``dt``.
 
-    ``q0`` is the gated stack Q(xi, 0) and ``forcing(m)`` the (N, d)
+    ``q0`` is the gated stack Q(xi, 0) and ``forcing(m)`` the planar (d, N)
     spectrum of f(t_m), read once, when step m first needs it.  The loop
-    runs entirely in frequency space and holds only the current state;
-    given a (steps+1, N, d) ``states``, it writes each u(t_m), m >= 1,
-    into ``states[m]`` as soon as it is computed.  Raises
-    ``OverflowError`` at the first state that is not finite, when the
-    step is so long that the spectral solution overflows.
+    runs entirely in frequency space and holds only the current (d, N)
+    state; given a (steps+1, d, N) ``states``, it writes each u(t_m),
+    m >= 1, into ``states[m]`` as soon as it is computed.  The step
+    matrices are held as (d, d, N) stacks, so every contraction runs with
+    the frequency axis innermost.  Raises ``OverflowError`` before the
+    first step when dt * Q overflows, and at the first state that is not
+    finite, when the step is so long that the spectral solution overflows.
     """
+    overflow = f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
+    with np.errstate(over="ignore"):
+        if not np.isfinite(dt * q0).all():
+            raise OverflowError(overflow)
     eye = np.eye(q0.shape[1])[None, :, :]
 
+    def planar(m):
+        return np.ascontiguousarray(m.transpose(1, 2, 0))
+
+    def mul(m, v):
+        return np.einsum("ijk,jk->ik", m, v)
+
     if scheme == "exact":
-        e, p1, p2 = _step_matrices(q0, dt)
+        e, p1, p2 = map(planar, _step_matrices(q0, dt))
 
         def step(u, f0, f1):
-            return (
-                np.einsum("kij,kj->ki", e, u)
-                + dt * (np.einsum("kij,kj->ki", p1, f0) + np.einsum("kij,kj->ki", p2, f1 - f0))
-            )
+            return mul(e, u) + dt * (mul(p1, f0) + mul(p2, f1 - f0))
     elif scheme == "implicit-euler":
-        inv = np.linalg.inv(eye + dt * q0)
+        inv = planar(np.linalg.inv(eye + dt * q0))
 
         def step(u, f0, f1):
-            return np.einsum("kij,kj->ki", inv, u + dt * f1)
+            return mul(inv, u + dt * f1)
     else:
-        back = np.linalg.inv(eye + 0.5 * dt * q0)
-        fwd = eye - 0.5 * dt * q0
+        back = planar(np.linalg.inv(eye + 0.5 * dt * q0))
+        fwd = planar(eye - 0.5 * dt * q0)
 
         def step(u, f0, f1):
-            rhs = np.einsum("kij,kj->ki", fwd, u) + 0.5 * dt * (f0 + f1)
-            return np.einsum("kij,kj->ki", back, rhs)
+            return mul(back, mul(fwd, u) + 0.5 * dt * (f0 + f1))
 
     f0 = forcing(0)
     u = np.zeros_like(f0)
@@ -143,13 +151,32 @@ def _evolve(
         f1 = forcing(m)
         u = step(u, f0, f1)
         if not np.isfinite(u).all():
-            raise OverflowError(
-                f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
-            )
+            raise OverflowError(overflow)
         if states is not None:
             states[m] = u
         f0 = f1
     return u
+
+
+def _solve_spectral(
+    prob: EllipticProblem, f: SpaceTimeFunction, scheme: str
+) -> tuple[np.ndarray, SpaceTimeFunction]:
+    """The gated stack Q(xi, 0) and the solution of :func:`solve_parabolic`."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    _check_forcing(prob, f)
+    q0 = _dissipative_gate(prob)
+    fhat = prob.grid.to_spectral(f.values)
+    fplanar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
+    del fhat
+    states = np.zeros_like(fplanar)
+    steps = f.times.size - 1
+    _evolve(q0, float(f.times[-1]) / steps, steps, fplanar.__getitem__, scheme, states)
+    # Free the forcing spectrum before the inverse transform allocates its
+    # output, so the two never sit on the heap together.
+    del fplanar
+    u = prob.grid.to_physical(states.transpose(0, 2, 1))
+    return q0, SpaceTimeFunction(prob.grid, f.times, u)
 
 
 def solve_parabolic(
@@ -165,18 +192,7 @@ def solve_parabolic(
     Raises ``OverflowError`` when the step is so long that the spectral
     solution is not finite.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    _check_forcing(prob, f)
-    q0 = _dissipative_gate(prob)
-    fhat = prob.grid.to_spectral(f.values)
-    uhat = np.zeros_like(fhat)
-    steps = f.times.size - 1
-    _evolve(q0, float(f.times[-1]) / steps, steps, fhat.__getitem__, scheme, uhat)
-    # Free the forcing spectrum before the inverse transform allocates its
-    # output, so the two never sit on the heap together.
-    del fhat
-    return SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(uhat))
+    return _solve_spectral(prob, f, scheme)[1]
 
 
 def parabolic_coercive_report(
@@ -199,7 +215,7 @@ def parabolic_coercive_report(
     residual and f stay in physical space, so the round trip is still
     exercised.
     """
-    u = solve_parabolic(prob, f, scheme)
+    q0, u = _solve_spectral(prob, f, scheme)
     grid = prob.grid
     horizon, steps = float(f.times[-1]), f.times.size - 1
     du_dt = np.gradient(u.values, horizon / steps, axis=0, edge_order=2)
@@ -208,7 +224,15 @@ def parabolic_coercive_report(
     gamma = prob.order.gamma
     mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     uhat = grid.to_spectral(u.values)
-    ou = grid.to_physical(np.einsum("kij,mkj->mki", q_matrices(prob, 0.0), uhat))
+    uplanar = uhat.transpose(0, 2, 1)
+
+    def _apply(stack: np.ndarray) -> np.ndarray:
+        """The (M, N, d) spectra of the (N, d, d) ``stack`` applied to u's
+        slices, contracted with the frequency axis innermost."""
+        planar = np.ascontiguousarray(stack.transpose(1, 2, 0))
+        return np.einsum("ijk,mjk->mik", planar, uplanar).transpose(0, 2, 1)
+
+    ou = grid.to_physical(_apply(q0))
 
     def _mixed(vals: np.ndarray) -> float:
         return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
@@ -216,7 +240,8 @@ def parabolic_coercive_report(
     def _ledger(spectra: np.ndarray) -> float:
         """Mixed norm of the field whose slices have these spectra."""
         if p == p1 == 2.0:
-            return _mixed_l2_of_spectra(grid, u.times, spectra)
+            # Its sum's order follows the memory layout: read (M, N, d) in C order.
+            return _mixed_l2_of_spectra(grid, u.times, np.ascontiguousarray(spectra))
         return _mixed(grid.to_physical(spectra))
 
     residual_field = du_dt + ou - f.values
@@ -225,7 +250,7 @@ def parabolic_coercive_report(
     terms = {
         "d_t u": _mixed(du_dt),
         f"a*D^{gamma:g} u": _ledger(mult[None, :, None] * uhat),
-        "A*u": _ledger(np.einsum("kij,mkj->mki", prob.A(xi), uhat)),
+        "A*u": _ledger(_apply(prob.A(xi))),
     }
     return SolveReport(
         solution=u,

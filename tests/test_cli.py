@@ -568,6 +568,35 @@ def _separability_l_edit(half_width, line):
     )
 
 
+def _task_l_edit(task, half_width):
+    """Config edit that switches the task to ``task`` on the half-width ``half_width``."""
+    return (
+        "l = 10.0\nn = 64\n\n[task]\nname = solve-elliptic",
+        f"l = {half_width}\nn = 64\n\n[task]\nname = {task}",
+    )
+
+
+@pytest.mark.parametrize(
+    "task, params",
+    [
+        ("solve-elliptic", ""),
+        ("solve-parabolic", "nt = 4"),
+        ("convergence", "levels = 4,8,16"),
+        ("embedding-probe", ""),
+        ("verify-conditions", ""),
+        ("bvp", "mesh_size = 9"),
+        ("system", "mode = parabolic\nnt = 4"),
+    ],
+)
+def test_largest_half_width_with_a_finite_square_runs_clean(tmp_path, task, params):
+    """l = 1.3407807929942596e154, the largest l whose l^2 is finite, is accepted."""
+    ini, _ = _write_ini(tmp_path, task, params=params)
+    ini.write_text(ini.read_text().replace("l = 10.0", "l = 1.3407807929942596e154"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(ini)]) == 0
+
+
 # Sizes whose largest complex field exceeds the physical memory of any host
 # (n alone is 1.5 TiB; the time fields at n = 64 are about 93 TiB; the
 # bvp symbol stack at n = 64 and mesh_size = 40000 is 1.5 TiB).
@@ -768,6 +797,34 @@ _OVERSIZED = [
             "[problem] l = 1e-300: a(xi) (i xi)^gamma overflows the float range at xi = "
             "3.14159e+300\n",
         ),
+        *[
+            (
+                _task_l_edit(task, half_width),
+                [],
+                f"[problem] l = {half_width}: l^2 overflows the float range\n",
+            )
+            for task, half_width in [
+                ("solve-elliptic", "1.4e154"),
+                ("solve-parabolic", "1.4e154"),
+                ("convergence", "1.4e154"),
+                ("embedding-probe", "1e300"),
+                ("verify-conditions", "1e300"),
+                ("bvp", "1.3407807929942597e154"),
+            ]
+        ],
+        *[
+            (
+                _task_edit(task, f"{line}t = 1e308\nnt = 4"),
+                [],
+                "[parameters] t = 1e+308: time step 2.5e+307 overflows the spectral solution",
+            )
+            for task, line in [
+                ("solve-parabolic", "scheme = exact\n"),
+                ("solve-parabolic", "scheme = implicit-euler\n"),
+                ("solve-parabolic", "scheme = crank-nicolson\n"),
+                ("system", "mode = parabolic\n"),
+            ]
+        ],
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -890,7 +947,7 @@ def _assert_formats_as_percent(values):
     """``_float_cells`` prints each value as ``'%.16e' % v`` does."""
     values = np.asarray(values, dtype=float)
     cells = cli._float_cells(values)
-    assert cells.shape == (values.size, 32)
+    assert cells.shape == (values.size, 24)
     lines = np.concatenate([cells, np.full((values.size, 1), ord("\n"), np.uint8)], axis=1)
     lines = lines.ravel()
     want = "".join("%.16e\n" % v for v in values.tolist()).encode()
@@ -986,6 +1043,23 @@ def test_product_lead_solution_matches_per_row_oracle(tmp_path, layout, dim):
         for j, b in enumerate(inner)
     ]
     assert path.read_bytes() == _oracle_rows(header, rows)
+
+
+def test_space_time_solution_formats_each_lead_value_once(tmp_path, monkeypatch):
+    steps, size, dim = 5, 16, 2
+    formatted = []
+
+    def counting(values, cells=cli._float_cells):
+        formatted.append(np.size(values))
+        return cells(values)
+
+    monkeypatch.setattr(cli, "_float_cells", counting)
+    grid = SpatialGrid(half_width=10.0, size=size)
+    values = np.random.default_rng(3).standard_normal((steps + 1, size, dim)) + 0j
+    u = SimpleNamespace(times=np.linspace(0.0, 1.0, steps + 1), grid=grid, values=values)
+    _write_space_time_solution(tmp_path / "solution.csv", u)
+    rows = (steps + 1) * size
+    assert sum(formatted) == (steps + 1) + size + rows * 2 * dim
 
 
 def test_bvp_lead_columns_are_x_slowest(tmp_path):

@@ -205,9 +205,66 @@ def test_spectral_evolution_matches_solve_parabolic(scheme):
     prob = make_problem(g, mat=_COUPLED, a_family="scaled_decay")
     f = _random_forcing(g, 2, 5)
     q0 = parabolic._dissipative_gate(prob)
-    uhat = parabolic._evolve(q0, 1.0 / 16, 16, g.to_spectral(f.values).__getitem__, scheme)
+    fhat = g.to_spectral(f.values).transpose(0, 2, 1)
+    uhat = parabolic._evolve(q0, 1.0 / 16, 16, fhat.__getitem__, scheme)
     final = fs.solve_parabolic(prob, f, scheme).values[-1]
-    assert np.array_equal(g.to_physical(uhat), final)
+    assert np.array_equal(g.to_physical(uhat.T), final)
+
+
+def _reference_evolve(q0, dt, fhat, scheme):
+    """All states of the time loop on (N, d) spectra, with its step matrices
+    stacked (N, d, d) and contracted frequency by frequency."""
+    eye = np.eye(q0.shape[1])[None, :, :]
+
+    def mul(m, v):
+        return np.einsum("kij,kj->ki", m, v)
+
+    if scheme == "exact":
+        e, p1, p2 = parabolic._step_matrices(q0, dt)
+
+        def step(u, f0, f1):
+            return mul(e, u) + dt * (mul(p1, f0) + mul(p2, f1 - f0))
+    elif scheme == "implicit-euler":
+        inv = np.linalg.inv(eye + dt * q0)
+
+        def step(u, f0, f1):
+            return mul(inv, u + dt * f1)
+    else:
+        back = np.linalg.inv(eye + 0.5 * dt * q0)
+        fwd = eye - 0.5 * dt * q0
+
+        def step(u, f0, f1):
+            return mul(back, mul(fwd, u) + 0.5 * dt * (f0 + f1))
+
+    states = [np.zeros_like(fhat[0])]
+    for m in range(1, len(fhat)):
+        states.append(step(states[-1], fhat[m - 1], fhat[m]))
+    return np.array(states)
+
+
+_PERTURBED_3 = fs.perturbed_operator(
+    np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]]),
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+)
+
+
+@pytest.mark.parametrize("scheme", parabolic.SCHEMES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_planar_evolution_matches_frequency_major_loop_bit_for_bit(scheme, dim):
+    g = fs.SpatialGrid(10.0, 64)
+    if dim == 3:
+        prob = make_problem(g, operator=_PERTURBED_3, a_family="scaled_decay")
+    else:
+        prob = make_problem(g, mat=_COUPLED[:dim, :dim], a_family="scaled_decay")
+    fhat = g.to_spectral(_random_forcing(g, dim, 20 + dim).values)
+    q0 = parabolic._dissipative_gate(prob)
+    states = np.zeros((17, dim, g.size), dtype=complex)
+    final = parabolic._evolve(
+        q0, 1.0 / 16, 16, np.ascontiguousarray(fhat.transpose(0, 2, 1)).__getitem__, scheme, states
+    )
+    want = _reference_evolve(q0, 1.0 / 16, fhat, scheme)
+    assert np.array_equal(states.transpose(0, 2, 1), want)
+    assert np.array_equal(final.T, want[-1])
 
 
 def _physical_ledger(prob, u, p, p1, swap):
