@@ -388,7 +388,9 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     # period (separability names an l whose trial norms underflow).
     squares = cfg.task not in ("separability", "resolvent-sweep")
     if squares and half_width * half_width == math.inf:
-        raise ConfigError(f"[problem] l = {cfg.text('problem', 'l')}: l^2 overflows the float range")
+        raise ConfigError(
+            f"[problem] l = {cfg.text('problem', 'l')}: l^2 overflows the float range"
+        )
     # Every task assembles the N x d x d symbol stack Q(xi).
     _require_memory("[problem] n", grid.size, (grid.size, op.dim, op.dim))
     prob = EllipticProblem(

@@ -169,14 +169,17 @@ def _solve_spectral(
     fhat = prob.grid.to_spectral(f.values)
     fplanar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
     del fhat
-    states = np.zeros_like(fplanar)
+    # The loop writes each (d, N) state through a planar view of C-ordered
+    # (M, N, d) memory: the solution is C-ordered, as the forcing is, and so
+    # are the ledger's spectra, whose Parseval sums follow the layout.
+    states = np.zeros(f.values.shape, dtype=complex)
     steps = f.times.size - 1
-    _evolve(q0, float(f.times[-1]) / steps, steps, fplanar.__getitem__, scheme, states)
+    dt = float(f.times[-1]) / steps
+    _evolve(q0, dt, steps, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
     # Free the forcing spectrum before the inverse transform allocates its
     # output, so the two never sit on the heap together.
     del fplanar
-    u = prob.grid.to_physical(states.transpose(0, 2, 1))
-    return q0, SpaceTimeFunction(prob.grid, f.times, u)
+    return q0, SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(states))
 
 
 def solve_parabolic(
@@ -224,13 +227,15 @@ def parabolic_coercive_report(
     gamma = prob.order.gamma
     mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     uhat = grid.to_spectral(u.values)
-    uplanar = uhat.transpose(0, 2, 1)
 
     def _apply(stack: np.ndarray) -> np.ndarray:
         """The (M, N, d) spectra of the (N, d, d) ``stack`` applied to u's
-        slices, contracted with the frequency axis innermost."""
+        slices, contracted with the frequency axis innermost and written in
+        C order, as ``uhat`` is."""
+        out = np.empty_like(uhat)
         planar = np.ascontiguousarray(stack.transpose(1, 2, 0))
-        return np.einsum("ijk,mjk->mik", planar, uplanar).transpose(0, 2, 1)
+        np.einsum("ijk,mjk->mik", planar, uhat.transpose(0, 2, 1), out=out.transpose(0, 2, 1))
+        return out
 
     ou = grid.to_physical(_apply(q0))
 
@@ -240,8 +245,7 @@ def parabolic_coercive_report(
     def _ledger(spectra: np.ndarray) -> float:
         """Mixed norm of the field whose slices have these spectra."""
         if p == p1 == 2.0:
-            # Its sum's order follows the memory layout: read (M, N, d) in C order.
-            return _mixed_l2_of_spectra(grid, u.times, np.ascontiguousarray(spectra))
+            return _mixed_l2_of_spectra(grid, u.times, spectra)
         return _mixed(grid.to_physical(spectra))
 
     residual_field = du_dt + ou - f.values

@@ -207,8 +207,9 @@ def test_spectral_evolution_matches_solve_parabolic(scheme):
     q0 = parabolic._dissipative_gate(prob)
     fhat = g.to_spectral(f.values).transpose(0, 2, 1)
     uhat = parabolic._evolve(q0, 1.0 / 16, 16, fhat.__getitem__, scheme)
-    final = fs.solve_parabolic(prob, f, scheme).values[-1]
-    assert np.array_equal(g.to_physical(uhat.T), final)
+    u = fs.solve_parabolic(prob, f, scheme)
+    assert u.values.flags.c_contiguous
+    assert np.array_equal(g.to_physical(uhat.T), u.values[-1])
 
 
 def _reference_evolve(q0, dt, fhat, scheme):
