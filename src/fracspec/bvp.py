@@ -260,11 +260,11 @@ def solve_anisotropic(
     sqrt_hy = math.sqrt(hy)
     s_set = _probe_orders(order.gamma)
 
-    xi = grid.frequencies
+    sym = core._symbol
     terms: dict[str, float] = {}
     lhs = 0.0
     for s, w in zip(s_set, _coercive_weights(order.gamma, lam, s_set)):
-        val = sqrt_hy * multiplier_norm(u_spec, core.a(xi) * frac_power_i_xi(xi, s), p)
+        val = sqrt_hy * multiplier_norm(u_spec, sym.a * frac_power_i_xi(sym.xi, s), p)
         terms[f"a*Dx^{s:g} u"] = val
         lhs += w * val
     d0, d1, d2 = _y_derivative_stencils(u.values, hy)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DEFAULT_SEED, GridFunction, Sector, SpatialGrid, random_band_limited
-from .fractional import FractionalOrder, frac_power_i_xi
+from .fractional import FractionalOrder
 from .parabolic import SCHEMES
 from .symbols import (
     _Q_FORMS,
@@ -173,6 +173,12 @@ _POSITIVE = _ranged(_float, lambda v: v > 0.0, "be finite and positive")
 _NORMAL = _ranged(_float, lambda v: v >= sys.float_info.min, "be finite, positive and normal")
 _EXPONENT = _ranged(_float, lambda p: p > 1.0, "lie in (1, inf)")  # Lebesgue exponent
 _QUARTER_PI = "0.7853981633974483"
+# An output directory can be made where no file lies at or above the path.
+_DIRECTORY = _ranged(
+    str,
+    lambda t: next((p for p in (Path(t), *Path(t).parents) if p.exists()), Path(".")).is_dir(),
+    "not lie at or below a file",
+)
 
 _FORCING = ("forcing", "forcing_mode_index")
 _TIME = ("time_profile", "t")
@@ -218,7 +224,7 @@ KEYS = {
         "q_form": (_choice(*_Q_FORMS), "unfactored"),
     },
     "parameters": {
-        "seed": (_int, str(DEFAULT_SEED)),
+        "seed": (_at_least(0), str(DEFAULT_SEED)),
         "lambda": (_complex, "1"),
         "forcing": (_choice("gaussian", "mode", "random"), "gaussian"),
         "forcing_mode_index": (_int, "1"),
@@ -259,7 +265,7 @@ KEYS = {
         "levels": (_levels, "64,128,256"),
     },
     "output": {
-        "directory": (str, "out"),
+        "directory": (_DIRECTORY, "out"),
         "threads": (_ranged(_int, lambda n: n >= 0, "be >= 0 (0 = all cores)"), "1"),
     },
 }
@@ -286,7 +292,7 @@ class RunConfig:
         )
         try:
             parser.read(p)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {p}: {exc}") from exc
         cfg = cls({name: dict(parser[name]) for name in parser.sections()})
         task = cfg.value("task", "name")
@@ -396,17 +402,17 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     prob = EllipticProblem(
         order=order, a=a, A=op, sector=sector, grid=grid, q_form=cfg.value("problem", "q_form")
     )
-    xi = grid.frequencies
+    # The grid symbol is evaluated here first, where an overflow is named.
     with np.errstate(over="ignore", invalid="ignore"):
-        power = frac_power_i_xi(xi, order.gamma)
-        finite = np.isfinite(a(xi) * power)
+        sym = prob._symbol
+        finite = np.isfinite(sym.a * sym.frac)
     if not finite.all():
         # (i xi)^gamma alone overflowing puts the fault on the top frequency pi/h.
         k = np.argmin(finite)
-        key = "a_value" if np.isfinite(power[k]) else "l"
+        key = "a_value" if np.isfinite(sym.frac[k]) else "l"
         raise ConfigError(
             f"[problem] {key} = {cfg.text('problem', key)}: a(xi) (i xi)^gamma "
-            f"overflows the float range at xi = {xi[k]:.6g}"
+            f"overflows the float range at xi = {sym.xi[k]:.6g}"
         )
     return prob
 

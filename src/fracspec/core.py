@@ -288,8 +288,9 @@ def _mixed_l2_of_spectra(grid: SpatialGrid, times: np.ndarray, spectra: np.ndarr
 
     Discrete Parseval per slice, as in :func:`multiplier_norm`, under the
     trapezoid weights w_m in t: sqrt(sum_m w_m sum_k |g^_mk|^2 / 2L).
+    The sums run over a C-ordered copy, so they do not depend on the layout.
     """
-    per_slice = np.sum(np.abs(spectra) ** 2, axis=(1, 2))
+    per_slice = np.sum(np.abs(np.ascontiguousarray(spectra)) ** 2, axis=(1, 2))
     w = _trapezoid_weights(times)
     return math.sqrt(float(np.dot(w, per_slice)) / (2.0 * grid.half_width))
 

@@ -103,7 +103,7 @@ def _lambda_coupling(
     """The lambda-term of the selected symbol form applied to u (transform ``u_spec``)."""
     if prob.q_form == "unfactored":
         return lam * u
-    return lam * apply_multiplier(u_spec, prob.a(prob.grid.frequencies))
+    return lam * apply_multiplier(u_spec, prob._symbol.a)
 
 
 def solve_elliptic(
@@ -130,11 +130,11 @@ def _solve_with_spectrum(
         raise ValueError(f"forcing dimension {f.dim} does not match problem dimension {prob.dim}")
     lam = _in_sector(prob.sector, lam)
 
-    xi = prob.grid.frequencies
+    sym = prob._symbol
     q = q_matrices(prob, lam)
     _, bad = symbol_smin(prob, lam, q)
     if bad is not None:
-        raise SolveError(f"singular symbol at frequency xi={xi[bad]:.6g} for lambda={lam}")
+        raise SolveError(f"singular symbol at frequency xi={sym.xi[bad]:.6g} for lambda={lam}")
 
     spec = forward_transform(f)
     uhat = np.linalg.solve(q, spec.values[:, :, None])[:, :, 0]
@@ -151,11 +151,9 @@ def _solve_with_spectrum(
             f"= {_RESIDUAL_TOL * f_norm:.3e}"
         )
 
-    gamma = prob.order.gamma
-    frac_mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     term_norms = {
-        f"a*D^{gamma:g} u": multiplier_norm(u_spec, frac_mult, p),
-        "A*u": multiplier_norm(u_spec, prob.A(xi), p),
+        f"a*D^{prob.order.gamma:g} u": multiplier_norm(u_spec, sym.a * sym.frac, p),
+        "A*u": multiplier_norm(u_spec, sym.A, p),
         "lambda*u": abs(lam) * lp_norm(u, p),
     }
     return SolveReport(
@@ -205,13 +203,13 @@ def coercive_report(
     rep, u_spec = _solve_with_spectrum(prob, f, lam, p)
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
-    xi = prob.grid.frequencies
+    sym = prob._symbol
     term_norms = dict(rep.term_norms)
     conv_sum = 0.0
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
-        frac = frac_power_i_xi(xi, s)
-        n_conv = multiplier_norm(u_spec, prob.a(xi) * frac, p)
+        frac = frac_power_i_xi(sym.xi, s)
+        n_conv = multiplier_norm(u_spec, sym.a * frac, p)
         n_plain = multiplier_norm(u_spec, frac, p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain
@@ -382,14 +380,14 @@ def separability_check(
     _check_exponent(p)
     s_set = _probe_orders(prob.order.gamma, s_set)
     grid = prob.grid
-    xi = grid.frequencies
     keep = np.abs(grid.indices) <= grid.size // 4
     rng = np.random.default_rng(seed)
     ratios: list[float] = []
     witnesses: list[Witness] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        mults = [prob.a(xi) * frac_power_i_xi(xi, s) for s in s_set]
-        mults += [prob.A(xi), q_matrices(prob, 0.0)]
+        sym = prob._symbol
+        mults = [sym.a * frac_power_i_xi(sym.xi, s) for s in s_set]
+        mults += [sym.A, q_matrices(prob, 0.0)]
         # off the band a non-finite multiplier meets inf * 0 = nan in every trial
         finite = all(np.isfinite(m).all() for m in mults)
         mults = [np.ascontiguousarray(m[keep].T) for m in mults]

@@ -29,7 +29,7 @@ from .core import (
     mixed_norm,
 )
 from .elliptic import SolveError, SolveReport, solve_elliptic
-from .fractional import FractionalOrder, frac_power_i_xi
+from .fractional import FractionalOrder
 from .symbols import (
     CoefficientSymbol,
     EllipticProblem,
@@ -223,9 +223,8 @@ def parabolic_coercive_report(
     horizon, steps = float(f.times[-1]), f.times.size - 1
     du_dt = np.gradient(u.values, horizon / steps, axis=0, edge_order=2)
 
-    xi = grid.frequencies
+    sym = prob._symbol
     gamma = prob.order.gamma
-    mult = prob.a(xi) * frac_power_i_xi(xi, gamma)
     uhat = grid.to_spectral(u.values)
 
     def _apply(stack: np.ndarray) -> np.ndarray:
@@ -253,8 +252,8 @@ def parabolic_coercive_report(
     resid = _mixed(residual_field)
     terms = {
         "d_t u": _mixed(du_dt),
-        f"a*D^{gamma:g} u": _ledger(mult[None, :, None] * uhat),
-        "A*u": _ledger(_apply(prob.A(xi))),
+        f"a*D^{gamma:g} u": _ledger((sym.a * sym.frac)[None, :, None] * uhat),
+        "A*u": _ledger(_apply(sym.A)),
     }
     return SolveReport(
         solution=u,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,8 @@ _FD_STEP = 1e-5  # central-difference step is _FD_STEP * max(1, |xi|)
 # Singular-symbol gate: Q(xi, lambda) is singular where its smallest
 # singular value is at most _SINGULAR_TOL * max(largest, 1).
 _SINGULAR_TOL = 1e-14
+
+_XI0 = 1.0  # reference frequency of the multiplier bounds: A(_XI0) must be invertible
 
 
 def _json_value(v):
@@ -142,27 +145,24 @@ def smallest_singular_values(q: np.ndarray, rel_tol: float) -> tuple[np.ndarray,
 class OperatorSymbol:
     """Matrix symbol xi -> A(xi) in C^{d x d}; ``func`` maps (M,) -> (M, d, d).
 
-    ``xi0`` is the nonzero reference frequency used to normalize the
-    multiplier bounds; A(xi0) must be invertible.  ``constant_matrix`` is
-    set by the constant builder so operations needing a plain matrix
-    (fractional powers, SPD gates) can get at it.
+    A(xi0) at the reference frequency xi0 = 1 normalizes the multiplier
+    bounds and must be invertible.  ``constant_matrix`` is set by the
+    constant builder so operations needing a plain matrix (fractional
+    powers, SPD gates) can get at it.
     """
 
     name: str
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    xi0: float = 1.0
     constant_matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.xi0 == 0.0:
-            raise ValueError("reference frequency xi0 must be nonzero")
-        _, bad = smallest_singular_values(self(self.xi0), 1e-12)
+        _, bad = smallest_singular_values(self(_XI0), 1e-12)
         if bad is not None:
             raise ValueError(
                 f"operator symbol {self.name!r} is singular at the reference "
-                f"frequency xi0={self.xi0}"
+                f"frequency xi0={_XI0}"
             )
 
     def __call__(self, xi) -> np.ndarray:
@@ -193,18 +193,16 @@ class OperatorSymbol:
         return (self(arr + step) - self(arr - step)) / (2.0 * step)[:, None, None]
 
 
-def constant_coefficient(value: complex, name: str | None = None) -> CoefficientSymbol:
+def constant_coefficient(value: complex) -> CoefficientSymbol:
     c = complex(value)
     return CoefficientSymbol(
-        name=name or f"constant({c:g})",
+        name=f"constant({c:g})",
         func=lambda xi: np.full(np.shape(xi), c),
         derivative=lambda xi: np.zeros(np.shape(xi), dtype=complex),
     )
 
 
-def scaled_decay_coefficient(
-    value: complex, gamma: float, name: str | None = None
-) -> CoefficientSymbol:
+def scaled_decay_coefficient(value: complex, gamma: float) -> CoefficientSymbol:
     """c * |xi|^(2-gamma) / (1 + xi^2)^((2-gamma)/2): bounded, quadratic-growth safe."""
     c = complex(value)
     beta = 2.0 - float(gamma)
@@ -220,7 +218,7 @@ def scaled_decay_coefficient(
             out = c * beta * base * np.sign(xi) * (1.0 + xi**2) ** (-1.5)
         return np.where(xi == 0.0, 0.0, out)
 
-    return CoefficientSymbol(name=name or f"scaled_decay({c:g},{gamma:g})", func=func, derivative=deriv)
+    return CoefficientSymbol(name=f"scaled_decay({c:g},{gamma:g})", func=func, derivative=deriv)
 
 
 def _square(mat: np.ndarray, what: str) -> np.ndarray:
@@ -244,7 +242,7 @@ def constant_operator(mat: np.ndarray, name: str | None = None) -> OperatorSymbo
     )
 
 
-def perturbed_operator(base: np.ndarray, bump: np.ndarray, name: str | None = None) -> OperatorSymbol:
+def perturbed_operator(base: np.ndarray, bump: np.ndarray) -> OperatorSymbol:
     """A0 + B/(1 + xi^2): a decaying perturbation of a constant operator."""
     a0 = _square(base, "base matrix")
     b = _square(bump, "perturbation matrix")
@@ -260,10 +258,21 @@ def perturbed_operator(base: np.ndarray, bump: np.ndarray, name: str | None = No
         w = -2.0 * xi / (1.0 + xi**2) ** 2
         return w[:, None, None] * b[None, :, :]
 
-    return OperatorSymbol(name=name or f"perturbed[{d}x{d}]", dim=d, func=func, derivative=deriv)
+    return OperatorSymbol(name=f"perturbed[{d}x{d}]", dim=d, func=func, derivative=deriv)
 
 
 _Q_FORMS = ("unfactored", "factored")
+
+
+class _GridSymbol(NamedTuple):
+    """The lambda-independent parts of Q on a problem grid, and the values of
+    A behind a normal Q (None when Q is not normal)."""
+
+    xi: np.ndarray
+    a: np.ndarray
+    frac: np.ndarray
+    A: np.ndarray
+    normal: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,6 +300,27 @@ class EllipticProblem:
     def dim(self) -> int:
         return self.A.dim
 
+    @cached_property
+    def _symbol(self) -> _GridSymbol:
+        """Q's lambda-independent parts on ``grid`` as read-only views, taken on
+        first use.  Q is a scalar times (a scalar times I plus A(xi)), so it is
+        normal when d == 1 or A(xi) is exactly Hermitian at every frequency;
+        ``normal`` is then ``A.constant_matrix`` (d, d) if set, else A(xi)."""
+        xi = self.grid.frequencies
+        a_vals, frac, a_mats = self.a(xi), frac_power_i_xi(xi, self.order.gamma), self.A(xi)
+        normal = a_mats if self.A.constant_matrix is None else self.A.constant_matrix
+        if self.dim > 1 and not np.array_equal(normal, np.conj(np.swapaxes(normal, -1, -2))):
+            normal = None
+        # broadcast_to(v, v.shape) is a read-only view of v
+        parts = (xi, a_vals, frac, a_mats, normal)
+        return _GridSymbol(*(v if v is None else np.broadcast_to(v, v.shape) for v in parts))
+
+    @cached_property
+    def _mu(self) -> np.ndarray:
+        """The eigenvalues of ``_symbol.normal``, taken when the gate first asks."""
+        normal = self._symbol.normal
+        return normal[..., 0] if self.dim == 1 else np.linalg.eigvalsh(normal)
+
 
 def _in_sector(sector: Sector, lam: complex) -> complex:
     """``lam`` as a complex number; ValueError unless ``sector`` holds it."""
@@ -301,40 +331,24 @@ def _in_sector(sector: Sector, lam: complex) -> complex:
 
 
 def _q_stack(prob: EllipticProblem, xi: np.ndarray, lam: complex) -> np.ndarray:
-    a_vals = prob.a(xi)
-    frac = frac_power_i_xi(xi, prob.order.gamma)
-    a_mats = prob.A(xi)
+    """Q(xi, lambda) assembled from the grid symbol; ``xi`` is its
+    frequencies, passed so that a profiler can key each call on them."""
+    sym = prob._symbol
     eye = np.eye(prob.dim)
     if prob.q_form == "unfactored":
-        return (a_vals * frac + lam)[:, None, None] * eye + a_mats
-    return a_vals[:, None, None] * ((frac + lam)[:, None, None] * eye + a_mats)
+        return (sym.a * sym.frac + lam)[:, None, None] * eye + sym.A
+    return sym.a[:, None, None] * ((sym.frac + lam)[:, None, None] * eye + sym.A)
 
 
 def q_matrices(prob: EllipticProblem, lam: complex) -> np.ndarray:
     """Q(xi_k, lambda) stacked over the problem grid's frequencies, shape (N, d, d)."""
-    return _q_stack(prob, prob.grid.frequencies, complex(lam))
-
-
-def _normal_operator(prob: EllipticProblem) -> np.ndarray | None:
-    """The values of A behind a normal Q(xi, lambda), or None.
-
-    Q is a scalar times (a scalar times I plus A(xi)), so it is normal when
-    d == 1 or when A(xi) is exactly Hermitian at every grid frequency.
-    Returns ``A.constant_matrix`` (d, d) for a constant operator, else the
-    stack A(xi) (N, d, d); None when some A(xi) is not exactly Hermitian.
-    """
-    a = prob.A.constant_matrix
-    if a is None:
-        a = prob.A(prob.grid.frequencies)
-    if prob.dim == 1 or np.array_equal(a, np.conj(np.swapaxes(a, -1, -2))):
-        return a
-    return None
+    return _q_stack(prob, prob._symbol.xi, complex(lam))
 
 
 def symbol_kernel(prob: EllipticProblem) -> str:
     """Which kernel ``symbol_smin`` uses on the problem grid: "hermitian-eig"
     when Q(xi, lambda) is normal there, else "svd"."""
-    return "svd" if _normal_operator(prob) is None else "hermitian-eig"
+    return "svd" if prob._symbol.normal is None else "hermitian-eig"
 
 
 def symbol_smin(
@@ -349,12 +363,9 @@ def symbol_smin(
     of A(xi); one ``eigvalsh`` gives every mu_j.  Other problems take the
     SVD, of ``q`` when the caller has built the stack already.
     """
-    a = _normal_operator(prob)
-    if a is not None:
-        xi = prob.grid.frequencies
-        mu = a[..., 0] if prob.dim == 1 else np.linalg.eigvalsh(a)
-        a_vals = prob.a(xi)[:, None]
-        frac = frac_power_i_xi(xi, prob.order.gamma)[:, None]
+    sym = prob._symbol
+    if sym.normal is not None:
+        a_vals, frac, mu = sym.a[:, None], sym.frac[:, None], prob._mu
         with np.errstate(over="ignore", invalid="ignore"):
             if prob.q_form == "unfactored":
                 mods = np.abs(a_vals * frac + lam + mu)
@@ -388,10 +399,11 @@ def check_sector_growth(prob: EllipticProblem, phi1: Sector) -> ConditionReport:
     sits at the smallest frequency and exceeds 1.5x its value near
     |xi| = 1.  Witnesses list the offending frequencies.
     """
-    xi = prob.grid.frequencies
-    xi = xi[xi != 0.0]
+    sym = prob._symbol
+    nz = sym.xi != 0.0
+    xi, a_vals = sym.xi[nz], sym.a[nz]
     gamma = prob.order.gamma
-    vals = prob.a(xi) * frac_power_i_xi(xi, gamma)
+    vals = a_vals * sym.frac[nz]
 
     witnesses: list[Witness] = []
     angles = np.abs(np.angle(vals))
@@ -406,7 +418,7 @@ def check_sector_growth(prob: EllipticProblem, phi1: Sector) -> ConditionReport:
         )
     sector_pass = not bad.any()
 
-    ratio = np.abs(prob.a(xi)) * np.abs(xi) ** gamma / xi**2
+    ratio = np.abs(a_vals) * np.abs(xi) ** gamma / xi**2
     c0 = float(ratio.max())
     uniq, grouped = _grouped_by_magnitude(xi, ratio)
     ref = float(grouped[np.argmin(np.abs(uniq - 1.0))])
@@ -443,18 +455,19 @@ def check_mikhlin_bounds(prob: EllipticProblem) -> ConditionReport:
     derivative is differenced centrally; ``meta["used_fd"]`` says whether
     any was.
     """
-    xi = prob.grid.frequencies
-    xi = xi[xi != 0.0]
-    ref_inv = np.linalg.inv(prob.A.at(prob.A.xi0))
+    sym = prob._symbol
+    nz = sym.xi != 0.0
+    xi = sym.xi[nz]
+    ref_inv = np.linalg.inv(prob.A.at(_XI0))
 
     terms = {
-        "coeff_b0": np.abs(prob.a(xi)),
+        "coeff_b0": np.abs(sym.a[nz]),
         "coeff_b1": np.abs(xi) * np.abs(prob.a.derivative_at(xi)),
     }
     const = prob.A.constant_matrix
     used_fd = prob.a.derivative is None or (const is None and prob.A.derivative is None)
     if const is None:
-        terms["op_b0"] = np.linalg.norm(prob.A(xi) @ ref_inv, ord=2, axis=(1, 2))
+        terms["op_b0"] = np.linalg.norm(sym.A[nz] @ ref_inv, ord=2, axis=(1, 2))
         terms["op_b1"] = np.abs(xi) * np.linalg.norm(
             prob.A.derivative_at(xi) @ ref_inv, ord=2, axis=(1, 2)
         )

@@ -518,6 +518,42 @@ def test_hard_errors_exit_one(tmp_path, capsys):
     assert "no config given" in capsys.readouterr().err
 
 
+_NEGATIVE_SEED = "[parameters] seed must be at least 0, got -1\n"
+_BAD_DIRECTORY = "[output] directory must not lie at or below a file, got "
+
+
+@pytest.mark.parametrize(
+    "env, argv, key",
+    [
+        ({"FRACSPEC_SEED": "-1"}, [], _NEGATIVE_SEED),
+        ({}, ["--out", "afile"], _BAD_DIRECTORY),
+        ({}, ["--out", "afile/sub"], _BAD_DIRECTORY),
+        ({"FRACSPEC_OUT": "afile"}, [], _BAD_DIRECTORY),
+    ],
+)
+def test_overrides_naming_a_bad_seed_or_output_path(tmp_path, capsys, monkeypatch, env, argv, key):
+    ini, out = _write_ini(tmp_path, "solve-elliptic")
+    (tmp_path / "afile").write_text("")
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["--config", str(ini), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: " + key)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.ini"]
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(b"\xff\xfe[task]\n")
+    assert main(["--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse config {ini}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+
+
 def test_convergence_level_validation(tmp_path, capsys):
     for levels in ("8,16", "8,8,16", "16,8,32"):
         ini, _ = _write_ini(
@@ -825,6 +861,12 @@ _OVERSIZED = [
                 ("system", "mode = parabolic\n"),
             ]
         ],
+        (_task_edit("solve-elliptic", "seed = -1"), [], _NEGATIVE_SEED),
+        (None, ["--seed", "-1"], _NEGATIVE_SEED),
+        (_task_edit("verify-conditions", "seed = -1"), [], _NEGATIVE_SEED),
+        # the config file itself stands in for a file at or above the directory
+        (("/out\n", "/run.ini\n"), [], _BAD_DIRECTORY),
+        (("/out\n", "/run.ini/out\n"), [], _BAD_DIRECTORY),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

@@ -152,6 +152,21 @@ def test_mixed_norm_matches_manual_loops():
     assert abs(fs.mixed_norm(f, p, p1) - want) < 1e-12
 
 
+def test_mixed_l2_of_spectra_does_not_depend_on_memory_layout():
+    """The same values held in planar (M, d, N) memory give the same float."""
+    from fracspec.core import _mixed_l2_of_spectra
+
+    times = np.linspace(0.0, 1.0, 9)
+    for n in (64, 256):
+        g = fs.SpatialGrid(10.0, n)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            spec = rng.standard_normal((9, n, 2)) + 1j * rng.standard_normal((9, n, 2))
+            spec *= np.exp(rng.uniform(-20.0, 5.0, size=(9, n, 1)))
+            planar = np.ascontiguousarray(spec.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert _mixed_l2_of_spectra(g, times, planar) == _mixed_l2_of_spectra(g, times, spec)
+
+
 def test_space_time_validation():
     g = fs.SpatialGrid(2.0, 8)
     with pytest.raises(ValueError):

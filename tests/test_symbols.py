@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -15,32 +16,32 @@ from conftest import make_problem
 from fracspec.bvp import BVPCoefficients, discretize_bvp
 from fracspec.parabolic import SystemMatrix, _shifted_coupling
 from fracspec import symbols
-from fracspec.symbols import _grouped_by_magnitude, _q_stack
+from fracspec.symbols import _grouped_by_magnitude
 
 SQ2 = math.sqrt(0.5)
 
 
 def test_q_symbol_unfactored_examples():
-    g = fs.SpatialGrid(10.0, 64)
+    g = fs.SpatialGrid(math.pi, 8)  # xi_k = k
     prob = make_problem(g, gamma=2.0, mat=np.diag([1.0, 2.0]))
-    q = _q_stack(prob, np.array([1.0]), 0.0)[0]
+    q = fs.q_matrices(prob, 0.0)[1]
     # a = -1 and (i*1)^2 = -1, so the fractional part contributes +1 on the diagonal
     np.testing.assert_allclose(q, np.diag([2.0, 3.0]), atol=1e-14)
 
     prob = make_problem(g, gamma=1.5, mat=np.array([[0.5]]))
-    q = _q_stack(prob, np.array([1.0]), 2.0)[0]
+    q = fs.q_matrices(prob, 2.0)[1]
     want = -np.exp(0.75j * math.pi) + 0.5 + 2.0
     assert q[0, 0] == pytest.approx(want, abs=1e-13)
     assert q[0, 0] == pytest.approx(SQ2 - SQ2 * 1j + 2.5, abs=1e-13)
 
 
 def test_q_symbol_factored_form():
-    g = fs.SpatialGrid(10.0, 64)
+    g = fs.SpatialGrid(math.pi, 8)  # xi_k = k
     prob = make_problem(g, gamma=1.5, mat=np.array([[0.5]]), q_form="factored")
     xi, lam = 2.0, 1.0 + 0.5j
     a_val = -1.0
     want = a_val * (fs.frac_power_i_xi(xi, 1.5) + 0.5 + lam)
-    assert _q_stack(prob, np.array([xi]), lam)[0, 0, 0] == pytest.approx(want, abs=1e-13)
+    assert fs.q_matrices(prob, lam)[2, 0, 0] == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValueError, match="q_form"):
         make_problem(g, q_form="diagonal")
 
@@ -91,8 +92,6 @@ def test_symbol_derivatives_match_finite_differences():
 def test_operator_symbol_validation():
     with pytest.raises(ValueError, match="singular at the reference"):
         fs.constant_operator(np.array([[0.0]]))
-    with pytest.raises(ValueError, match="xi0"):
-        fs.OperatorSymbol(name="bad", dim=1, func=lambda xi: np.ones((xi.size, 1, 1)), xi0=0.0)
     op = fs.constant_operator(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert op.at(3.0).shape == (2, 2)
     assert op.constant_matrix is not None
@@ -253,6 +252,136 @@ def test_solve_builds_its_symbol_stack_once(monkeypatch, svd_calls, mat):
     fs.solve_elliptic(prob, f, 1.0)
     assert stacks == [1.0, 0.0]
     assert len(svd_calls) == (fs.symbol_kernel(prob) == "svd")
+
+
+_BASES = {
+    1: (np.array([[2.0]]), np.array([[0.5]]), np.array([[0.5 + 0.5j]])),
+    2: (
+        np.array([[3.0, 1.0], [1.0, 3.0]]),
+        np.array([[1.0, 0.5], [0.5, 1.0]]),
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+    ),
+    3: (
+        np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]]),
+        np.diag([1.0, 0.0, 1.0]),
+        np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ),
+}
+
+
+def _symbol_case(dim, family, q_form, n=64):
+    """A problem with a constant, perturbed Hermitian or perturbed
+    non-Hermitian A; the factored form takes a = -1 and -A, so that Q(xi, 0)
+    stays dissipative."""
+    base, hermitian, skew = _BASES[dim]
+    sign = 1.0 if q_form == "unfactored" else -1.0
+    if family == "constant":
+        op = fs.constant_operator(sign * base)
+    else:
+        op = fs.perturbed_operator(sign * base, sign * (hermitian if family == "hermitian" else skew))
+    a_family = "scaled_decay" if q_form == "unfactored" else "constant"
+    return make_problem(
+        fs.SpatialGrid(10.0, n), gamma=1.5, operator=op, q_form=q_form, a_family=a_family
+    )
+
+
+def _sine_forcing(prob, steps=4):
+    f = fs.random_band_limited(prob.grid, prob.dim, 9)
+    times = np.linspace(0.0, 0.5, steps + 1)
+    return fs.SpaceTimeFunction(prob.grid, times, np.sin(3.0 * times)[:, None, None] * f.values)
+
+
+@pytest.mark.parametrize("family", ["hermitian", "non-hermitian"])
+def test_each_problem_evaluates_its_grid_symbol_once(monkeypatch, family):
+    """a(xi), (i xi)^gamma and A(xi) are taken once per problem, and A's
+    eigenvalues at most once, across a solve, a resolvent bound over three
+    lambdas and a parabolic ledger."""
+    prob = _symbol_case(2, family, "unfactored")
+    f = fs.random_band_limited(prob.grid, 2, 5)
+    forcing = _sine_forcing(prob)
+    calls = {"a": 0, "A": 0, "frac": 0, "eigvalsh": 0}
+
+    def counting(key, real):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(fs.CoefficientSymbol, "__call__", counting("a", fs.CoefficientSymbol.__call__))
+    monkeypatch.setattr(fs.OperatorSymbol, "__call__", counting("A", fs.OperatorSymbol.__call__))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    real_frac = fs.frac_power_i_xi
+
+    def frac(xi, alpha):
+        if alpha == prob.order.gamma:
+            calls["frac"] += 1
+        return real_frac(xi, alpha)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracspec") and getattr(mod, "frac_power_i_xi", None) is real_frac:
+            monkeypatch.setattr(mod, "frac_power_i_xi", frac)
+
+    fs.solve_elliptic(prob, f, 1.0)
+    fs.symbol_resolvent_bound(prob, [0.5, 1.0, 2.0 + 0.5j])
+    fs.parabolic_coercive_report(prob, forcing, scheme="implicit-euler")
+    assert calls == {"a": 1, "A": 1, "frac": 1, "eigvalsh": int(family == "hermitian")}
+
+
+def _direct_q(prob, lam):
+    xi = prob.grid.frequencies
+    a, frac, mats = prob.a(xi), fs.frac_power_i_xi(xi, prob.order.gamma), prob.A(xi)
+    eye = np.eye(prob.dim)
+    if prob.q_form == "unfactored":
+        return (a * frac + lam)[:, None, None] * eye + mats
+    return a[:, None, None] * ((frac + lam)[:, None, None] * eye + mats)
+
+
+def _direct_smin(prob, lam):
+    """The singular-symbol gate evaluated from scratch: |eigenvalues| of a
+    normal Q, else the SVD."""
+    xi = prob.grid.frequencies
+    mats = prob.A.constant_matrix if prob.A.constant_matrix is not None else prob.A(xi)
+    if prob.dim > 1 and not np.array_equal(mats, np.conj(np.swapaxes(mats, -1, -2))):
+        return fs.smallest_singular_values(_direct_q(prob, lam), 1e-14)[0]
+    mu = mats[..., 0] if prob.dim == 1 else np.linalg.eigvalsh(mats)
+    a = prob.a(xi)[:, None]
+    frac = fs.frac_power_i_xi(xi, prob.order.gamma)[:, None]
+    mods = np.abs(a * frac + lam + mu if prob.q_form == "unfactored" else a * (frac + lam + mu))
+    return mods.min(axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["constant", "hermitian", "non-hermitian"])
+@pytest.mark.parametrize("q_form", ["unfactored", "factored"])
+def test_grid_symbol_consumers_match_a_direct_evaluation_bit_for_bit(dim, family, q_form):
+    from fracspec.core import _mixed_l2_of_spectra
+
+    prob = _symbol_case(dim, family, q_form)
+    xi, grid, lam = prob.grid.frequencies, prob.grid, 1.0 + 0.25j
+    a, frac, mats = prob.a(xi), fs.frac_power_i_xi(xi, prob.order.gamma), prob.A(xi)
+    np.testing.assert_array_equal(fs.q_matrices(prob, lam), _direct_q(prob, lam))
+    smin, bad = fs.symbol_smin(prob, lam)
+    np.testing.assert_array_equal(smin, _direct_smin(prob, lam))
+    assert bad is None
+
+    rep = fs.coercive_report(prob, fs.random_band_limited(grid, dim, 3), lam)
+    u_spec = fs.forward_transform(rep.solution)
+    assert rep.term_norms["a*D^1.5 u"] == fs.multiplier_norm(u_spec, a * frac, 2.0)
+    assert rep.term_norms["A*u"] == fs.multiplier_norm(u_spec, mats, 2.0)
+    half = fs.frac_power_i_xi(xi, 0.75)
+    assert rep.term_norms["a*D^0.75 u"] == fs.multiplier_norm(u_spec, a * half, 2.0)
+
+    forcing = _sine_forcing(prob)
+    par = fs.parabolic_coercive_report(prob, forcing, scheme="implicit-euler")
+    uhat = grid.to_spectral(par.solution.values)
+    planar = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    au = np.einsum("ijk,mjk->mik", planar, uhat.transpose(0, 2, 1)).transpose(0, 2, 1)
+    times = forcing.times
+    assert par.term_norms["a*D^1.5 u"] == _mixed_l2_of_spectra(
+        grid, times, (a * frac)[None, :, None] * uhat
+    )
+    assert par.term_norms["A*u"] == _mixed_l2_of_spectra(grid, times, au)
 
 
 def test_symbol_smin_leaves_an_overflowed_modulus_to_the_svd(svd_calls):
