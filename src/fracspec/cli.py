@@ -32,10 +32,10 @@ from .core import (
     GridFunction,
     Sector,
     SpaceTimeFunction,
-    lp_norm,
     random_band_limited,
 )
 from .elliptic import (
+    _ProbeOverflow,
     _check_kappa,
     _check_mu,
     _embedding_kappa,
@@ -49,9 +49,8 @@ from .elliptic import (
 from .fractional import matrix_fractional_power
 from .parabolic import (
     SystemMatrix,
+    _convergence_errors,
     _coupling_symbol,
-    _dissipative_gate,
-    _evolve,
     parabolic_coercive_report,
     solve_system,
 )
@@ -454,6 +453,11 @@ def _task_separability(run: _Run) -> bool:
     return not rep.passed
 
 
+# The key of each argument an overflow in embedding_probe puts the fault on.
+_PROBE_KEYS = {"A": ("problem", "a_op_matrix"), "p": ("parameters", "p"),
+               "q": ("parameters", "q_exp"), "s": ("parameters", "s")}
+
+
 def _task_embedding_probe(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
@@ -472,20 +476,18 @@ def _task_embedding_probe(run: _Run) -> bool:
     with naming("[problem] a_op_matrix"):
         matrix_fractional_power(a_mat, 1.0 - kappa - mu)
     rng = run.rng()
-    kwargs = dict(alpha=alpha, s=s, p=p, q=q, mu=mu, h_set=h_set)
-    ratios = []
-    reports = []
-    max_ratio = 0.0
-    for _ in range(draws):
-        u = random_band_limited(prob.grid, prob.dim, rng)
-        rep = embedding_probe(prob, u, **kwargs)
-        reports.append(rep.to_jsonable())
-        ratios += rep.meta["ratios"]
-        max_ratio = max(max_ratio, rep.constants["max_ratio"])
+    us = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(draws)]
+    try:
+        reports = embedding_probe(prob, us, alpha, s, p, q, mu, h_set)
+    except _ProbeOverflow as exc:
+        section, key = _PROBE_KEYS[exc.arg]
+        raise ConfigError(f"[{section}] {key} = {cfg.text(section, key)}: {exc}") from exc
+    ratios = [r for rep in reports for r in rep.meta["ratios"]]
+    max_ratio = functools.reduce(max, (rep.constants["max_ratio"] for rep in reports), 0.0)
     draw = np.repeat(np.arange(1, draws + 1), len(h_set))
     columns = [draw, np.tile(np.array(h_set, dtype=float), draws), np.array(ratios, dtype=float)]
     _write_csv(run.out / "ratios.csv", ["draw", "h", "ratio"], columns)
-    run.report({"draws": reports, "max_ratio": max_ratio}, [])
+    run.report({"draws": [rep.to_jsonable() for rep in reports], "max_ratio": max_ratio}, [])
     return False
 
 
@@ -545,6 +547,8 @@ def _task_system(run: _Run) -> bool:
     with naming("[parameters] matrix"):
         mat = SystemMatrix(entries)
     prob = build_problem(cfg)
+    # Either mode assembles the N x m x m symbol stack of the coupling.
+    _require_memory("[problem] n", prob.grid.size, (prob.grid.size, mat.size, mat.size))
     lam = cfg.value("parameters", "lambda")
     literal = cfg.value("parameters", "literal_shift")
     with naming("[parameters] lambda"):
@@ -571,33 +575,16 @@ def _task_convergence(run: _Run) -> bool:
     levels = cfg.value("parameters", "levels")
     scheme = cfg.value("parameters", "scheme") or "crank-nicolson"
     prob = build_problem(cfg)
-    grid = prob.grid
     text = ",".join(map(str, levels))
     # The loop keeps only an N x d state; this guard bounds the reference's
     # (steps+1) x N x d work, not a resident field.
-    _require_memory("[parameters] levels", text, (levels[-1] + 1, grid.size, prob.dim))
+    _require_memory("[parameters] levels", text, (levels[-1] + 1, prob.grid.size, prob.dim))
     horizon = _horizon(cfg, levels[-1])
-    # Every level's forcing is w(t_m) s(x): draw and transform s once, and
-    # hold its spectrum planar (d, N), as the time loop reads it.
-    spatial = build_forcing(cfg, grid, prob.dim, run.rng())
-    shat = np.ascontiguousarray(grid.to_spectral(spatial.values).T)
-
-    q0 = _dissipative_gate(prob)
-
-    def final_state(steps: int, integrator: str) -> np.ndarray:
-        w = _profile_weights(cfg, np.linspace(0.0, horizon, steps + 1))
-        # The forcing spectrum of step m is formed when the loop reads it.
-        with naming(f"[parameters] t = {horizon}", OverflowError):
-            uhat = _evolve(q0, horizon / steps, steps, lambda m: w[m] * shat, integrator)
-        return grid.to_physical(uhat.T)
-
-    exact = final_state(levels[-1], "exact")
-    errors = []
-    for steps in levels:
-        # With the exact scheme the last level is the reference itself.
-        same = scheme == "exact" and steps == levels[-1]
-        diff = (exact if same else final_state(steps, scheme)) - exact
-        errors.append(lp_norm(GridFunction(grid, diff), 2.0))
+    spatial = build_forcing(cfg, prob.grid, prob.dim, run.rng())
+    with naming(f"[parameters] t = {horizon}", OverflowError):
+        errors = _convergence_errors(
+            prob, spatial, functools.partial(_profile_weights, cfg), horizon, levels, scheme
+        )
 
     orders: list[str] = []
     for i, err in enumerate(errors):

@@ -386,11 +386,17 @@ def separability_check(
     witnesses: list[Witness] = []
     with np.errstate(over="ignore", invalid="ignore"):
         sym = prob._symbol
-        mults = [sym.a * frac_power_i_xi(sym.xi, s) for s in s_set]
-        mults += [sym.A, q_matrices(prob, 0.0)]
-        # off the band a non-finite multiplier meets inf * 0 = nan in every trial
-        finite = all(np.isfinite(m).all() for m in mults)
-        mults = [np.ascontiguousarray(m[keep].T) for m in mults]
+
+        def band(m):
+            # off the band a non-finite multiplier meets inf * 0 = nan in every trial
+            return bool(np.isfinite(m).all()), np.ascontiguousarray(m[keep].T)
+
+        # Each multiplier is built on the full grid in turn, and only its band
+        # is kept; Q(xi, 0), the largest to build, comes first.
+        ou = band(q_matrices(prob, 0.0))
+        checked = [band(sym.a * frac_power_i_xi(sym.xi, s)) for s in s_set] + [band(sym.A), ou]
+        finite = all(ok for ok, _ in checked)
+        mults = [m for _, m in checked]
         for start in range(0, trials, _TRIAL_BLOCK):
             spec = _band_limited_block(rng, min(_TRIAL_BLOCK, trials - start), keep.sum(), prob.dim)
             *terms, ou_norm = [_image_norms(grid, keep, spec, m, p) for m in mults]
@@ -448,67 +454,100 @@ def _check_mu(mu: float, kappa: float) -> None:
         raise ValueError(f"mu = {mu} outside [0, 1 - kappa] = [0, {1.0 - kappa:.6g}]")
 
 
+class _ProbeOverflow(OverflowError):
+    """A quantity of the embedding probe overflows the float range; ``arg``
+    names the argument at fault: "s", "p", "q" or "A", the operator matrix."""
+
+    def __init__(self, arg: str, message: str):
+        super().__init__(message)
+        self.arg = arg
+
+
+def _draw_overflow(k: int, norms, image, au, u_spec, bessel, u) -> _ProbeOverflow:
+    """The error of embedding draw ``k``, not all of whose ``norms``
+    ||A^theta D^alpha u||_q, ||A u||_p, ||(1+xi^2)^(s/2) u||_p and ||u||_p
+    are finite.  The first norm that is not puts the fault on its exponent
+    when the L2 norm of its field is finite, else on the field's multiplier."""
+    l2 = (lp_norm(image, 2.0), lp_norm(au, 2.0), multiplier_norm(u_spec, bessel, 2.0))
+    i = [math.isfinite(n) for n in norms].index(False)
+    arg = ("q", "p", "p", "p")[i] if i == 3 or math.isfinite(l2[i]) else ("A", "A", "s")[i]
+    return _ProbeOverflow(arg, f"the norms of embedding draw {k} overflow")
+
+
 def embedding_probe(
     prob: EllipticProblem,
-    u: GridFunction,
+    us: Sequence[GridFunction],
     alpha: float,
     s: float,
     p: float,
     q: float,
     mu: float,
     h_set: Sequence[float],
-) -> ConditionReport:
+) -> list[ConditionReport]:
     """Probe the interpolation-style inequality
 
         ||A^(1-kappa-mu) D^alpha u||_q <= C [ h^mu ||u||_W + h^(mu-1) ||u||_p ]
 
     with kappa = (alpha + 1/p - 1/q)/s and the W-norm
-    ||A u||_p + ||Finv (1+xi^2)^(s/2) F u||_p, over every h in ``h_set``.
-    Requires a constant SPD operator symbol.  ``meta["ratios"]`` holds
-    the ratio of each h in ``h_set`` order.
+    ||A u||_p + ||Finv (1+xi^2)^(s/2) F u||_p, over every h in ``h_set``,
+    for each probe function u of ``us``: one report per u, in order.
+    Requires a constant SPD operator symbol.  The rules are checked, and the
+    power of A and the multipliers built, once for all of ``us``.
+    ``meta["ratios"]`` holds the ratio of each h in ``h_set`` order.  Raises
+    ``OverflowError`` when the Bessel multiplier or a norm of some u is not
+    finite; its ``arg`` names the argument at fault (see ``_draw_overflow``).
     """
     a_mat = _embedding_matrix(prob)
-    if u.grid != prob.grid or u.dim != prob.dim:
+    if any(u.grid != prob.grid or u.dim != prob.dim for u in us):
         raise ValueError("probe function does not match the problem grid/dimension")
     kappa = _embedding_kappa(alpha, s, p, q)
     _check_kappa(kappa)
     _check_mu(mu, kappa)
     if not h_set:
         raise ValueError("h_set must be non-empty")
-
-    power = matrix_fractional_power(a_mat, 1.0 - kappa - mu)
-
-    xi = prob.grid.frequencies
-    u_spec = forward_transform(u)
-    du = apply_multiplier(u_spec, frac_power_i_xi(xi, alpha))
-    lhs = lp_norm(GridFunction(u.grid, du.values @ power.T), q)
-
-    au = GridFunction(u.grid, u.values @ np.asarray(a_mat, dtype=complex).T)
-    bessel = (1.0 + xi**2) ** (s / 2.0) + 0j
-    w_norm = lp_norm(au, p) + multiplier_norm(u_spec, bessel, p)
-    u_norm = lp_norm(u, p)
-
-    ratios = []
     for h in h_set:
         if h <= 0.0:
             raise ValueError(f"h must be positive, got {h}")
-        ratios.append(float(lhs / (h**mu * w_norm + h ** (mu - 1.0) * u_norm)))
 
-    return ConditionReport(
-        name="embedding-probe",
-        passed=True,
-        constants={"max_ratio": max(ratios), "kappa": float(kappa)},
-        witnesses=(),
-        meta={
-            "ratios": ratios,
-            "ratios_by_h": {f"{h:g}": r for h, r in zip(h_set, ratios)},
-            "lhs": float(lhs),
-            "w_norm": float(w_norm),
-            "u_norm": float(u_norm),
-            "alpha": alpha,
-            "s": s,
-            "p": p,
-            "q": q,
-            "mu": mu,
-        },
-    )
+    xi = prob.grid.frequencies
+    with np.errstate(over="ignore"):
+        bessel = (1.0 + xi**2) ** (s / 2.0) + 0j
+    if not np.isfinite(bessel).all():
+        k = np.argmin(np.isfinite(bessel))
+        raise _ProbeOverflow("s", f"(1 + xi^2)^(s/2) overflows the float range at xi = {xi[k]:.6g}")
+    power_t = matrix_fractional_power(a_mat, 1.0 - kappa - mu).T
+    frac = frac_power_i_xi(xi, alpha)
+    a_t = np.asarray(a_mat, dtype=complex).T
+
+    reports = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(us, 1):
+            u_spec = forward_transform(u)
+            du = apply_multiplier(u_spec, frac)
+            image = GridFunction(u.grid, du.values @ power_t)
+            lhs = lp_norm(image, q)
+            au = GridFunction(u.grid, u.values @ a_t)
+            a_norm, b_norm = lp_norm(au, p), multiplier_norm(u_spec, bessel, p)
+            u_norm = lp_norm(u, p)
+            if not math.isfinite(lhs + a_norm + b_norm + u_norm):
+                norms = (lhs, a_norm, b_norm, u_norm)
+                raise _draw_overflow(k, norms, image, au, u_spec, bessel, u)
+            w_norm = a_norm + b_norm
+            ratios = [float(lhs / (h**mu * w_norm + h ** (mu - 1.0) * u_norm)) for h in h_set]
+            reports.append(
+                ConditionReport(
+                    name="embedding-probe",
+                    passed=True,
+                    constants={"max_ratio": max(ratios), "kappa": float(kappa)},
+                    witnesses=(),
+                    meta={
+                        "ratios": ratios,
+                        "ratios_by_h": {f"{h:g}": r for h, r in zip(h_set, ratios)},
+                        "lhs": float(lhs),
+                        "w_norm": float(w_norm),
+                        "u_norm": float(u_norm),
+                        **dict(alpha=alpha, s=s, p=p, q=q, mu=mu),
+                    },
+                )
+            )
+    return reports

@@ -94,3 +94,47 @@ def dense_solve(prob, f, lam):
 def rel_linf(got, want):
     scale = max(float(np.max(np.abs(want))), 1e-300)
     return float(np.max(np.abs(got - want))) / scale
+
+
+def dense_evolve(prob, f, scheme):
+    """Reference solution of u_t + O u = f, u(0) = 0, over the forcing's time
+    grid, stepped on the dense (N*d) x (N*d) matrix of O = dense_operator(prob, 0).
+
+    "exact" takes e^Z, phi1(Z) and phi2(Z), Z = -dt O, from one scipy expm
+    of the augmented 3Nd block [[Z, I, 0], [0, 0, I], [0, 0, 0]] and is exact
+    for forcing linear on each step; the two steppers use dense inverses.
+    Returns the (M, N, d) values of u at every time.
+    """
+    from scipy.linalg import expm
+
+    big = dense_operator(prob, 0.0)
+    n = big.shape[0]
+    steps = f.times.size - 1
+    dt = float(f.times[-1]) / steps
+    eye = np.eye(n)
+    if scheme == "exact":
+        aug = np.zeros((3 * n, 3 * n), dtype=complex)
+        aug[:n, :n] = -dt * big
+        aug[:n, n : 2 * n] = aug[n : 2 * n, 2 * n :] = eye
+        blocks = expm(aug)[:n]
+        e, p1, p2 = blocks[:, :n], blocks[:, n : 2 * n], blocks[:, 2 * n :]
+
+        def step(u, f0, f1):
+            return e @ u + dt * (p1 @ f0 + p2 @ (f1 - f0))
+    elif scheme == "implicit-euler":
+        inv = np.linalg.inv(eye + dt * big)
+
+        def step(u, f0, f1):
+            return inv @ (u + dt * f1)
+    else:
+        back = np.linalg.inv(eye + 0.5 * dt * big)
+        fwd = eye - 0.5 * dt * big
+
+        def step(u, f0, f1):
+            return back @ (fwd @ u + 0.5 * dt * (f0 + f1))
+
+    fv = f.values.reshape(f.times.size, n)
+    u = np.zeros_like(fv)
+    for m in range(steps):
+        u[m + 1] = step(u[m], fv[m], fv[m + 1])
+    return u.reshape(f.values.shape)

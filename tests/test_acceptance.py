@@ -342,8 +342,8 @@ def test_criterion_11_embedding_probe_stability():
                 for i in range(draws):
                     u = fs.random_band_limited(g, 2, rng)
                     rep = fs.embedding_probe(
-                        prob, u, alpha=alpha, s=2.0, p=2.0, q=2.0, mu=mu, h_set=h_set
-                    )
+                        prob, [u], alpha=alpha, s=2.0, p=2.0, q=2.0, mu=mu, h_set=h_set
+                    )[0]
                     per_draw[i] = max(per_draw[i], rep.constants["max_ratio"])
         return per_draw
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fracspec
-from fracspec import cli, parabolic
+from fracspec import cli, elliptic, parabolic
 from fracspec.bvp import BVPCoefficients
 from fracspec.cli import (
     CSV_BLOCK_ROWS,
@@ -300,6 +300,28 @@ def test_embedding_probe_ratios_follow_h_set(tmp_path):
     assert ratios[0] < ratios[1] < ratios[2]
 
 
+def test_embedding_probe_builds_its_multipliers_once(tmp_path, monkeypatch):
+    """The power of A and (i xi)^alpha are built once per run, not once per draw;
+    the CLI's naming check takes one more power."""
+    calls = {"power": 0, "alpha": 0}
+    power, frac = elliptic.matrix_fractional_power, elliptic.frac_power_i_xi
+
+    def counting_power(a, theta):
+        calls["power"] += 1
+        return power(a, theta)
+
+    def counting_frac(xi, alpha):
+        calls["alpha"] += alpha == 0.75
+        return frac(xi, alpha)
+
+    monkeypatch.setattr(cli, "matrix_fractional_power", counting_power)
+    monkeypatch.setattr(elliptic, "matrix_fractional_power", counting_power)
+    monkeypatch.setattr(elliptic, "frac_power_i_xi", counting_frac)
+    ini, _ = _write_ini(tmp_path, "embedding-probe", params="draws = 4\nalpha = 0.75")
+    assert main(["--config", str(ini)]) == 0
+    assert calls == {"power": 2, "alpha": 1}
+
+
 def test_bvp_artifacts_and_ellipticity_failure(tmp_path):
     ini, out = _write_ini(tmp_path, "bvp", gamma="2.0", params="mesh_size = 7")
     assert main(["--config", str(ini)]) == 0
@@ -448,7 +470,6 @@ def test_convergence_gates_once(tmp_path, monkeypatch):
         return gate(prob)
 
     monkeypatch.setattr(parabolic, "_dissipative_gate", counting_gate)
-    monkeypatch.setattr(cli, "_dissipative_gate", counting_gate)
     ini, _ = _write_ini(tmp_path, "convergence", params="levels = 8,16,32\nscheme = exact")
     assert main(["--config", str(ini)]) == 0
     assert len(calls) == 1
@@ -867,6 +888,24 @@ _OVERSIZED = [
         # the config file itself stands in for a file at or above the directory
         (("/out\n", "/run.ini\n"), [], _BAD_DIRECTORY),
         (("/out\n", "/run.ini/out\n"), [], _BAD_DIRECTORY),
+        (
+            _task_edit("embedding-probe", "q_exp = 1e308"),
+            [],
+            "[parameters] q_exp = 1e308: the norms of embedding draw 1 overflow\n",
+        ),
+        *[
+            (
+                _task_problem_edit("embedding-probe", f"a_op_matrix = {scale}"),
+                [],
+                f"[problem] a_op_matrix = {scale}: the norms of embedding draw 1 overflow\n",
+            )
+            for scale in ("1e300", "1e308")
+        ],
+        (
+            _task_edit("embedding-probe", "s = 1e308"),
+            [],
+            "[parameters] s = 1e308: (1 + xi^2)^(s/2) overflows the float range at xi = ",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -939,6 +978,34 @@ def test_oversized_sizes_allocate_nothing(tmp_path, capsys, edit, argv, key):
         tracemalloc.stop()
     assert "physical memory" in capsys.readouterr().err
     assert peak < 2**20
+
+
+_MATRIX_10 = ";".join(",".join("2" if i == j else "0" for j in range(10)) for i in range(10))
+
+
+@pytest.mark.parametrize(
+    "task, params, problem_extra",
+    [
+        ("solve-elliptic", "", f"a_op_matrix = {_MATRIX_10}"),
+        ("system", f"mode = elliptic\nmatrix = {_MATRIX_10}", ""),
+        ("system", f"mode = parabolic\nmatrix = {_MATRIX_10}", ""),
+    ],
+    ids=["solve-elliptic", "system-elliptic", "system-parabolic"],
+)
+def test_coupling_stack_guard(tmp_path, capsys, monkeypatch, task, params, problem_extra):
+    """With 1 MiB of physical memory a 4096 x 10 x 10 symbol stack does not
+    fit, whether the operator or the system's coupling matrix sizes it."""
+    sysconf = os.sysconf
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+    ini, out = _write_ini(tmp_path, task, params=params, problem_extra=problem_extra)
+    ini.write_text(ini.read_text().replace("n = 64", "n = 4096"))
+    assert main(["--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [problem] n = 4096: a 4096 x 10 x 10 complex field needs 0.006104 GiB, "
+        "more than the 0.0009766 GiB of physical memory\n"
+    )
+    assert not out.exists()
 
 
 def _oracle_csv(header, columns) -> bytes:

@@ -235,7 +235,9 @@ def test_embedding_probe_single_mode_closed_form():
     prob = make_problem(g, gamma=2.0, mat=np.array([[4.0]]))
     xi6 = g.frequencies[6]
     u = fs.GridFunction(g, np.exp(1j * xi6 * g.points))
-    rep = fs.embedding_probe(prob, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.1, 1.0])
+    rep = fs.embedding_probe(
+        prob, [u], alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.1, 1.0]
+    )[0]
     assert rep.constants["kappa"] == pytest.approx(0.5)
     norm_u = fs.lp_norm(u, 2.0)
     # A^(1/2) = 2, |D^1 u| = xi6 |u|, W-norm = (4 + 1 + xi6^2)|u|
@@ -251,7 +253,7 @@ def test_embedding_probe_trivial_power_is_bounded_by_one():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=2.0, mat=np.diag([1.0, 4.0]))
     u = fs.random_band_limited(g, 2, 13)
-    rep = fs.embedding_probe(prob, u, alpha=0.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
+    rep = fs.embedding_probe(prob, [u], alpha=0.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])[0]
     # kappa = 0, power = A, and ||A u|| is one of the right-hand terms
     assert rep.constants["max_ratio"] < 1.0
 
@@ -261,16 +263,20 @@ def test_embedding_probe_validations():
     prob = make_problem(g, gamma=2.0, mat=np.diag([1.0, 4.0]))
     u = fs.random_band_limited(g, 2, 13)
     with pytest.raises(ValueError, match="p <= q"):
-        fs.embedding_probe(prob, u, alpha=1.0, s=2.0, p=4.0, q=2.0, mu=0.0, h_set=[1.0])
+        fs.embedding_probe(prob, [u], alpha=1.0, s=2.0, p=4.0, q=2.0, mu=0.0, h_set=[1.0])
     with pytest.raises(ValueError, match="kappa"):
-        fs.embedding_probe(prob, u, alpha=3.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
+        fs.embedding_probe(prob, [u], alpha=3.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
     with pytest.raises(ValueError, match="mu"):
-        fs.embedding_probe(prob, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.9, h_set=[1.0])
+        fs.embedding_probe(prob, [u], alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.9, h_set=[1.0])
     with pytest.raises(ValueError, match="h must be positive"):
-        fs.embedding_probe(prob, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.0])
+        fs.embedding_probe(prob, [u], alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.0])
     pert = make_problem(g, operator=fs.perturbed_operator(np.eye(2), 0.1 * np.eye(2)))
     with pytest.raises(ValueError, match="constant operator"):
-        fs.embedding_probe(pert, u, alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
+        fs.embedding_probe(pert, [u], alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
+    # every draw is checked before any is probed
+    other = fs.random_band_limited(fs.SpatialGrid(10.0, 32), 2, 13)
+    with pytest.raises(ValueError, match="does not match the problem grid"):
+        fs.embedding_probe(prob, [u, other], alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[1.0])
 
 
 def _counting_ffts(monkeypatch):
@@ -499,7 +505,10 @@ def test_separability_memory_does_not_grow_with_trials():
             tracemalloc.stop()
 
     fs.separability_check(prob, trials=1)
-    small, large = peak(10), peak(100)
+    one, small, large = peak(1), peak(10), peak(100)
+    # One trial keeps the band of each multiplier, building the full-grid ones
+    # in turn: 0.63 MB, where holding all five full ones took 0.96 MB.
+    assert one < 0.75 * 2**20
     # The draws of 100 trials alone are 100 x 2049 x 2 complex values, 6.6 MB;
     # one block of them is 0.5 MB, beside the symbol stacks of the problem.
     assert small < 3 * 2**20

@@ -7,7 +7,7 @@ import pytest
 
 import fracspec as fs
 from fracspec import parabolic
-from conftest import make_problem
+from conftest import dense_evolve, make_problem, rel_linf
 
 
 def _profiled(grid, times, profile, phi_vals):
@@ -408,3 +408,73 @@ def test_system_parabolic_mode():
     assert rep.meta["horizon"] == 1.0 and rep.meta["steps"] == steps
     with pytest.raises(ValueError, match="GridFunction or a SpaceTimeFunction, got ndarray"):
         fs.solve_system(mat, order, a, 0.5, phi.values)
+
+
+# Operators of the dense time oracle, each built with a sign: the unfactored
+# form takes +1, the factored form (a = -2) takes -1, which keeps Q(xi, 0)
+# dissipative in both forms, and makes the two forms' Q differ.
+_ORACLE_OPERATORS = {
+    "d1": lambda sign: fs.constant_operator(sign * np.array([[1.5]])),
+    "d2-normal": lambda sign: fs.constant_operator(sign * np.array([[2.0, 1.0], [1.0, 2.0]])),
+    "d2-non-normal": lambda sign: fs.constant_operator(sign * np.array([[2.0, 1.5], [0.0, 1.0]])),
+    "d3-perturbed": lambda sign: fs.perturbed_operator(
+        sign * np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]]),
+        sign * np.diag([1.0, 0.0, 1.0]),
+    ),
+}
+
+
+def _oracle_problems(grid):
+    for operator in _ORACLE_OPERATORS.values():
+        for q_form, sign in (("unfactored", 1.0), ("factored", -1.0)):
+            yield make_problem(grid, a_value=-2.0, q_form=q_form, operator=operator(sign))
+
+
+def _random_field(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("scheme", parabolic.SCHEMES)
+def test_solve_parabolic_matches_dense_time_oracle(scheme):
+    g = fs.SpatialGrid(10.0, 16)
+    rng = np.random.default_rng(23)
+    times = np.linspace(0.0, 1.0, 9)
+    for prob in _oracle_problems(g):
+        f = fs.SpaceTimeFunction(g, times, _random_field(rng, (9, 16, prob.dim)))
+        got = fs.solve_parabolic(prob, f, scheme).values
+        assert rel_linf(got, dense_evolve(prob, f, scheme)) <= 1e-12
+
+
+def test_system_parabolic_matches_dense_time_oracle():
+    g = fs.SpatialGrid(10.0, 16)
+    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+    lam = 0.5
+    f = fs.SpaceTimeFunction(
+        g, np.linspace(0.0, 1.0, 9), _random_field(np.random.default_rng(29), (9, 16, 2))
+    )
+    got = fs.solve_system(
+        fs.SystemMatrix(mat), fs.FractionalOrder(1.5), fs.constant_coefficient(-1.0), lam, f
+    ).solution.values
+    # the system's core problem: the coupling matrix shifted by lambda
+    core = make_problem(g, a_value=-1.0, mat=mat + lam * np.eye(2))
+    assert rel_linf(got, dense_evolve(core, f, "exact")) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", parabolic.SCHEMES)
+def test_convergence_levels_match_dense_time_oracle(scheme):
+    g = fs.SpatialGrid(10.0, 16)
+    rng = np.random.default_rng(31)
+    levels, horizon = [4, 8, 16], 1.0
+    for prob in _oracle_problems(g):
+        spatial = fs.GridFunction(g, _random_field(rng, (16, prob.dim)))
+        got = parabolic._convergence_errors(prob, spatial, np.sin, horizon, levels, scheme)
+
+        def final(steps, integrator):
+            times = np.linspace(0.0, horizon, steps + 1)
+            f = fs.SpaceTimeFunction(g, times, np.sin(times)[:, None, None] * spatial.values)
+            return dense_evolve(prob, f, integrator)[-1]
+
+        exact = final(levels[-1], "exact")
+        want = [fs.lp_norm(fs.GridFunction(g, final(n, scheme) - exact), 2.0) for n in levels]
+        scale = fs.lp_norm(fs.GridFunction(g, exact), 2.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
