@@ -22,6 +22,8 @@ import numpy as np
 from .core import (
     GridFunction,
     Sector,
+    _at_fault,
+    _ranged_norm,
     lp_norm,
     multiplier_norm,
 )
@@ -82,28 +84,26 @@ def _stencil_coefficient(coeffs: BVPCoefficients, label: str) -> np.ndarray:
     |b2| >= 1e-8.  Each coefficient times its scale in the stencil
     (2 / h_y^2 for b2, 1 / (2 h_y) for b1, 1 for b0) must stay within half
     the float range: an entry sums at most two such terms, so the matrix
-    is then finite.  A ValueError names the coefficient.
+    is then finite.  A ValueError names the coefficient and is at fault ``label``.
     """
     y = coeffs.mesh
     values = np.asarray(getattr(coeffs, label)(y), dtype=float)
     values = np.broadcast_to(values, y.shape).copy() if values.shape != y.shape else values
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"coefficient {label} is not finite on the mesh")
+        raise _at_fault(label, ValueError(f"coefficient {label} is not finite on the mesh"))
     if label == "b2":
         small = np.abs(values) < _B2_FLOOR
         if small.any():
-            raise ValueError(
-                f"principal coefficient b2 degenerates at y={y[np.argmax(small)]:.6g}: "
-                f"|b2| < {_B2_FLOOR:g}"
-            )
+            where = f"at y={y[np.argmax(small)]:.6g}: |b2| < {_B2_FLOOR:g}"
+            raise _at_fault(label, ValueError(f"principal coefficient b2 degenerates {where}"))
     hy = coeffs.mesh_spacing
     scale = {"b2": 2.0 / hy**2, "b1": 0.5 / hy, "b0": 1.0}[label]
     big = np.abs(values) > 0.5 * np.finfo(float).max / scale
     if big.any():
-        raise ValueError(
+        raise _at_fault(label, ValueError(
             f"coefficient {label} = {values[np.argmax(big)]:.6g} at y={y[np.argmax(big)]:.6g} "
             f"overflows the stencil: times its scale {scale:.6g} it exceeds half the float range"
-        )
+        ))
     return values
 
 
@@ -264,15 +264,15 @@ def solve_anisotropic(
     terms: dict[str, float] = {}
     lhs = 0.0
     for s, w in zip(s_set, _coercive_weights(order.gamma, lam, s_set)):
-        val = sqrt_hy * multiplier_norm(u_spec, sym.a * frac_power_i_xi(sym.xi, s), p)
+        val = sqrt_hy * _ranged_norm(multiplier_norm, u_spec, sym.a * frac_power_i_xi(sym.xi, s), p=p)
         terms[f"a*Dx^{s:g} u"] = val
         lhs += w * val
     d0, d1, d2 = _y_derivative_stencils(u.values, hy)
     for b, dv in enumerate((d0, d1, d2)):
-        val = sqrt_hy * lp_norm(GridFunction(grid, dv), p)
+        val = sqrt_hy * _ranged_norm(lp_norm, GridFunction(grid, dv), p=p)
         terms[f"Dy^{b} u"] = val
         lhs += val
-    f_norm = sqrt_hy * lp_norm(f, p)
+    f_norm = sqrt_hy * _ranged_norm(lp_norm, f, p=p)
     return replace(
         rep,
         term_norms=terms,

@@ -10,6 +10,7 @@ Unix, and random draws come from a seeded generator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -19,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bvp import BVPCoefficients, _stencil_coefficient, check_ellipticity, solve_anisotropic
+from .bvp import BVPCoefficients, check_ellipticity, solve_anisotropic
 from .config import (
+    KEYS,
     ConfigError,
     RunConfig,
     _require_memory,
@@ -34,28 +36,9 @@ from .core import (
     SpaceTimeFunction,
     random_band_limited,
 )
-from .elliptic import (
-    _ProbeOverflow,
-    _check_kappa,
-    _check_mu,
-    _embedding_kappa,
-    _embedding_matrix,
-    _probe_orders,
-    coercive_report,
-    embedding_probe,
-    resolvent_sweep,
-    separability_check,
-)
-from .fractional import matrix_fractional_power
-from .parabolic import (
-    SystemMatrix,
-    _convergence_errors,
-    _coupling_symbol,
-    parabolic_coercive_report,
-    solve_system,
-)
+from .elliptic import coercive_report, embedding_probe, resolvent_sweep, separability_check
+from .parabolic import SystemMatrix, _convergence_errors, parabolic_coercive_report, solve_system
 from .symbols import (
-    _in_sector,
     check_mikhlin_bounds,
     check_sector_growth,
     scalar_inequality_suite,
@@ -311,19 +294,11 @@ class _Run:
         )
 
 
-def _s_set(cfg: RunConfig, gamma: float):
-    """``[parameters] s_set``, each order in [0, gamma], or the default orders."""
-    with naming("[parameters] s_set"):
-        return _probe_orders(gamma, cfg.value("parameters", "s_set"))
-
-
 def _task_solve_elliptic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
-    with naming("[parameters] lambda"):
-        lam = _in_sector(prob.sector, cfg.value("parameters", "lambda"))
-    s_set = _s_set(cfg, prob.order.gamma)
     f = build_forcing(cfg, prob.grid, prob.dim, run.rng())
+    lam, s_set = cfg.value("parameters", "lambda"), cfg.value("parameters", "s_set")
     rep = coercive_report(prob, f, lam, s_set=s_set, p=cfg.value("parameters", "p"))
     _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     run.report(rep.to_jsonable(), [])
@@ -361,7 +336,7 @@ def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     f = _parabolic_forcing(cfg, prob.grid, prob.dim, run.rng())
-    with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError):
+    with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError), _keyed(cfg):
         rep = parabolic_coercive_report(
             prob,
             f,
@@ -412,12 +387,12 @@ def _task_verify_conditions(run: _Run) -> bool:
     phi1_angle = cfg.value("parameters", "phi1")
     with naming("[parameters] phi1"):
         phi1 = prob.sector if phi1_angle is None else Sector(phi1_angle)
-    with naming("[parameters] lambda_set"):
-        lambda_set = [_in_sector(prob.sector, lam) for lam in cfg.value("parameters", "lambda_set")]
+    # The lambda_set rule runs first; report.json sorts the checks, so the order
+    # leaves its bytes alone.
     reports = [
+        symbol_resolvent_bound(prob, cfg.value("parameters", "lambda_set")),
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
-        symbol_resolvent_bound(prob, lambda_set),
     ]
     samples = cfg.value("parameters", "samples")
     try:
@@ -439,12 +414,12 @@ def _task_separability(run: _Run) -> bool:
     key = "a_value" if a_scale >= op_scale else "a_op_matrix"
     with naming(f"[problem] {key} = {cfg.text('problem', key)}", OverflowError), naming(
         f"[problem] l = {cfg.text('problem', 'l')}", ZeroDivisionError
-    ):
+    ), _keyed(cfg):
         rep = separability_check(
             prob,
             trials=cfg.value("parameters", "trials"),
             p=cfg.value("parameters", "p"),
-            s_set=_s_set(cfg, prob.order.gamma),
+            s_set=cfg.value("parameters", "s_set"),
             seed=run.seed,
         )
     ratios = np.array(rep.meta["ratios"], dtype=float)
@@ -453,35 +428,15 @@ def _task_separability(run: _Run) -> bool:
     return not rep.passed
 
 
-# The key of each argument an overflow in embedding_probe puts the fault on.
-_PROBE_KEYS = {"A": ("problem", "a_op_matrix"), "p": ("parameters", "p"),
-               "q": ("parameters", "q_exp"), "s": ("parameters", "s")}
-
-
 def _task_embedding_probe(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     h_set = cfg.value("parameters", "h_set")
     draws = cfg.value("parameters", "draws")
     alpha, s, p, q, mu = (cfg.value("parameters", k) for k in ("alpha", "s", "p", "q_exp", "mu"))
-    # The rules of embedding_probe that tie keys together, each named by its key.
-    with naming("[problem] a_op_family"):
-        a_mat = _embedding_matrix(prob)
-    with naming("[parameters] q_exp"):
-        kappa = _embedding_kappa(alpha, s, p, q)
-    with naming("[parameters] alpha"):
-        _check_kappa(kappa)
-    with naming("[parameters] mu"):
-        _check_mu(mu, kappa)
-    with naming("[problem] a_op_matrix"):
-        matrix_fractional_power(a_mat, 1.0 - kappa - mu)
     rng = run.rng()
     us = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(draws)]
-    try:
-        reports = embedding_probe(prob, us, alpha, s, p, q, mu, h_set)
-    except _ProbeOverflow as exc:
-        section, key = _PROBE_KEYS[exc.arg]
-        raise ConfigError(f"[{section}] {key} = {cfg.text(section, key)}: {exc}") from exc
+    reports = embedding_probe(prob, us, alpha, s, p, q, mu, h_set)
     ratios = [r for rep in reports for r in rep.meta["ratios"]]
     max_ratio = functools.reduce(max, (rep.constants["max_ratio"] for rep in reports), 0.0)
     draw = np.repeat(np.arange(1, draws + 1), len(h_set))
@@ -520,20 +475,15 @@ def _task_bvp(run: _Run) -> bool:
         b0=_poly(cfg, "b0"),
         mesh_size=mesh_size,
     )
-    for key in ("b2", "b1", "b0"):
-        with naming(f"[parameters] {key}"):
-            _stencil_coefficient(coeffs, key)
-    lam = cfg.value("parameters", "lambda")
-    with naming("[parameters] lambda"):
-        # the solve's sector is the narrowest one holding lambda
-        _in_sector(Sector.enclosing(lam), lam)
-    phi0 = cfg.value("parameters", "phi0")
-    with naming("[parameters] phi0"):
-        ell = check_ellipticity(coeffs, Sector(phi0))
     wave = cfg.value("parameters", "transverse_mode")
     profile = np.sin(wave * math.pi * coeffs.mesh)
     f = GridFunction(grid, np.exp(-grid.points**2)[:, None] * profile[None, :])
-    rep = solve_anisotropic(coeffs, prob.order, prob.a, lam, f, p=cfg.value("parameters", "p"))
+    lam, p = cfg.value("parameters", "lambda"), cfg.value("parameters", "p")
+    # The solve holds the coefficients to the stencil rules, which keep the
+    # ellipticity check finite.
+    rep = solve_anisotropic(coeffs, prob.order, prob.a, lam, f, p=p)
+    with naming("[parameters] phi0"):
+        ell = check_ellipticity(coeffs, Sector(cfg.value("parameters", "phi0")))
     lead = _product_lead(grid.points, coeffs.mesh)
     _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
     failed = [] if ell.passed else [ell.name]
@@ -551,8 +501,6 @@ def _task_system(run: _Run) -> bool:
     _require_memory("[problem] n", prob.grid.size, (prob.grid.size, mat.size, mat.size))
     lam = cfg.value("parameters", "lambda")
     literal = cfg.value("parameters", "literal_shift")
-    with naming("[parameters] lambda"):
-        _coupling_symbol(mat, lam, literal)
     p = cfg.value("parameters", "p")
     if cfg.value("parameters", "mode") == "elliptic":
         f = build_forcing(cfg, prob.grid, mat.size, run.rng())
@@ -560,7 +508,7 @@ def _task_system(run: _Run) -> bool:
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     else:
         f = _parabolic_forcing(cfg, prob.grid, mat.size, run.rng())
-        with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError):
+        with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError), _keyed(cfg):
             rep = solve_system(
                 mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
                 p1=cfg.value("parameters", "p1"),
@@ -615,6 +563,42 @@ _TASKS = {
     "convergence": _task_convergence,
 }
 
+# Each task's config key of every argument that a library rule can put the
+# fault on; the two operator keys lie in [problem], the rest in [parameters].
+_ARG_KEYS = {
+    "solve-elliptic": {"lam": "lambda", "s_set": "s_set"},
+    "solve-parabolic": {"p": "p", "p1": "p1"},
+    "resolvent-sweep": {"phi": "sweep_angle", "p": "p"},
+    "verify-conditions": {"lam": "lambda_set"},
+    "separability": {"s_set": "s_set", "p": "p"},
+    "embedding-probe": {
+        "prob": "a_op_family", "A": "a_op_matrix", "q": "q_exp",
+        "alpha": "alpha", "s": "s", "p": "p", "mu": "mu",
+    },
+    "bvp": {"b2": "b2", "b1": "b1", "b0": "b0", "lam": "lambda", "p": "p"},
+    "system": {"lam": "lambda", "p": "p", "p1": "p1"},
+    "convergence": {},
+}
+
+
+@contextlib.contextmanager
+def _keyed(cfg: RunConfig):
+    """Re-raise an error that a library rule put on an argument (its ``arg``)
+    as a ConfigError naming the task's key of that argument:
+    ``[section] key: message``, or ``[section] key = text: message`` for an
+    overflow.  Any other error passes unchanged."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        key = _ARG_KEYS[cfg.task].get(getattr(exc, "arg", None))
+        if key is None:
+            raise
+        section = "problem" if key in KEYS["problem"] else "parameters"
+        label = f"[{section}] {key}"
+        if isinstance(exc, OverflowError):
+            label += f" = {cfg.text(section, key)}"
+        raise ConfigError(f"{label}: {exc}") from exc
+
 
 def _override(flag, env_name: str) -> str | None:
     """The text of a command-line flag, else of environment variable ``env_name``."""
@@ -648,7 +632,8 @@ def main(argv=None) -> int:
         if threads == 0:
             threads = os.cpu_count() or 1
         run = _Run(cfg, out_dir, seed, threads)
-        failed = _TASKS[cfg.task](run)
+        with _keyed(cfg):
+            failed = _TASKS[cfg.task](run)
     except Exception as exc:  # noqa: BLE001 - single funnel to exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -243,6 +243,13 @@ def multiplier_norm(spec: SpectralFunction, mult: np.ndarray, p: float) -> float
     return math.sqrt(np.vdot(vals, vals).real / (2.0 * spec.grid.half_width))
 
 
+def _at_fault(arg: str, exc: Exception) -> Exception:
+    """``exc`` tagged with ``arg``, the name of the argument at fault, so that a
+    caller that knows where the argument came from can name its source."""
+    exc.arg = arg
+    return exc
+
+
 def _check_exponent(p: float) -> float:
     p = float(p)
     if not (1.0 < p < math.inf):
@@ -255,6 +262,18 @@ def lp_norm(f: GridFunction, p: float) -> float:
     p = _check_exponent(p)
     mags = np.linalg.norm(f.values, axis=1)
     return float((f.grid.spacing * np.sum(mags**p)) ** (1.0 / p))
+
+
+def _ranged_norm(norm, *args, p: float) -> float:
+    """``norm(*args, p)``, a ledger norm, computed with float overflow ignored.
+    A norm that is not finite is an OverflowError, at fault ``p`` when the
+    same norm at p = 2 is finite."""
+    with np.errstate(over="ignore"):
+        value = norm(*args, p)
+        if math.isfinite(value):
+            return value
+        err = OverflowError("a norm of the ledger overflows the float range")
+        raise _at_fault("p", err) if math.isfinite(norm(*args, 2.0)) else err
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -23,8 +23,10 @@ from .core import (
     Sector,
     SpatialGrid,
     SpectralFunction,
+    _at_fault,
     _band_limited_block,
     _check_exponent,
+    _ranged_norm,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -152,9 +154,9 @@ def _solve_with_spectrum(
         )
 
     term_norms = {
-        f"a*D^{prob.order.gamma:g} u": multiplier_norm(u_spec, sym.a * sym.frac, p),
-        "A*u": multiplier_norm(u_spec, sym.A, p),
-        "lambda*u": abs(lam) * lp_norm(u, p),
+        f"a*D^{prob.order.gamma:g} u": _ranged_norm(multiplier_norm, u_spec, sym.a * sym.frac, p=p),
+        "A*u": _ranged_norm(multiplier_norm, u_spec, sym.A, p=p),
+        "lambda*u": abs(lam) * _ranged_norm(lp_norm, u, p=p),
     }
     return SolveReport(
         solution=u,
@@ -168,12 +170,12 @@ def _solve_with_spectrum(
 
 def _probe_orders(gamma: float, s_set: Sequence[float] | None = None) -> Sequence[float]:
     """The probe orders of the term sums: ``s_set``, each checked to lie in
-    [0, gamma], or by default {0, gamma/2, gamma}."""
+    [0, gamma] (a ValueError at fault ``s_set``), or by default {0, gamma/2, gamma}."""
     if s_set is None:
         return (0.0, gamma / 2.0, gamma)
     for s in s_set:
         if not 0.0 <= s <= gamma:
-            raise ValueError(f"probe order {s} outside [0, {gamma}]")
+            raise _at_fault("s_set", ValueError(f"probe order {s} outside [0, {gamma}]"))
     return s_set
 
 
@@ -209,8 +211,8 @@ def coercive_report(
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
         frac = frac_power_i_xi(sym.xi, s)
-        n_conv = multiplier_norm(u_spec, sym.a * frac, p)
-        n_plain = multiplier_norm(u_spec, frac, p)
+        n_conv = _ranged_norm(multiplier_norm, u_spec, sym.a * frac, p=p)
+        n_plain = _ranged_norm(multiplier_norm, u_spec, frac, p=p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain
         conv_sum += w * n_conv
@@ -219,7 +221,7 @@ def coercive_report(
     conv_sum += op_norm
     plain_sum += op_norm
 
-    f_norm = lp_norm(f, p)
+    f_norm = _ranged_norm(lp_norm, f, p=p)
     return replace(
         rep,
         term_norms=term_norms,
@@ -274,10 +276,15 @@ def resolvent_sweep(
     ``refine`` the sweep reruns on a grid with doubled N; the sup must move
     by at most 5% to be flagged stable.  If every lambda is singular on the
     refined grid, the sweep is unstable with no drift and carries the
-    refined grid's singular-symbol witnesses.
+    refined grid's singular-symbol witnesses.  The probes solve at every
+    lambda, so with ``probes`` > 0 a ``phi`` wider than the problem sector is
+    a ValueError at fault ``phi``.
     """
     if angles < 2:
         raise ValueError("angle count must be at least 2")
+    if probes > 0 and phi.angle > prob.sector.angle:
+        wider = f"sweep angle {phi.angle:.6g} exceeds the problem sector angle {prob.sector.angle:.6g}"
+        raise _at_fault("phi", ValueError(f"{wider}: the probes solve only inside it"))
     thetas = np.linspace(-phi.angle, phi.angle, angles)
     lams = np.array([r * np.exp(1j * t) for r in radii for t in thetas])
 
@@ -287,7 +294,10 @@ def resolvent_sweep(
     if probes > 0:
         rng = np.random.default_rng(seed)
         draws = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(probes)]
-        draw_norms = [lp_norm(f, p) for f in draws]
+        draw_norms = [_ranged_norm(lp_norm, f, p=p) for f in draws]
+        if min(draw_norms) == 0.0:
+            zero = f"the norm of probe forcing {draw_norms.index(0.0) + 1} underflows to 0"
+            raise _at_fault("p", OverflowError(zero))
         probe_values = []
         for lam, exact in zip(lams, values):
             if math.isnan(exact):
@@ -296,7 +306,7 @@ def resolvent_sweep(
             best = 0.0
             for f, f_norm in zip(draws, draw_norms):
                 u = solve_elliptic(prob, f, complex(lam)).solution
-                best = max(best, abs(lam) * lp_norm(u, p) / f_norm)
+                best = max(best, abs(lam) * _ranged_norm(lp_norm, u, p=p) / f_norm)
             probe_values.append(best)
 
     finite = [v for v in values if not math.isnan(v)]
@@ -373,7 +383,8 @@ def separability_check(
     per-trial ratios ride in ``meta`` for stability studies. The ratio is
     scale-invariant, so trials use their drawn spectra as is, ``_TRIAL_BLOCK``
     at a time on the kept modes; p = 2 runs no transform. A trial whose norms
-    overflow raises ``OverflowError``; a zero ||O u||_p ``ZeroDivisionError``.
+    overflow raises ``OverflowError``, at fault ``p`` when every multiplier
+    and the trial's L2 norms are finite; a zero ||O u||_p ``ZeroDivisionError``.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
@@ -404,10 +415,12 @@ def separability_check(
             ok = finite & np.isfinite(term_sum) & np.isfinite(ou_norm)
             bad = np.flatnonzero(~ok | (ou_norm == 0.0))
             if bad.size:
-                t = start + bad[0] + 1
-                if ok[bad[0]]:
-                    raise ZeroDivisionError(f"||O u|| of separability trial {t} is 0")
-                raise OverflowError(f"the norms of separability trial {t} overflow")
+                i = bad[0]
+                if ok[i]:
+                    raise ZeroDivisionError(f"||O u|| of separability trial {start + i + 1} is 0")
+                err = OverflowError(f"the norms of separability trial {start + i + 1} overflow")
+                l2 = [_image_norms(grid, keep, spec[i : i + 1], m, 2.0) for m in mults]
+                raise _at_fault("p", err) if finite and np.isfinite(l2).all() else err
             ratios += (term_sum / ou_norm).tolist()
             witnesses += [
                 Witness(label="lower-bound", location={"trial": t}, magnitude=ratios[t])
@@ -428,42 +441,7 @@ def separability_check(
     )
 
 
-def _embedding_matrix(prob: EllipticProblem) -> np.ndarray:
-    """The matrix of the probe's operator symbol, which must be constant."""
-    if prob.A.constant_matrix is None:
-        raise ValueError("embedding probe requires a constant operator symbol")
-    return prob.A.constant_matrix
-
-
-def _embedding_kappa(alpha: float, s: float, p: float, q: float) -> float:
-    """kappa = (alpha + 1/p - 1/q)/s, for s > 0, alpha >= 0 and p <= q."""
-    if s <= 0.0 or alpha < 0.0:
-        raise ValueError("need s > 0 and alpha >= 0")
-    if q < p:
-        raise ValueError(f"exponents must satisfy p <= q, got p={p}, q={q}")
-    return (alpha + 1.0 / p - 1.0 / q) / s
-
-
-def _check_kappa(kappa: float) -> None:
-    if kappa > 1.0 + 1e-15:
-        raise ValueError(f"kappa = {kappa:.6g} exceeds 1; the inequality does not apply")
-
-
-def _check_mu(mu: float, kappa: float) -> None:
-    if not -1e-15 <= mu <= 1.0 - kappa + 1e-15:
-        raise ValueError(f"mu = {mu} outside [0, 1 - kappa] = [0, {1.0 - kappa:.6g}]")
-
-
-class _ProbeOverflow(OverflowError):
-    """A quantity of the embedding probe overflows the float range; ``arg``
-    names the argument at fault: "s", "p", "q" or "A", the operator matrix."""
-
-    def __init__(self, arg: str, message: str):
-        super().__init__(message)
-        self.arg = arg
-
-
-def _draw_overflow(k: int, norms, image, au, u_spec, bessel, u) -> _ProbeOverflow:
+def _draw_overflow(k: int, norms, image, au, u_spec, bessel, u) -> OverflowError:
     """The error of embedding draw ``k``, not all of whose ``norms``
     ||A^theta D^alpha u||_q, ||A u||_p, ||(1+xi^2)^(s/2) u||_p and ||u||_p
     are finite.  The first norm that is not puts the fault on its exponent
@@ -471,7 +449,7 @@ def _draw_overflow(k: int, norms, image, au, u_spec, bessel, u) -> _ProbeOverflo
     l2 = (lp_norm(image, 2.0), lp_norm(au, 2.0), multiplier_norm(u_spec, bessel, 2.0))
     i = [math.isfinite(n) for n in norms].index(False)
     arg = ("q", "p", "p", "p")[i] if i == 3 or math.isfinite(l2[i]) else ("A", "A", "s")[i]
-    return _ProbeOverflow(arg, f"the norms of embedding draw {k} overflow")
+    return _at_fault(arg, OverflowError(f"the norms of embedding draw {k} overflow"))
 
 
 def embedding_probe(
@@ -492,30 +470,43 @@ def embedding_probe(
     ||A u||_p + ||Finv (1+xi^2)^(s/2) F u||_p, over every h in ``h_set``,
     for each probe function u of ``us``: one report per u, in order.
     Requires a constant SPD operator symbol.  The rules are checked, and the
-    power of A and the multipliers built, once for all of ``us``.
+    power of A and the multipliers built, once for all of ``us``; the error of
+    a rule or an overflow is at fault ``prob`` (a symbol that is not
+    constant), ``A`` (its matrix), ``q``, ``alpha``, ``mu``, ``s`` or ``p``.
     ``meta["ratios"]`` holds the ratio of each h in ``h_set`` order.  Raises
     ``OverflowError`` when the Bessel multiplier or a norm of some u is not
-    finite; its ``arg`` names the argument at fault (see ``_draw_overflow``).
+    finite (see ``_draw_overflow``), or when ||A^theta D^alpha u||_q
+    underflows to 0 while the L2 norm of its field does not (at fault ``q``).
     """
-    a_mat = _embedding_matrix(prob)
+    a_mat = prob.A.constant_matrix
+    if a_mat is None:
+        raise _at_fault("prob", ValueError("embedding probe requires a constant operator symbol"))
     if any(u.grid != prob.grid or u.dim != prob.dim for u in us):
         raise ValueError("probe function does not match the problem grid/dimension")
-    kappa = _embedding_kappa(alpha, s, p, q)
-    _check_kappa(kappa)
-    _check_mu(mu, kappa)
+    if s <= 0.0 or alpha < 0.0:
+        raise _at_fault("s" if s <= 0.0 else "alpha", ValueError("need s > 0 and alpha >= 0"))
+    if q < p:
+        raise _at_fault("q", ValueError(f"exponents must satisfy p <= q, got p={p}, q={q}"))
+    kappa = (alpha + 1.0 / p - 1.0 / q) / s
+    if kappa > 1.0 + 1e-15:
+        exceeds = f"kappa = {kappa:.6g} exceeds 1; the inequality does not apply"
+        raise _at_fault("alpha", ValueError(exceeds))
+    if not -1e-15 <= mu <= 1.0 - kappa + 1e-15:
+        outside = f"mu = {mu} outside [0, 1 - kappa] = [0, {1.0 - kappa:.6g}]"
+        raise _at_fault("mu", ValueError(outside))
     if not h_set:
         raise ValueError("h_set must be non-empty")
     for h in h_set:
         if h <= 0.0:
             raise ValueError(f"h must be positive, got {h}")
 
+    power_t = matrix_fractional_power(a_mat, 1.0 - kappa - mu).T
     xi = prob.grid.frequencies
     with np.errstate(over="ignore"):
         bessel = (1.0 + xi**2) ** (s / 2.0) + 0j
     if not np.isfinite(bessel).all():
-        k = np.argmin(np.isfinite(bessel))
-        raise _ProbeOverflow("s", f"(1 + xi^2)^(s/2) overflows the float range at xi = {xi[k]:.6g}")
-    power_t = matrix_fractional_power(a_mat, 1.0 - kappa - mu).T
+        at = f"at xi = {xi[np.argmin(np.isfinite(bessel))]:.6g}"
+        raise _at_fault("s", OverflowError(f"(1 + xi^2)^(s/2) overflows the float range {at}"))
     frac = frac_power_i_xi(xi, alpha)
     a_t = np.asarray(a_mat, dtype=complex).T
 
@@ -532,6 +523,9 @@ def embedding_probe(
             if not math.isfinite(lhs + a_norm + b_norm + u_norm):
                 norms = (lhs, a_norm, b_norm, u_norm)
                 raise _draw_overflow(k, norms, image, au, u_spec, bessel, u)
+            if lhs == 0.0 and lp_norm(image, 2.0) > 0.0:
+                zero = f"||A^theta D^alpha u||_q of embedding draw {k} underflows to 0"
+                raise _at_fault("q", OverflowError(zero))
             w_norm = a_norm + b_norm
             ratios = [float(lhs / (h**mu * w_norm + h ** (mu - 1.0) * u_norm)) for h in h_set]
             reports.append(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, apply_multiplier, forward_transform
+from .core import GridFunction, _at_fault, apply_multiplier, forward_transform
 
 __all__ = [
     "FractionalOrder",
@@ -101,22 +101,23 @@ def rl_derivative_oracle(samples: np.ndarray, gamma: float, spacing: float) -> n
 
 
 def matrix_fractional_power(mat: np.ndarray, theta: float) -> np.ndarray:
-    """A^theta for symmetric positive definite A via eigendecomposition."""
+    """A^theta for symmetric positive definite A via eigendecomposition; a
+    matrix that is not one raises a ValueError at fault ``A``."""
     a = np.asarray(mat)
     if np.iscomplexobj(a):
         scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
         if a.size and float(np.max(np.abs(a.imag))) > 1e-12 * scale:
-            raise ValueError("matrix must be real symmetric")
+            raise _at_fault("A", ValueError("matrix must be real symmetric"))
         a = a.real
     a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise _at_fault("A", ValueError(f"expected a square matrix, got shape {a.shape}"))
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric to 1e-12")
+        raise _at_fault("A", ValueError("matrix is not symmetric to 1e-12"))
     eigvals, eigvecs = np.linalg.eigh(a)
     if eigvals[0] <= 0.0:
-        raise ValueError(
-            f"matrix is not positive definite: eigenvalue {eigvals[0]:.12g}"
+        raise _at_fault(
+            "A", ValueError(f"matrix is not positive definite: eigenvalue {eigvals[0]:.12g}")
         )
     return (eigvecs * eigvals**theta) @ eigvecs.T

@@ -24,7 +24,9 @@ from .core import (
     GridFunction,
     Sector,
     SpaceTimeFunction,
+    _at_fault,
     _mixed_l2_of_spectra,
+    _ranged_norm,
     lp_norm,
     mixed_norm,
 )
@@ -33,7 +35,6 @@ from .fractional import FractionalOrder
 from .symbols import (
     CoefficientSymbol,
     EllipticProblem,
-    OperatorSymbol,
     constant_operator,
     q_matrices,
 )
@@ -56,6 +57,19 @@ def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
     # The ledger's second-order np.gradient needs 3 time samples.
     if f.times.size < 3:
         raise ValueError(f"need at least 2 time steps, got {f.times.size - 1}")
+
+
+def _ranged_mixed_norm(f: SpaceTimeFunction, p: float, p1: float, swap: bool = False) -> float:
+    """``mixed_norm``, a ledger norm, computed with float overflow ignored.  A
+    norm that is not finite is an OverflowError, at fault ``p1`` when the
+    p-norm of every time slice is finite, else at fault ``p``."""
+    with np.errstate(over="ignore"):
+        value = mixed_norm(f, p, p1, swap=swap)
+        if math.isfinite(value):
+            return value
+        slices = all(math.isfinite(lp_norm(GridFunction(f.grid, v), p)) for v in f.values)
+    err = OverflowError("a mixed norm of the ledger overflows the float range")
+    raise _at_fault("p1" if slices else "p", err)
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
@@ -272,7 +286,7 @@ def parabolic_coercive_report(
     ou = grid.to_physical(_apply(q0))
 
     def _mixed(vals: np.ndarray) -> float:
-        return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
+        return _ranged_mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
 
     def _ledger(spectra: np.ndarray) -> float:
         """Mixed norm of the field whose slices have these spectra."""
@@ -349,11 +363,6 @@ def _shifted_coupling(mat: SystemMatrix, lam: complex, literal_shift: bool) -> n
     return mat.entries + lam * np.eye(mat.size)
 
 
-def _coupling_symbol(mat: SystemMatrix, lam: complex, literal_shift: bool) -> OperatorSymbol:
-    """The constant operator symbol of the shifted coupling; a singular one is rejected."""
-    return constant_operator(_shifted_coupling(mat, lam, literal_shift), name="coupling+shift")
-
-
 def solve_system(
     mat: SystemMatrix,
     order: FractionalOrder,
@@ -371,8 +380,9 @@ def solve_system(
     :class:`SpaceTimeFunction` forcing in parabolic mode (zero initial
     data) over its time samples.  The SPD gate lives in
     :class:`SystemMatrix`.  ``literal_shift`` adds lambda inside the
-    coupling sum instead of on the diagonal.  Reports include the
-    coupling-weighted norm ||A u||.
+    coupling sum instead of on the diagonal; a singular shifted coupling
+    is a ValueError at fault ``lam``.  Reports include the coupling-weighted
+    norm ||A u||.
     """
     lam = complex(lam)
     if isinstance(f, GridFunction):
@@ -383,22 +393,26 @@ def solve_system(
         raise ValueError(
             f"forcing must be a GridFunction or a SpaceTimeFunction, got {type(f).__name__}"
         )
+    try:
+        coupling = constant_operator(_shifted_coupling(mat, lam, literal_shift), name="coupling+shift")
+    except ValueError as exc:
+        raise _at_fault("lam", exc)
     grid = f.grid
     core = EllipticProblem(
         order=order,
         a=a,
-        A=_coupling_symbol(mat, lam, literal_shift),
+        A=coupling,
         sector=Sector.enclosing(lam),
         grid=grid,
     )
     weight = np.asarray(mat.entries, dtype=complex)
     if mode == "elliptic":
         rep = solve_elliptic(core, f, 0.0, p=p)
-        weighted = lp_norm(GridFunction(grid, rep.solution.values @ weight.T), p)
+        weighted = _ranged_norm(lp_norm, GridFunction(grid, rep.solution.values @ weight.T), p=p)
     else:
         rep = parabolic_coercive_report(core, f, p=p, p1=p1)
         u = rep.solution
-        weighted = mixed_norm(
+        weighted = _ranged_mixed_norm(
             SpaceTimeFunction(grid, u.times, np.einsum("ij,mkj->mki", weight, u.values)), p, p1
         )
     return replace(

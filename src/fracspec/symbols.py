@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_SEED, Sector, SpatialGrid
+from .core import DEFAULT_SEED, Sector, SpatialGrid, _at_fault
 from .fractional import FractionalOrder, frac_power_i_xi
 
 __all__ = [
@@ -323,10 +323,11 @@ class EllipticProblem:
 
 
 def _in_sector(sector: Sector, lam: complex) -> complex:
-    """``lam`` as a complex number; ValueError unless ``sector`` holds it."""
+    """``lam`` as a complex number; ValueError, at fault ``lam``, unless ``sector`` holds it."""
     lam = complex(lam)
     if not sector.contains(lam):
-        raise ValueError(f"lambda {lam} lies outside the problem sector (angle {sector.angle:.6g})")
+        outside = f"lambda {lam} lies outside the problem sector (angle {sector.angle:.6g})"
+        raise _at_fault("lam", ValueError(outside))
     return lam
 
 

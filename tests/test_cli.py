@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fracspec
-from fracspec import cli, elliptic, parabolic
+from fracspec import bvp, cli, config, elliptic, parabolic
 from fracspec.bvp import BVPCoefficients
 from fracspec.cli import (
     CSV_BLOCK_ROWS,
@@ -301,8 +301,8 @@ def test_embedding_probe_ratios_follow_h_set(tmp_path):
 
 
 def test_embedding_probe_builds_its_multipliers_once(tmp_path, monkeypatch):
-    """The power of A and (i xi)^alpha are built once per run, not once per draw;
-    the CLI's naming check takes one more power."""
+    """The power of A and (i xi)^alpha are built once per run, not once per draw,
+    and the CLI takes no power of its own to name a key."""
     calls = {"power": 0, "alpha": 0}
     power, frac = elliptic.matrix_fractional_power, elliptic.frac_power_i_xi
 
@@ -314,12 +314,11 @@ def test_embedding_probe_builds_its_multipliers_once(tmp_path, monkeypatch):
         calls["alpha"] += alpha == 0.75
         return frac(xi, alpha)
 
-    monkeypatch.setattr(cli, "matrix_fractional_power", counting_power)
     monkeypatch.setattr(elliptic, "matrix_fractional_power", counting_power)
     monkeypatch.setattr(elliptic, "frac_power_i_xi", counting_frac)
     ini, _ = _write_ini(tmp_path, "embedding-probe", params="draws = 4\nalpha = 0.75")
     assert main(["--config", str(ini)]) == 0
-    assert calls == {"power": 2, "alpha": 1}
+    assert calls == {"power": 1, "alpha": 1}
 
 
 def test_bvp_artifacts_and_ellipticity_failure(tmp_path):
@@ -906,6 +905,41 @@ _OVERSIZED = [
             [],
             "[parameters] s = 1e308: (1 + xi^2)^(s/2) overflows the float range at xi = ",
         ),
+        (
+            _task_edit(
+                "resolvent-sweep", "sweep_angle = 2.0\nradii = 1,10\nangles = 3\nprobes = 1\nrefine = false"
+            ),
+            [],
+            "[parameters] sweep_angle: sweep angle 2 exceeds the problem sector angle 0.785398",
+        ),
+        (
+            _task_edit("separability", "trials = 3\np = 1e308"),
+            [],
+            "[parameters] p = 1e308: the norms of separability trial 1 overflow\n",
+        ),
+        (
+            _task_edit("bvp", "p = 1e308"),
+            [],
+            "[parameters] p = 1e308: a norm of the ledger overflows the float range\n",
+        ),
+        *[
+            (
+                _task_edit(task, f"{line}p1 = 1e308\nnt = 4"),
+                [],
+                "[parameters] p1 = 1e308: a mixed norm of the ledger overflows the float range\n",
+            )
+            for task, line in [("solve-parabolic", ""), ("system", "mode = parabolic\n")]
+        ],
+        (
+            _task_edit("resolvent-sweep", "probes = 1\np = 1e308\nradii = 1,10\nangles = 3"),
+            [],
+            "[parameters] p = 1e308: the norm of probe forcing 1 underflows to 0\n",
+        ),
+        (
+            _task_edit("embedding-probe", "alpha = 0\nq_exp = 1e308"),
+            [],
+            "[parameters] q_exp = 1e308: ||A^theta D^alpha u||_q of embedding draw 1 underflows",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -942,6 +976,47 @@ def test_failed_run_writes_nothing(tmp_path, capsys, task, params, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_every_key_a_rule_can_name_is_a_key_of_its_task():
+    """Each argument a library rule tags maps to a key that the task declares,
+    in the section the CLI names it under."""
+    assert set(cli._ARG_KEYS) == set(config.TASK_PARAMETERS)
+    for task, keys in cli._ARG_KEYS.items():
+        for key in keys.values():
+            if key in config.KEYS["problem"]:
+                assert key in config.OPERATOR_KEYS and task not in config.SCALAR_TASKS
+            else:
+                assert key in config.TASK_PARAMETERS[task]
+
+
+def test_bvp_runs_each_stencil_rule_once(tmp_path):
+    """The solve holds each coefficient to the stencil rules; the CLI does not
+    check them a second time to name a key."""
+    code = bvp._stencil_coefficient.__code__
+    labels = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            labels.append(frame.f_locals["label"])
+
+    ini, _ = _write_ini(tmp_path, "bvp", gamma="2.0", params="mesh_size = 7")
+    sys.setprofile(profile)
+    try:
+        assert main(["--config", str(ini)]) == 0
+    finally:
+        sys.setprofile(None)
+    assert labels == ["b2", "b1", "b0"]
+
+
+def test_wide_sweep_without_probes_runs(tmp_path):
+    """Without probes the sweep solves nothing, so it may leave the problem sector."""
+    ini, out = _write_ini(
+        tmp_path, "resolvent-sweep",
+        params="sweep_angle = 2.0\nradii = 1,10\nangles = 3\nprobes = 0\nrefine = false",
+    )
+    assert main(["--config", str(ini)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2 * 3
 
 
 def test_bvp_coefficient_overflowing_at_the_ends_warns_nothing(tmp_path):

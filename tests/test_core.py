@@ -112,6 +112,21 @@ def test_lp_norm_exponent_domain():
             fs.lp_norm(f, bad)
 
 
+def test_ranged_norm_puts_an_overflow_on_the_exponent_only_when_l2_is_finite():
+    from fracspec.core import _ranged_norm
+
+    g = fs.SpatialGrid(1.0, 4)
+    f = fs.GridFunction(g, np.full(4, 2.0))
+    assert _ranged_norm(fs.lp_norm, f, p=3.0) == fs.lp_norm(f, 3.0)
+    with np.errstate(over="raise"), pytest.raises(OverflowError) as exc:
+        _ranged_norm(fs.lp_norm, f, p=1e308)
+    assert exc.value.arg == "p"
+    huge = fs.GridFunction(g, np.full(4, 1e200))
+    with np.errstate(over="raise"), pytest.raises(OverflowError) as exc:
+        _ranged_norm(fs.lp_norm, huge, p=2.0)
+    assert not hasattr(exc.value, "arg")
+
+
 def test_mixed_norm_constant_exact():
     g = fs.SpatialGrid(3.0, 16)
     times = np.linspace(0.0, 2.0, 9)
