@@ -336,14 +336,13 @@ def _task_solve_parabolic(run: _Run) -> bool:
     cfg = run.cfg
     prob = build_problem(cfg)
     f = _parabolic_forcing(cfg, prob.grid, prob.dim, run.rng())
-    with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError), _keyed(cfg):
-        rep = parabolic_coercive_report(
-            prob,
-            f,
-            cfg.value("parameters", "scheme") or "exact",
-            p=cfg.value("parameters", "p"),
-            p1=cfg.value("parameters", "p1"),
-        )
+    rep = parabolic_coercive_report(
+        prob,
+        f,
+        cfg.value("parameters", "scheme") or "exact",
+        p=cfg.value("parameters", "p"),
+        p1=cfg.value("parameters", "p1"),
+    )
     _write_space_time_solution(run.out / "solution.csv", rep.solution)
     run.report(rep.to_jsonable(), [])
     return False
@@ -406,22 +405,13 @@ def _task_verify_conditions(run: _Run) -> bool:
 
 def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
-    prob = build_problem(cfg)
-    # An overflow names the larger of the two scales of the symbol; a norm
-    # ||O u|| that underflows to 0 names the half-width, whose quadrature weights do that.
-    a_scale = abs(cfg.value("problem", "a_value"))
-    op_scale = float(np.abs(cfg.value("problem", "a_op_matrix")).max())
-    key = "a_value" if a_scale >= op_scale else "a_op_matrix"
-    with naming(f"[problem] {key} = {cfg.text('problem', key)}", OverflowError), naming(
-        f"[problem] l = {cfg.text('problem', 'l')}", ZeroDivisionError
-    ), _keyed(cfg):
-        rep = separability_check(
-            prob,
-            trials=cfg.value("parameters", "trials"),
-            p=cfg.value("parameters", "p"),
-            s_set=cfg.value("parameters", "s_set"),
-            seed=run.seed,
-        )
+    rep = separability_check(
+        build_problem(cfg),
+        trials=cfg.value("parameters", "trials"),
+        p=cfg.value("parameters", "p"),
+        s_set=cfg.value("parameters", "s_set"),
+        seed=run.seed,
+    )
     ratios = np.array(rep.meta["ratios"], dtype=float)
     _write_csv(run.out / "ratios.csv", ["trial", "ratio"], [np.arange(1, ratios.size + 1), ratios])
     run.report(rep.to_jsonable(), [] if rep.passed else [rep.name])
@@ -508,11 +498,10 @@ def _task_system(run: _Run) -> bool:
         _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     else:
         f = _parabolic_forcing(cfg, prob.grid, mat.size, run.rng())
-        with naming(f"[parameters] t = {float(f.times[-1])}", OverflowError), _keyed(cfg):
-            rep = solve_system(
-                mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
-                p1=cfg.value("parameters", "p1"),
-            )
+        rep = solve_system(
+            mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
+            p1=cfg.value("parameters", "p1"),
+        )
         _write_space_time_solution(run.out / "solution.csv", rep.solution)
     run.report(rep.to_jsonable(), [])
     return False
@@ -529,10 +518,9 @@ def _task_convergence(run: _Run) -> bool:
     _require_memory("[parameters] levels", text, (levels[-1] + 1, prob.grid.size, prob.dim))
     horizon = _horizon(cfg, levels[-1])
     spatial = build_forcing(cfg, prob.grid, prob.dim, run.rng())
-    with naming(f"[parameters] t = {horizon}", OverflowError):
-        errors = _convergence_errors(
-            prob, spatial, functools.partial(_profile_weights, cfg), horizon, levels, scheme
-        )
+    errors = _convergence_errors(
+        prob, spatial, functools.partial(_profile_weights, cfg), horizon, levels, scheme
+    )
 
     orders: list[str] = []
     for i, err in enumerate(errors):
@@ -564,20 +552,20 @@ _TASKS = {
 }
 
 # Each task's config key of every argument that a library rule can put the
-# fault on; the two operator keys lie in [problem], the rest in [parameters].
+# fault on; a key of [problem] is named there, the rest in [parameters].
 _ARG_KEYS = {
-    "solve-elliptic": {"lam": "lambda", "s_set": "s_set"},
-    "solve-parabolic": {"p": "p", "p1": "p1"},
+    "solve-elliptic": {"lam": "lambda", "s_set": "s_set", "p": "p"},
+    "solve-parabolic": {"dt": "t", "p": "p", "p1": "p1"},
     "resolvent-sweep": {"phi": "sweep_angle", "p": "p"},
     "verify-conditions": {"lam": "lambda_set"},
-    "separability": {"s_set": "s_set", "p": "p"},
+    "separability": {"s_set": "s_set", "p": "p", "a": "a_value", "A": "a_op_matrix", "grid": "l"},
     "embedding-probe": {
         "prob": "a_op_family", "A": "a_op_matrix", "q": "q_exp",
         "alpha": "alpha", "s": "s", "p": "p", "mu": "mu",
     },
     "bvp": {"b2": "b2", "b1": "b1", "b0": "b0", "lam": "lambda", "p": "p"},
-    "system": {"lam": "lambda", "p": "p", "p1": "p1"},
-    "convergence": {},
+    "system": {"lam": "lambda", "dt": "t", "p": "p", "p1": "p1"},
+    "convergence": {"dt": "t"},
 }
 
 
@@ -586,16 +574,17 @@ def _keyed(cfg: RunConfig):
     """Re-raise an error that a library rule put on an argument (its ``arg``)
     as a ConfigError naming the task's key of that argument:
     ``[section] key: message``, or ``[section] key = text: message`` for an
-    overflow.  Any other error passes unchanged."""
+    arithmetic fault (an overflow, an underflow to 0 or a zero division).
+    Any other error passes unchanged."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         key = _ARG_KEYS[cfg.task].get(getattr(exc, "arg", None))
         if key is None:
             raise
         section = "problem" if key in KEYS["problem"] else "parameters"
         label = f"[{section}] {key}"
-        if isinstance(exc, OverflowError):
+        if isinstance(exc, ArithmeticError):
             label += f" = {cfg.text(section, key)}"
         raise ConfigError(f"{label}: {exc}") from exc
 

@@ -45,12 +45,13 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def naming(label: str, *errors: type[Exception]):
-    """Re-raise a ValueError from the block, or one of ``errors`` when given,
-    as ``ConfigError(f"{label}: {exc}")``: ``label`` names the key at fault."""
+def naming(label: str):
+    """Re-raise a ValueError from the block, which builds a config object (a
+    sector, matrix, order, grid or operator) from the value of the key that
+    ``label`` names, as ``ConfigError(f"{label}: {exc}")``."""
     try:
         yield
-    except (errors or ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
 

@@ -264,16 +264,23 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return float((f.grid.spacing * np.sum(mags**p)) ** (1.0 / p))
 
 
-def _ranged_norm(norm, *args, p: float) -> float:
+def _ranged_norm(norm, *args, p: float, what: str = "a norm of the ledger") -> float:
     """``norm(*args, p)``, a ledger norm, computed with float overflow ignored.
     A norm that is not finite is an OverflowError, at fault ``p`` when the
-    same norm at p = 2 is finite."""
+    same norm at p = 2 is finite.  A norm of 0 whose norm at p = 2 is
+    positive underflowed: an OverflowError at fault ``p``.  ``what`` names
+    the norm in the message."""
     with np.errstate(over="ignore"):
         value = norm(*args, p)
-        if math.isfinite(value):
+        if 0.0 < value < math.inf:
             return value
-        err = OverflowError("a norm of the ledger overflows the float range")
-        raise _at_fault("p", err) if math.isfinite(norm(*args, 2.0)) else err
+        l2 = norm(*args, 2.0)
+    if value == 0.0:
+        if l2 > 0.0:
+            raise _at_fault("p", OverflowError(f"{what} underflows to 0"))
+        return value
+    err = OverflowError(f"{what} overflows the float range")
+    raise _at_fault("p", err) if math.isfinite(l2) else err
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -119,13 +119,15 @@ def solve_elliptic(
     lambda must lie in the problem sector.  The physical-space residual
     must come in below ``1e-9 * ||f||_2`` or the solve is rejected.
     """
-    return _solve_with_spectrum(prob, f, lam, p)[0]
+    rep, u_spec = _solve_with_spectrum(prob, f, lam, p)
+    return replace(rep, term_norms=_term_norms(prob, rep, u_spec))
 
 
 def _solve_with_spectrum(
     prob: EllipticProblem, f: GridFunction, lam: complex, p: float
 ) -> tuple[SolveReport, SpectralFunction]:
-    """``solve_elliptic`` plus the transform of u its norm ledger was built from."""
+    """``solve_elliptic`` without its term norms, plus the transform of u
+    that a norm ledger is built from."""
     if f.grid != prob.grid:
         raise ValueError("grid mismatch between forcing and problem")
     if f.dim != prob.dim:
@@ -153,19 +155,25 @@ def _solve_with_spectrum(
             f"= {_RESIDUAL_TOL * f_norm:.3e}"
         )
 
-    term_norms = {
-        f"a*D^{prob.order.gamma:g} u": _ranged_norm(multiplier_norm, u_spec, sym.a * sym.frac, p=p),
-        "A*u": _ranged_norm(multiplier_norm, u_spec, sym.A, p=p),
-        "lambda*u": abs(lam) * _ranged_norm(lp_norm, u, p=p),
-    }
     return SolveReport(
         solution=u,
         residual=resid,
         residual_rel=resid / f_norm if f_norm > 0.0 else 0.0,
-        term_norms=term_norms,
+        term_norms={},
         coercive_ratio=None,
         meta={"lambda": lam, "p": p, "grid_size": prob.grid.size, "q_form": prob.q_form},
     ), u_spec
+
+
+def _term_norms(prob: EllipticProblem, rep: SolveReport, u_spec: SpectralFunction) -> dict:
+    """The ledger of ``solve_elliptic``: the p-norms of a*D^gamma u, A*u and
+    lambda*u for the solve ``rep`` of ``prob``, with u_spec the transform of u."""
+    sym, p = prob._symbol, rep.meta["p"]
+    return {
+        f"a*D^{prob.order.gamma:g} u": _ranged_norm(multiplier_norm, u_spec, sym.a * sym.frac, p=p),
+        "A*u": _ranged_norm(multiplier_norm, u_spec, sym.A, p=p),
+        "lambda*u": abs(rep.meta["lambda"]) * _ranged_norm(lp_norm, rep.solution, p=p),
+    }
 
 
 def _probe_orders(gamma: float, s_set: Sequence[float] | None = None) -> Sequence[float]:
@@ -206,7 +214,7 @@ def coercive_report(
     weights = _coercive_weights(gamma, complex(lam), s_set)
 
     sym = prob._symbol
-    term_norms = dict(rep.term_norms)
+    term_norms = _term_norms(prob, rep, u_spec)
     conv_sum = 0.0
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
@@ -294,10 +302,10 @@ def resolvent_sweep(
     if probes > 0:
         rng = np.random.default_rng(seed)
         draws = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(probes)]
-        draw_norms = [_ranged_norm(lp_norm, f, p=p) for f in draws]
-        if min(draw_norms) == 0.0:
-            zero = f"the norm of probe forcing {draw_norms.index(0.0) + 1} underflows to 0"
-            raise _at_fault("p", OverflowError(zero))
+        draw_norms = [
+            _ranged_norm(lp_norm, f, p=p, what=f"the norm of probe forcing {k}")
+            for k, f in enumerate(draws, 1)
+        ]
         probe_values = []
         for lam, exact in zip(lams, values):
             if math.isnan(exact):
@@ -348,17 +356,19 @@ def resolvent_sweep(
 
 
 def _image_norms(
-    grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p: float
+    grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p: float,
+    parseval: bool = True,
 ) -> np.ndarray:
     """``multiplier_norm`` of each (d, K) spectrum in ``spec`` (zero off ``keep``) under
-    ``mult`` on the kept modes: a scalar (K,) or the transposed matrices as (d, d, K)."""
+    ``mult`` on the kept modes: a scalar (K,) or the transposed matrices as (d, d, K).
+    Without ``parseval``, p = 2 too takes the physical-space path."""
     if mult.ndim == 1:
         image = mult * spec
     else:
         image = mult[0] * spec[:, :1]
         for j in range(1, spec.shape[1]):
             image += mult[j] * spec[:, j : j + 1]
-    if p == 2.0:
+    if p == 2.0 and parseval:
         parts = image.view(float).reshape(len(image), -1)
         return np.sqrt(np.einsum("ij,ij->i", parts, parts) / (2.0 * grid.half_width))
     full = np.zeros((len(image), grid.size, spec.shape[1]), dtype=complex)
@@ -384,7 +394,10 @@ def separability_check(
     scale-invariant, so trials use their drawn spectra as is, ``_TRIAL_BLOCK``
     at a time on the kept modes; p = 2 runs no transform. A trial whose norms
     overflow raises ``OverflowError``, at fault ``p`` when every multiplier
-    and the trial's L2 norms are finite; a zero ||O u||_p ``ZeroDivisionError``.
+    and the trial's L2 norms are finite, else at fault ``a`` or ``A``,
+    whichever of max|a(xi)| and max|A(xi)| is larger.  A zero ||O u||_p is an
+    ``OverflowError`` at fault ``p`` when the L2 norm of the trial's samples
+    of O u is positive, else a ``ZeroDivisionError`` at fault ``grid``.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
@@ -416,11 +429,17 @@ def separability_check(
             bad = np.flatnonzero(~ok | (ou_norm == 0.0))
             if bad.size:
                 i = bad[0]
+                trial = f"separability trial {start + i + 1}"
                 if ok[i]:
-                    raise ZeroDivisionError(f"||O u|| of separability trial {start + i + 1} is 0")
-                err = OverflowError(f"the norms of separability trial {start + i + 1} overflow")
+                    l2 = _image_norms(grid, keep, spec[i : i + 1], mults[-1], 2.0, parseval=False)
+                    if l2[0] > 0.0:
+                        raise _at_fault("p", OverflowError(f"||O u||_p of {trial} underflows to 0"))
+                    raise _at_fault("grid", ZeroDivisionError(f"||O u|| of {trial} is 0"))
+                err = OverflowError(f"the norms of {trial} overflow")
                 l2 = [_image_norms(grid, keep, spec[i : i + 1], m, 2.0) for m in mults]
-                raise _at_fault("p", err) if finite and np.isfinite(l2).all() else err
+                if finite and np.isfinite(l2).all():
+                    raise _at_fault("p", err)
+                raise _at_fault("a" if np.abs(sym.a).max() >= np.abs(sym.A).max() else "A", err)
             ratios += (term_sum / ou_norm).tolist()
             witnesses += [
                 Witness(label="lower-bound", location={"trial": t}, magnitude=ratios[t])

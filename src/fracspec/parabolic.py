@@ -61,15 +61,22 @@ def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
 
 def _ranged_mixed_norm(f: SpaceTimeFunction, p: float, p1: float, swap: bool = False) -> float:
     """``mixed_norm``, a ledger norm, computed with float overflow ignored.  A
-    norm that is not finite is an OverflowError, at fault ``p1`` when the
-    p-norm of every time slice is finite, else at fault ``p``."""
+    norm that is not finite is an OverflowError, and so is a norm of 0 whose
+    L2 norm is positive, which underflowed.  Either is at fault ``p`` when the
+    p-norm of some time slice is one too (see ``_ranged_norm``), else at
+    fault ``p1``."""
     with np.errstate(over="ignore"):
         value = mixed_norm(f, p, p1, swap=swap)
-        if math.isfinite(value):
+        if 0.0 < value < math.inf or value == 0.0 and not mixed_norm(f, 2.0, 2.0) > 0.0:
             return value
-        slices = all(math.isfinite(lp_norm(GridFunction(f.grid, v), p)) for v in f.values)
-    err = OverflowError("a mixed norm of the ledger overflows the float range")
-    raise _at_fault("p1" if slices else "p", err)
+    fault = "underflows to 0" if value == 0.0 else "overflows the float range"
+    err = OverflowError(f"a mixed norm of the ledger {fault}")
+    try:
+        for v in f.values:
+            _ranged_norm(lp_norm, GridFunction(f.grid, v), p=p)
+    except OverflowError:
+        raise _at_fault("p", err) from None
+    raise _at_fault("p1", err)
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
@@ -128,12 +135,13 @@ def _evolve(
     matrices are held as (d, d, N) stacks, so every contraction runs with
     the frequency axis innermost.  Raises ``OverflowError`` before the
     first step when dt * Q overflows, and at the first state that is not
-    finite, when the step is so long that the spectral solution overflows.
+    finite, when the step is so long that the spectral solution overflows;
+    either is at fault ``dt``.
     """
     overflow = f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
     with np.errstate(over="ignore"):
         if not np.isfinite(dt * q0).all():
-            raise OverflowError(overflow)
+            raise _at_fault("dt", OverflowError(overflow))
     eye = np.eye(q0.shape[1])[None, :, :]
 
     def planar(m):
@@ -165,7 +173,7 @@ def _evolve(
         f1 = forcing(m)
         u = step(u, f0, f1)
         if not np.isfinite(u).all():
-            raise OverflowError(overflow)
+            raise _at_fault("dt", OverflowError(overflow))
         if states is not None:
             states[m] = u
         f0 = f1

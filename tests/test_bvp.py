@@ -151,3 +151,24 @@ def test_anisotropic_report_terms_and_dim_gate():
     wrong = fs.GridFunction(g, np.ones((64, 5)))
     with pytest.raises(ValueError, match="expected mesh size"):
         fs.solve_anisotropic(coeffs, order, a, 1.0, wrong)
+
+
+def test_anisotropic_report_computes_only_the_norms_it_reports(monkeypatch):
+    """Six term norms and the forcing norm: the solve's own term norms are not built."""
+    from fracspec import bvp, elliptic
+
+    calls = []
+
+    def counted(norm, *args, p, **kw):
+        calls.append(norm)
+        return ranged(norm, *args, p=p, **kw)
+
+    ranged = elliptic._ranged_norm
+    monkeypatch.setattr(elliptic, "_ranged_norm", counted)
+    monkeypatch.setattr(bvp, "_ranged_norm", counted)
+    g = fs.SpatialGrid(10.0, 64)
+    coeffs = _coeffs(7)
+    f_vals = np.exp(-(g.points**2))[:, None] * np.sin(math.pi * coeffs.mesh)[None, :]
+    order, a = fs.FractionalOrder(2.0), fs.constant_coefficient(-1.0)
+    rep = fs.solve_anisotropic(coeffs, order, a, 1.0, fs.GridFunction(g, f_vals))
+    assert len(calls) == len(rep.term_norms) + 1 == 7

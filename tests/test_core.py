@@ -127,6 +127,17 @@ def test_ranged_norm_puts_an_overflow_on_the_exponent_only_when_l2_is_finite():
     assert not hasattr(exc.value, "arg")
 
 
+def test_ranged_norm_puts_an_underflow_to_zero_on_the_exponent():
+    from fracspec.core import _ranged_norm
+
+    g = fs.SpatialGrid(1.0, 4)
+    small = fs.GridFunction(g, np.full(4, 0.1))
+    with pytest.raises(OverflowError, match="underflows to 0") as exc:
+        _ranged_norm(fs.lp_norm, small, p=1e308, what="the norm")
+    assert exc.value.arg == "p" and str(exc.value) == "the norm underflows to 0"
+    assert _ranged_norm(fs.lp_norm, fs.GridFunction(g, np.zeros(4)), p=1e308) == 0.0
+
+
 def test_mixed_norm_constant_exact():
     g = fs.SpatialGrid(3.0, 16)
     times = np.linspace(0.0, 2.0, 9)
