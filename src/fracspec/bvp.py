@@ -23,7 +23,6 @@ from .core import (
     GridFunction,
     Sector,
     _at_fault,
-    _ranged_norm,
     lp_norm,
     multiplier_norm,
 )
@@ -264,15 +263,15 @@ def solve_anisotropic(
     terms: dict[str, float] = {}
     lhs = 0.0
     for s, w in zip(s_set, _coercive_weights(order.gamma, lam, s_set)):
-        val = sqrt_hy * _ranged_norm(multiplier_norm, u_spec, sym.a * frac_power_i_xi(sym.xi, s), p=p)
+        val = sqrt_hy * multiplier_norm(u_spec, sym.a * frac_power_i_xi(sym.xi, s), p)
         terms[f"a*Dx^{s:g} u"] = val
         lhs += w * val
     d0, d1, d2 = _y_derivative_stencils(u.values, hy)
     for b, dv in enumerate((d0, d1, d2)):
-        val = sqrt_hy * _ranged_norm(lp_norm, GridFunction(grid, dv), p=p)
+        val = sqrt_hy * lp_norm(GridFunction(grid, dv), p)
         terms[f"Dy^{b} u"] = val
         lhs += val
-    f_norm = sqrt_hy * _ranged_norm(lp_norm, f, p=p)
+    f_norm = sqrt_hy * lp_norm(f, p)
     return replace(
         rep,
         term_norms=terms,

@@ -554,17 +554,17 @@ _TASKS = {
 # Each task's config key of every argument that a library rule can put the
 # fault on; a key of [problem] is named there, the rest in [parameters].
 _ARG_KEYS = {
-    "solve-elliptic": {"lam": "lambda", "s_set": "s_set", "p": "p"},
-    "solve-parabolic": {"dt": "t", "p": "p", "p1": "p1"},
-    "resolvent-sweep": {"phi": "sweep_angle", "p": "p"},
+    "solve-elliptic": {"lam": "lambda", "s_set": "s_set"},
+    "solve-parabolic": {"dt": "t"},
+    "resolvent-sweep": {"phi": "sweep_angle"},
     "verify-conditions": {"lam": "lambda_set"},
-    "separability": {"s_set": "s_set", "p": "p", "a": "a_value", "A": "a_op_matrix", "grid": "l"},
+    "separability": {"s_set": "s_set", "a": "a_value", "A": "a_op_matrix", "grid": "l"},
     "embedding-probe": {
         "prob": "a_op_family", "A": "a_op_matrix", "q": "q_exp",
-        "alpha": "alpha", "s": "s", "p": "p", "mu": "mu",
+        "alpha": "alpha", "s": "s", "mu": "mu",
     },
-    "bvp": {"b2": "b2", "b1": "b1", "b0": "b0", "lam": "lambda", "p": "p"},
-    "system": {"lam": "lambda", "dt": "t", "p": "p", "p1": "p1"},
+    "bvp": {"b2": "b2", "b1": "b1", "b0": "b0", "lam": "lambda"},
+    "system": {"lam": "lambda", "dt": "t"},
     "convergence": {"dt": "t"},
 }
 
@@ -574,7 +574,7 @@ def _keyed(cfg: RunConfig):
     """Re-raise an error that a library rule put on an argument (its ``arg``)
     as a ConfigError naming the task's key of that argument:
     ``[section] key: message``, or ``[section] key = text: message`` for an
-    arithmetic fault (an overflow, an underflow to 0 or a zero division).
+    arithmetic fault (an overflow or a zero division).
     Any other error passes unchanged."""
     try:
         yield

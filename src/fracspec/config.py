@@ -392,7 +392,7 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
         )
     # Forcings, draws, ledgers and the Mikhlin ratios square values of the order
     # of l or pi/l; separability and resolvent-sweep run at any l of finite
-    # period (separability names an l whose trial norms underflow).
+    # period.
     squares = cfg.task not in ("separability", "resolvent-sweep")
     if squares and half_width * half_width == math.inf:
         raise ConfigError(

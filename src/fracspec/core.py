@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,8 +240,10 @@ def multiplier_norm(spec: SpectralFunction, mult: np.ndarray, p: float) -> float
     p = _check_exponent(p)
     if p != 2.0:
         return lp_norm(apply_multiplier(spec, mult), p)
-    vals = _multiply(spec, mult).values.ravel()
-    return math.sqrt(np.vdot(vals, vals).real / (2.0 * spec.grid.half_width))
+    two_l = 2.0 * spec.grid.half_width
+    vals = _multiply(spec, mult).values
+    # a 0-d sum, whose root numpy takes by np.sqrt
+    return float(_power_norm(vals, 2.0, lambda v: np.asarray(np.vdot(v, v).real / two_l)))
 
 
 def _at_fault(arg: str, exc: Exception) -> Exception:
@@ -257,30 +260,45 @@ def _check_exponent(p: float) -> float:
     return p
 
 
+def _power_norm(v: np.ndarray, p: float, power_sum, axis: int | None = None):
+    """``power_sum(v) ** (1/p)``: one p-norm, or one per index of ``axis``,
+    whose weighted sum of the p-th powers of the magnitudes of v's vectors
+    (its last axis; any grouping at p = 2) ``power_sum`` takes in the caller's
+    order.  A numpy scalar sum takes its root by C pow, an array (0-d too) by
+    np.sqrt at p = 2.
+
+    A norm whose sum leaves [float min, inf) sums again the magnitudes of
+    its vectors scaled exactly by 2^-e, e the binary exponent of its largest
+    |component|, as 1-vectors divided by the largest of them, M, so that no
+    power under- or overflows at any p: the norm is 2^e M sum^(1/p), finite
+    when v and the norm are, and homogeneous bit for bit under powers of two."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = power_sum(v)
+        norm = s ** (1.0 / p)
+        bad = ~((s >= sys.float_info.min) & (s < math.inf))
+        if not bad.any():
+            return norm
+        if axis is not None:
+            v = np.compress(bad, v, axis=axis)
+        parts = np.ascontiguousarray(v).view(float)
+        rest = tuple(i for i in range(v.ndim) if i != axis)
+        e = np.frexp(np.abs(parts).max(axis=rest, keepdims=True))[1]
+        x = np.ldexp(parts, -e)
+        mags = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+        top = mags.max(axis=rest, keepdims=True)
+        s = power_sum(mags / np.where(top > 0.0, top, 1.0))
+        scaled = np.ldexp(top.reshape(np.shape(s)) * s ** (1.0 / p), e.reshape(np.shape(s)))
+    if axis is None:
+        return scaled
+    norm[bad] = scaled
+    return norm
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Rectangle-rule L_p norm, (h * sum_j |f(x_j)|_2^p)^(1/p)."""
     p = _check_exponent(p)
-    mags = np.linalg.norm(f.values, axis=1)
-    return float((f.grid.spacing * np.sum(mags**p)) ** (1.0 / p))
-
-
-def _ranged_norm(norm, *args, p: float, what: str = "a norm of the ledger") -> float:
-    """``norm(*args, p)``, a ledger norm, computed with float overflow ignored.
-    A norm that is not finite is an OverflowError, at fault ``p`` when the
-    same norm at p = 2 is finite.  A norm of 0 whose norm at p = 2 is
-    positive underflowed: an OverflowError at fault ``p``.  ``what`` names
-    the norm in the message."""
-    with np.errstate(over="ignore"):
-        value = norm(*args, p)
-        if 0.0 < value < math.inf:
-            return value
-        l2 = norm(*args, 2.0)
-    if value == 0.0:
-        if l2 > 0.0:
-            raise _at_fault("p", OverflowError(f"{what} underflows to 0"))
-        return value
-    err = OverflowError(f"{what} overflows the float range")
-    raise _at_fault("p", err) if math.isfinite(l2) else err
+    h = f.grid.spacing
+    return float(_power_norm(f.values, p, lambda v: h * np.sum(np.linalg.norm(v, axis=1) ** p)))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -298,14 +316,18 @@ def mixed_norm(f: SpaceTimeFunction, p: float, p1: float, swap: bool = False) ->
     """
     p = _check_exponent(p)
     p1 = _check_exponent(p1)
-    mags = np.linalg.norm(f.values, axis=2)  # (Nt+1, N)
     h = f.grid.spacing
     w = _trapezoid_weights(f.times)
+
+    def mags(v):
+        return np.linalg.norm(v, axis=2)  # (Nt+1, N)
+
+    # The outer norms take the inner ones as (K, 1) vectors.
     if not swap:
-        inner = (h * np.sum(mags**p, axis=1)) ** (1.0 / p)
-        return float(np.sum(w * inner**p1) ** (1.0 / p1))
-    inner = np.sum(w[:, None] * mags**p1, axis=0) ** (1.0 / p1)
-    return float((h * np.sum(inner**p)) ** (1.0 / p))
+        inner = _power_norm(f.values, p, lambda v: h * np.sum(mags(v) ** p, axis=1), axis=0)
+        return float(_power_norm(inner[:, None], p1, lambda v: np.sum(w * v[:, 0] ** p1)))
+    inner = _power_norm(f.values, p1, lambda v: np.sum(w[:, None] * mags(v) ** p1, axis=0), axis=1)
+    return float(_power_norm(inner[:, None], p, lambda v: h * np.sum(v[:, 0] ** p)))
 
 
 def _mixed_l2_of_spectra(grid: SpatialGrid, times: np.ndarray, spectra: np.ndarray) -> float:
@@ -316,9 +338,13 @@ def _mixed_l2_of_spectra(grid: SpatialGrid, times: np.ndarray, spectra: np.ndarr
     trapezoid weights w_m in t: sqrt(sum_m w_m sum_k |g^_mk|^2 / 2L).
     The sums run over a C-ordered copy, so they do not depend on the layout.
     """
-    per_slice = np.sum(np.abs(np.ascontiguousarray(spectra)) ** 2, axis=(1, 2))
     w = _trapezoid_weights(times)
-    return math.sqrt(float(np.dot(w, per_slice)) / (2.0 * grid.half_width))
+    two_l = 2.0 * grid.half_width
+
+    def power_sum(v):
+        return np.asarray(np.dot(w, np.sum(np.abs(v) ** 2, axis=(1, 2))) / two_l)
+
+    return float(_power_norm(np.ascontiguousarray(spectra), 2.0, power_sum))
 
 
 @dataclass(frozen=True)

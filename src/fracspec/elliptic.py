@@ -26,7 +26,7 @@ from .core import (
     _at_fault,
     _band_limited_block,
     _check_exponent,
-    _ranged_norm,
+    _power_norm,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -170,9 +170,9 @@ def _term_norms(prob: EllipticProblem, rep: SolveReport, u_spec: SpectralFunctio
     lambda*u for the solve ``rep`` of ``prob``, with u_spec the transform of u."""
     sym, p = prob._symbol, rep.meta["p"]
     return {
-        f"a*D^{prob.order.gamma:g} u": _ranged_norm(multiplier_norm, u_spec, sym.a * sym.frac, p=p),
-        "A*u": _ranged_norm(multiplier_norm, u_spec, sym.A, p=p),
-        "lambda*u": abs(rep.meta["lambda"]) * _ranged_norm(lp_norm, rep.solution, p=p),
+        f"a*D^{prob.order.gamma:g} u": multiplier_norm(u_spec, sym.a * sym.frac, p),
+        "A*u": multiplier_norm(u_spec, sym.A, p),
+        "lambda*u": abs(rep.meta["lambda"]) * lp_norm(rep.solution, p),
     }
 
 
@@ -219,8 +219,8 @@ def coercive_report(
     plain_sum = 0.0
     for s, w in zip(s_set, weights):
         frac = frac_power_i_xi(sym.xi, s)
-        n_conv = _ranged_norm(multiplier_norm, u_spec, sym.a * frac, p=p)
-        n_plain = _ranged_norm(multiplier_norm, u_spec, frac, p=p)
+        n_conv = multiplier_norm(u_spec, sym.a * frac, p)
+        n_plain = multiplier_norm(u_spec, frac, p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain
         conv_sum += w * n_conv
@@ -229,7 +229,7 @@ def coercive_report(
     conv_sum += op_norm
     plain_sum += op_norm
 
-    f_norm = _ranged_norm(lp_norm, f, p=p)
+    f_norm = lp_norm(f, p)
     return replace(
         rep,
         term_norms=term_norms,
@@ -302,10 +302,7 @@ def resolvent_sweep(
     if probes > 0:
         rng = np.random.default_rng(seed)
         draws = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(probes)]
-        draw_norms = [
-            _ranged_norm(lp_norm, f, p=p, what=f"the norm of probe forcing {k}")
-            for k, f in enumerate(draws, 1)
-        ]
+        draw_norms = [lp_norm(f, p) for f in draws]
         probe_values = []
         for lam, exact in zip(lams, values):
             if math.isnan(exact):
@@ -313,8 +310,8 @@ def resolvent_sweep(
                 continue
             best = 0.0
             for f, f_norm in zip(draws, draw_norms):
-                u = solve_elliptic(prob, f, complex(lam)).solution
-                best = max(best, abs(lam) * _ranged_norm(lp_norm, u, p=p) / f_norm)
+                u = _solve_with_spectrum(prob, f, complex(lam), 2.0)[0].solution
+                best = max(best, abs(lam) * lp_norm(u, p) / f_norm)
             probe_values.append(best)
 
     finite = [v for v in values if not math.isnan(v)]
@@ -356,25 +353,29 @@ def resolvent_sweep(
 
 
 def _image_norms(
-    grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p: float,
-    parseval: bool = True,
+    grid: SpatialGrid, keep: np.ndarray, spec: np.ndarray, mult: np.ndarray, p: float
 ) -> np.ndarray:
     """``multiplier_norm`` of each (d, K) spectrum in ``spec`` (zero off ``keep``) under
-    ``mult`` on the kept modes: a scalar (K,) or the transposed matrices as (d, d, K).
-    Without ``parseval``, p = 2 too takes the physical-space path."""
+    ``mult`` on the kept modes: a scalar (K,) or the transposed matrices as (d, d, K)."""
     if mult.ndim == 1:
         image = mult * spec
     else:
         image = mult[0] * spec[:, :1]
         for j in range(1, spec.shape[1]):
             image += mult[j] * spec[:, j : j + 1]
-    if p == 2.0 and parseval:
-        parts = image.view(float).reshape(len(image), -1)
-        return np.sqrt(np.einsum("ij,ij->i", parts, parts) / (2.0 * grid.half_width))
+    if p == 2.0:
+        two_l = 2.0 * grid.half_width
+
+        def power_sum(v):
+            parts = v.view(float).reshape(len(v), -1)
+            return np.einsum("ij,ij->i", parts, parts) / two_l
+
+        return _power_norm(image, 2.0, power_sum, axis=0)
     full = np.zeros((len(image), grid.size, spec.shape[1]), dtype=complex)
     full[:, keep] = image.transpose(0, 2, 1)
-    mags = np.linalg.norm(grid.to_physical(full), axis=-1)
-    return (grid.spacing * np.sum(mags**p, axis=-1)) ** (1.0 / p)
+    h = grid.spacing
+    return _power_norm(grid.to_physical(full), p, axis=0,
+                       power_sum=lambda v: h * np.sum(np.linalg.norm(v, axis=-1) ** p, axis=-1))
 
 
 def separability_check(
@@ -393,11 +394,10 @@ def separability_check(
     per-trial ratios ride in ``meta`` for stability studies. The ratio is
     scale-invariant, so trials use their drawn spectra as is, ``_TRIAL_BLOCK``
     at a time on the kept modes; p = 2 runs no transform. A trial whose norms
-    overflow raises ``OverflowError``, at fault ``p`` when every multiplier
-    and the trial's L2 norms are finite, else at fault ``a`` or ``A``,
-    whichever of max|a(xi)| and max|A(xi)| is larger.  A zero ||O u||_p is an
-    ``OverflowError`` at fault ``p`` when the L2 norm of the trial's samples
-    of O u is positive, else a ``ZeroDivisionError`` at fault ``grid``.
+    are not finite, because a multiplier or its image of the trial is not,
+    raises ``OverflowError`` at fault ``a`` or ``A``, whichever of max|a(xi)|
+    and max|A(xi)| is larger.  A zero ||O u||_p is a ``ZeroDivisionError``
+    at fault ``grid``.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
@@ -431,14 +431,8 @@ def separability_check(
                 i = bad[0]
                 trial = f"separability trial {start + i + 1}"
                 if ok[i]:
-                    l2 = _image_norms(grid, keep, spec[i : i + 1], mults[-1], 2.0, parseval=False)
-                    if l2[0] > 0.0:
-                        raise _at_fault("p", OverflowError(f"||O u||_p of {trial} underflows to 0"))
                     raise _at_fault("grid", ZeroDivisionError(f"||O u|| of {trial} is 0"))
                 err = OverflowError(f"the norms of {trial} overflow")
-                l2 = [_image_norms(grid, keep, spec[i : i + 1], m, 2.0) for m in mults]
-                if finite and np.isfinite(l2).all():
-                    raise _at_fault("p", err)
                 raise _at_fault("a" if np.abs(sym.a).max() >= np.abs(sym.A).max() else "A", err)
             ratios += (term_sum / ou_norm).tolist()
             witnesses += [
@@ -458,17 +452,6 @@ def separability_check(
             "seed": int(seed),
         },
     )
-
-
-def _draw_overflow(k: int, norms, image, au, u_spec, bessel, u) -> OverflowError:
-    """The error of embedding draw ``k``, not all of whose ``norms``
-    ||A^theta D^alpha u||_q, ||A u||_p, ||(1+xi^2)^(s/2) u||_p and ||u||_p
-    are finite.  The first norm that is not puts the fault on its exponent
-    when the L2 norm of its field is finite, else on the field's multiplier."""
-    l2 = (lp_norm(image, 2.0), lp_norm(au, 2.0), multiplier_norm(u_spec, bessel, 2.0))
-    i = [math.isfinite(n) for n in norms].index(False)
-    arg = ("q", "p", "p", "p")[i] if i == 3 or math.isfinite(l2[i]) else ("A", "A", "s")[i]
-    return _at_fault(arg, OverflowError(f"the norms of embedding draw {k} overflow"))
 
 
 def embedding_probe(
@@ -491,11 +474,11 @@ def embedding_probe(
     Requires a constant SPD operator symbol.  The rules are checked, and the
     power of A and the multipliers built, once for all of ``us``; the error of
     a rule or an overflow is at fault ``prob`` (a symbol that is not
-    constant), ``A`` (its matrix), ``q``, ``alpha``, ``mu``, ``s`` or ``p``.
+    constant), ``A`` (its matrix), ``q``, ``alpha``, ``mu`` or ``s``.
     ``meta["ratios"]`` holds the ratio of each h in ``h_set`` order.  Raises
-    ``OverflowError`` when the Bessel multiplier or a norm of some u is not
-    finite (see ``_draw_overflow``), or when ||A^theta D^alpha u||_q
-    underflows to 0 while the L2 norm of its field does not (at fault ``q``).
+    ``OverflowError`` when the Bessel multiplier or the norms of some u are
+    not finite: at fault ``A`` when ||A^theta D^alpha u||_q or ||A u||_p is
+    not, else at fault ``s``.
     """
     a_mat = prob.A.constant_matrix
     if a_mat is None:
@@ -540,11 +523,8 @@ def embedding_probe(
             a_norm, b_norm = lp_norm(au, p), multiplier_norm(u_spec, bessel, p)
             u_norm = lp_norm(u, p)
             if not math.isfinite(lhs + a_norm + b_norm + u_norm):
-                norms = (lhs, a_norm, b_norm, u_norm)
-                raise _draw_overflow(k, norms, image, au, u_spec, bessel, u)
-            if lhs == 0.0 and lp_norm(image, 2.0) > 0.0:
-                zero = f"||A^theta D^alpha u||_q of embedding draw {k} underflows to 0"
-                raise _at_fault("q", OverflowError(zero))
+                overflow = OverflowError(f"the norms of embedding draw {k} overflow")
+                raise _at_fault("A" if not math.isfinite(lhs + a_norm) else "s", overflow)
             w_norm = a_norm + b_norm
             ratios = [float(lhs / (h**mu * w_norm + h ** (mu - 1.0) * u_norm)) for h in h_set]
             reports.append(

@@ -1,6 +1,5 @@
 """Fractional differentiation: the (i*xi)^s branch, the spectral Liouville
-derivative, a Grunwald-Letnikov time-domain oracle, and fractional powers
-of SPD matrices.
+derivative, and fractional powers of SPD matrices.
 
 The multiplier branch is fixed once for the whole package:
 
@@ -8,10 +7,7 @@ The multiplier branch is fixed once for the whole package:
 
 and exactly 0 at xi = 0 for alpha > 0.  For alpha = 0 the limit value 1 is
 used everywhere (including xi = 0) so the order-0 derivative is the
-identity.  The Grunwald-Letnikov oracle discretizes the same derivative
-from the left end of a right-supported sample array and is first-order
-accurate; it exists so the spectral path can be checked against an
-implementation that never touches a Fourier transform.
+identity.
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ __all__ = [
     "FractionalOrder",
     "frac_power_i_xi",
     "liouville_derivative",
-    "gl_weights",
-    "rl_derivative_oracle",
     "matrix_fractional_power",
 ]
 
@@ -69,35 +63,6 @@ def liouville_derivative(f: GridFunction, s: float) -> GridFunction:
     if s < 0.0:
         raise ValueError(f"derivative order must be >= 0, got {s}")
     return apply_multiplier(forward_transform(f), frac_power_i_xi(f.grid.frequencies, s))
-
-
-def gl_weights(gamma: float, n: int) -> np.ndarray:
-    """First n+1 Grunwald-Letnikov weights: w_0 = 1, w_k = w_{k-1}(k-1-gamma)/k."""
-    if n < 0:
-        raise ValueError("weight count must be non-negative")
-    k = np.arange(1, n + 1)
-    return np.concatenate(([1.0], np.cumprod((k - 1.0 - gamma) / k)))
-
-
-def rl_derivative_oracle(samples: np.ndarray, gamma: float, spacing: float) -> np.ndarray:
-    """Grunwald-Letnikov derivative of order gamma on a uniform grid over [0, X].
-
-    ``samples`` holds f(0), f(h), ..., with h = ``spacing``; the value at
-    x_j uses only samples up to x_j, so the result equals the line
-    derivative wherever f vanishes left of the base point.  First-order
-    accurate in h.
-    """
-    if not 1.0 < gamma < 2.0:
-        raise ValueError(
-            f"Grunwald-Letnikov oracle requires an order inside (1, 2), got {gamma}"
-        )
-    if spacing <= 0.0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    vals = np.asarray(samples)
-    if vals.ndim != 1:
-        raise ValueError("samples must be one-dimensional")
-    w = gl_weights(gamma, vals.size - 1)
-    return np.convolve(vals, w)[: vals.size] * spacing ** (-gamma)
 
 
 def matrix_fractional_power(mat: np.ndarray, theta: float) -> np.ndarray:

@@ -26,7 +26,6 @@ from .core import (
     SpaceTimeFunction,
     _at_fault,
     _mixed_l2_of_spectra,
-    _ranged_norm,
     lp_norm,
     mixed_norm,
 )
@@ -57,26 +56,6 @@ def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
     # The ledger's second-order np.gradient needs 3 time samples.
     if f.times.size < 3:
         raise ValueError(f"need at least 2 time steps, got {f.times.size - 1}")
-
-
-def _ranged_mixed_norm(f: SpaceTimeFunction, p: float, p1: float, swap: bool = False) -> float:
-    """``mixed_norm``, a ledger norm, computed with float overflow ignored.  A
-    norm that is not finite is an OverflowError, and so is a norm of 0 whose
-    L2 norm is positive, which underflowed.  Either is at fault ``p`` when the
-    p-norm of some time slice is one too (see ``_ranged_norm``), else at
-    fault ``p1``."""
-    with np.errstate(over="ignore"):
-        value = mixed_norm(f, p, p1, swap=swap)
-        if 0.0 < value < math.inf or value == 0.0 and not mixed_norm(f, 2.0, 2.0) > 0.0:
-            return value
-    fault = "underflows to 0" if value == 0.0 else "overflows the float range"
-    err = OverflowError(f"a mixed norm of the ledger {fault}")
-    try:
-        for v in f.values:
-            _ranged_norm(lp_norm, GridFunction(f.grid, v), p=p)
-    except OverflowError:
-        raise _at_fault("p", err) from None
-    raise _at_fault("p1", err)
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
@@ -294,7 +273,7 @@ def parabolic_coercive_report(
     ou = grid.to_physical(_apply(q0))
 
     def _mixed(vals: np.ndarray) -> float:
-        return _ranged_mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
+        return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
 
     def _ledger(spectra: np.ndarray) -> float:
         """Mixed norm of the field whose slices have these spectra."""
@@ -416,11 +395,11 @@ def solve_system(
     weight = np.asarray(mat.entries, dtype=complex)
     if mode == "elliptic":
         rep = solve_elliptic(core, f, 0.0, p=p)
-        weighted = _ranged_norm(lp_norm, GridFunction(grid, rep.solution.values @ weight.T), p=p)
+        weighted = lp_norm(GridFunction(grid, rep.solution.values @ weight.T), p)
     else:
         rep = parabolic_coercive_report(core, f, p=p, p1=p1)
         u = rep.solution
-        weighted = _ranged_mixed_norm(
+        weighted = mixed_norm(
             SpaceTimeFunction(grid, u.times, np.einsum("ij,mkj->mki", weight, u.values)), p, p1
         )
     return replace(

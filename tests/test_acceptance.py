@@ -15,7 +15,7 @@ from scipy.special import gamma as gamma_fn
 
 import fracspec as fs
 from fracspec.cli import main as cli_main
-from conftest import dense_solve, make_problem, rel_linf
+from conftest import dense_solve, make_problem, rel_linf, rl_derivative_oracle
 
 SEED = 0xF5EC
 
@@ -73,13 +73,13 @@ def test_criterion_02_fractional_derivative_oracle():
         g = fs.SpatialGrid(20.0, n)
         f = fs.GridFunction(g, _bump(g.points))
         spectral = fs.liouville_derivative(f, gamma).values[:, 0].real
-        gl = fs.rl_derivative_oracle(f.values[:, 0].real, gamma, g.spacing)
+        gl = rl_derivative_oracle(f.values[:, 0].real, gamma, g.spacing)
         window = (g.points >= 3.0) & (g.points <= 5.0)
         errors.append(np.max(np.abs(spectral[window] - gl[window])))
     ratios = [errors[i] / errors[i + 1] for i in range(3)]
     h = 1.0 / 4096
     x = h * np.arange(4097)
-    power_rule = fs.rl_derivative_oracle(x**2, gamma, h)[-1]
+    power_rule = rl_derivative_oracle(x**2, gamma, h)[-1]
     power_err = abs(power_rule - 2.0 / gamma_fn(1.5))
     ok = all(1.8 <= r <= 2.2 for r in ratios) and power_err <= 1e-3
     _verdict(

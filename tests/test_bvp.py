@@ -159,16 +159,20 @@ def test_anisotropic_report_computes_only_the_norms_it_reports(monkeypatch):
 
     calls = []
 
-    def counted(norm, *args, p, **kw):
-        calls.append(norm)
-        return ranged(norm, *args, p=p, **kw)
+    def counting(norm):
+        def counted(*args):
+            calls.append(norm.__name__)
+            return norm(*args)
+        return counted
 
-    ranged = elliptic._ranged_norm
-    monkeypatch.setattr(elliptic, "_ranged_norm", counted)
-    monkeypatch.setattr(bvp, "_ranged_norm", counted)
+    for module in (bvp, elliptic):
+        for name in ("lp_norm", "multiplier_norm"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
     g = fs.SpatialGrid(10.0, 64)
     coeffs = _coeffs(7)
     f_vals = np.exp(-(g.points**2))[:, None] * np.sin(math.pi * coeffs.mesh)[None, :]
     order, a = fs.FractionalOrder(2.0), fs.constant_coefficient(-1.0)
     rep = fs.solve_anisotropic(coeffs, order, a, 1.0, fs.GridFunction(g, f_vals))
-    assert len(calls) == len(rep.term_norms) + 1 == 7
+    # the solve's residual gate takes two L2 norms, of the residual and of f
+    assert len(calls) - 2 == len(rep.term_norms) + 1 == 7
+    assert calls.count("multiplier_norm") == 3

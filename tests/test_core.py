@@ -2,14 +2,16 @@
 
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracspec as fs
 from conftest import dft_matrices
+from fracspec.elliptic import _image_norms
 
 GAUSS_L2 = (math.pi / 2.0) ** 0.25  # ||exp(-x^2)||_2 on the line
 GAUSS_L4 = (math.pi / 4.0) ** 0.125
@@ -112,30 +114,140 @@ def test_lp_norm_exponent_domain():
             fs.lp_norm(f, bad)
 
 
-def test_ranged_norm_puts_an_overflow_on_the_exponent_only_when_l2_is_finite():
-    from fracspec.core import _ranged_norm
+def _in_range(sums) -> bool:
+    return bool(np.all((sums >= sys.float_info.min) & (sums < math.inf)))
 
+
+def _scaled(a, k):
+    """2^k a, part by part, or None unless each nonzero part stays normal."""
+    parts = np.ascontiguousarray(a).view(float)
+    out = np.ldexp(parts, k)
+    nonzero = np.abs(out[parts != 0.0])
+    if not (np.isfinite(out).all() and (nonzero >= sys.float_info.min).all()):
+        return None
+    return out.view(a.dtype)
+
+
+def _norm_cases(rng, p, p1, d):
+    """Per norm: (name, the field f it is drawn from, the norm of a field,
+    the unscaled formula for it with whether every power sum in that lies in
+    range, and the field the norm is taken of as a function of the field)."""
+    g = fs.SpatialGrid(4.0, 8)
+    h, two_l = g.spacing, 2.0 * g.half_width
+    times = np.linspace(0.0, 2.0, 5)
+    w = np.full(times.size, times[1])
+    w[0] = w[-1] = 0.5 * times[1]
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f, st_f, spec, mult = draw(8, d), draw(5, 8, d), draw(8, d), rng.uniform(0.5, 2.0, 8)
+    keep = np.abs(g.indices) <= 2
+    block, band = draw(3, d, int(keep.sum())), rng.uniform(0.5, 2.0, int(keep.sum()))
+
+    def mixed_ref(v, swap):
+        mags = np.linalg.norm(v, axis=2)
+        if not swap:
+            inner_sums = h * np.sum(mags**p, axis=1)
+            inner = inner_sums ** (1.0 / p)
+            outer = np.sum(w * inner**p1)
+            return outer ** (1.0 / p1), _in_range(inner_sums) and _in_range(outer)
+        inner_sums = np.sum(w[:, None] * mags**p1, axis=0)
+        inner = inner_sums ** (1.0 / p1)
+        outer = h * np.sum(inner**p)
+        return outer ** (1.0 / p), _in_range(inner_sums) and _in_range(outer)
+
+    def lp_ref(v):
+        s = h * np.sum(np.linalg.norm(v, axis=1) ** p)
+        return float(s ** (1.0 / p)), _in_range(s)
+
+    def mult_ref(v):
+        vals = (mult[:, None] * v).ravel()
+        s = np.vdot(vals, vals).real / two_l
+        return math.sqrt(s), _in_range(s)
+
+    def physical(v):
+        full = np.zeros((len(v), g.size, d), dtype=complex)
+        full[:, keep] = (band * v).transpose(0, 2, 1)
+        return g.to_physical(full)
+
+    def image_ref(v):
+        if p == 2.0:
+            parts = (band * v).view(float).reshape(len(v), -1)
+            s = np.einsum("ij,ij->i", parts, parts) / two_l
+            return np.sqrt(s), _in_range(s)
+        s = h * np.sum(np.linalg.norm(physical(v), axis=-1) ** p, axis=-1)
+        return s ** (1.0 / p), _in_range(s)
+
+    return [
+        ("lp_norm", f, lambda v: fs.lp_norm(fs.GridFunction(g, v), p), lp_ref, lambda v: v),
+        *[
+            (f"mixed_norm swap={swap}", st_f,
+             lambda v, s=swap: fs.mixed_norm(fs.SpaceTimeFunction(g, times, v), p, p1, swap=s),
+             lambda v, s=swap: mixed_ref(v, s), lambda v: v)
+            for swap in (False, True)
+        ],
+        ("multiplier_norm", spec, lambda v: fs.multiplier_norm(fs.SpectralFunction(g, v), mult, 2.0),
+         mult_ref, lambda v: mult[:, None] * v),
+        ("_image_norms", block, lambda v: _image_norms(g, keep, v, band, p), image_ref,
+         (lambda v: band * v) if p == 2.0 else physical),
+    ]
+
+
+@settings(max_examples=10)
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.5, 7.0]),
+    p1=st.sampled_from([1.5, 2.0, 3.0, 4.5, 7.0]),
+    d=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_norms_keep_the_unscaled_bits_in_range_and_scale_exactly_past_it(p, p1, d, seed):
+    """Every p-norm of a field 2^k f, at each k from -1100 to 1000 that keeps
+    the nonzero parts of the field it takes normal: the unscaled formula bit
+    for bit where all of its power sums lie in [float min, inf), and
+    2^(k - k0) times its value at k0 bit for bit where every sum leaves that
+    range (|k| >= 800 here, as f's norms lie within 2^+-16 of 1), with the
+    value at k0 within rounding of 2^k0 times the unscaled one at k = 0."""
+    for name, base, run, unscaled, normed in _norm_cases(np.random.default_rng(seed), p, p1, d):
+        field = normed(base)
+        got = {}
+        for k in range(-1100, 1001, 20):
+            v = _scaled(base, k)
+            # each part of the normed field is 2^k times the unscaled one, and normal
+            if v is not None and np.array_equal(normed(v), _scaled(field, k)):
+                got[k] = np.asarray(run(v))
+        unit = got[0]
+        assume(np.all((unit >= 2.0**-16) & (unit <= 2.0**16)))
+        deep = [k for k in got if abs(k) >= 800 and np.isfinite(got[k]).all()]
+        k0 = min(k for k in deep if k > 0)
+        np.testing.assert_allclose(got[k0], np.ldexp(unit, k0), rtol=1e-13, err_msg=name)
+        for k, value in got.items():
+            with np.errstate(over="ignore"):
+                want, in_range = unscaled(_scaled(base, k))
+            assert in_range or abs(k) > 40, (name, k)
+            if in_range:
+                assert np.array_equal(value, want), (name, k)
+            elif k in deep:
+                assert np.array_equal(value, np.ldexp(got[k0], k - k0)), (name, k)
+
+
+def test_power_norms_of_zero_fields_are_zero():
     g = fs.SpatialGrid(1.0, 4)
-    f = fs.GridFunction(g, np.full(4, 2.0))
-    assert _ranged_norm(fs.lp_norm, f, p=3.0) == fs.lp_norm(f, 3.0)
-    with np.errstate(over="raise"), pytest.raises(OverflowError) as exc:
-        _ranged_norm(fs.lp_norm, f, p=1e308)
-    assert exc.value.arg == "p"
-    huge = fs.GridFunction(g, np.full(4, 1e200))
-    with np.errstate(over="raise"), pytest.raises(OverflowError) as exc:
-        _ranged_norm(fs.lp_norm, huge, p=2.0)
-    assert not hasattr(exc.value, "arg")
+    assert fs.lp_norm(fs.GridFunction(g, np.zeros(4)), 1e308) == 0.0
+    zero = fs.SpaceTimeFunction(g, np.linspace(0.0, 1.0, 3), np.zeros((3, 4)))
+    for swap in (False, True):
+        assert fs.mixed_norm(zero, 3.0, 1e308, swap=swap) == 0.0
 
 
-def test_ranged_norm_puts_an_underflow_to_zero_on_the_exponent():
-    from fracspec.core import _ranged_norm
-
+def test_power_norms_at_huge_exponents_are_the_sup_norm():
     g = fs.SpatialGrid(1.0, 4)
-    small = fs.GridFunction(g, np.full(4, 0.1))
-    with pytest.raises(OverflowError, match="underflows to 0") as exc:
-        _ranged_norm(fs.lp_norm, small, p=1e308, what="the norm")
-    assert exc.value.arg == "p" and str(exc.value) == "the norm underflows to 0"
-    assert _ranged_norm(fs.lp_norm, fs.GridFunction(g, np.zeros(4)), p=1e308) == 0.0
+    vals = np.array([0.1, -2.0, 1.5, 0.25])
+    f = fs.GridFunction(g, vals)
+    assert fs.lp_norm(f, 1e308) == 2.0
+    times = np.linspace(0.0, 1.0, 3)
+    st_f = fs.SpaceTimeFunction(g, times, np.outer([1.0, 4.0, 0.5], vals))
+    for swap in (False, True):
+        assert fs.mixed_norm(st_f, 1e308, 1e308, swap=swap) == 8.0
 
 
 def test_mixed_norm_constant_exact():
@@ -268,10 +380,10 @@ PUBLIC_NAMES = [
     "__version__", "apply_multiplier", "band_limited_spectrum", "check_ellipticity",
     "check_mikhlin_bounds", "check_sector_growth", "coercive_report", "constant_coefficient",
     "constant_operator", "discretize_bvp", "embedding_probe", "forward_transform",
-    "frac_power_i_xi", "gl_weights", "inverse_transform", "liouville_derivative", "lp_norm",
+    "frac_power_i_xi", "inverse_transform", "liouville_derivative", "lp_norm",
     "matrix_fractional_power", "mixed_norm", "multiplier_norm", "parabolic_coercive_report",
     "perturbed_operator", "q_matrices", "random_band_limited", "resolvent_sweep",
-    "rl_derivative_oracle", "scalar_inequality_suite", "scaled_decay_coefficient",
+    "scalar_inequality_suite", "scaled_decay_coefficient",
     "separability_check", "smallest_singular_values", "solve_anisotropic", "solve_elliptic",
     "solve_parabolic", "solve_system", "symbol_kernel", "symbol_resolvent_bound", "symbol_smin",
 ]

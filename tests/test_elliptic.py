@@ -1,12 +1,11 @@
 """Direct solver against the dense reference, and the estimate machinery."""
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracspec as fs
@@ -424,37 +423,19 @@ def test_separability_blocks_match_per_trial_norms(d, perturbed, q_form, p, seed
 
 
 @settings(max_examples=20)
-@given(**_SEPARABILITY_CASES)
-def test_separability_first_overflowing_trial_matches_per_trial(d, perturbed, q_form, p, seed):
-    """Scale the symbol so that the norms first overflow at the first trial
-    whose largest scaled norm beats every earlier trial's: the threshold
-    sits halfway (geometrically) between the two, far from rounding."""
-    trials = 2 * _TRIAL_BLOCK + 3
-    prob = _separability_problem(d, perturbed, q_form)
-    g = prob.grid
-    xi = g.frequencies
-    gamma = prob.order.gamma
-    scaled = [prob.a(xi) * fs.frac_power_i_xi(xi, s) for s in (0.0, gamma / 2.0, gamma)]
-    scaled.append(fs.q_matrices(prob, 0.0))
-    if q_form == "unfactored":
-        scaled.append(prob.A(xi))
-    rng = np.random.default_rng(seed)
-    largest = []
-    for _ in range(trials):
-        u_spec = fs.band_limited_spectrum(g, d, rng)
-        largest.append(max(fs.multiplier_norm(u_spec, m, p) for m in scaled))
-    records = [t for t in range(1, trials) if largest[t] > max(largest[:t])]
-    assume(records)
-    t0 = records[0]
-    prev = max(largest[:t0])
-    assume(largest[t0] > prev * (1.0 + 1e-9))
-    # the raw sum that overflows is ||image||^p * 2L at p = 2 and ||image||^p / h otherwise
-    weight = 2.0 * g.half_width if p == 2.0 else 1.0 / g.spacing
-    scale = (sys.float_info.max / weight) ** (1.0 / p) / math.sqrt(largest[t0] * prev)
-    big = _separability_problem(d, perturbed, q_form, scale=scale)
-    assert _per_trial_separability(big, trials, p, seed) == t0 + 1
-    with pytest.raises(OverflowError, match=f"^the norms of separability trial {t0 + 1} overflow$"):
-        fs.separability_check(big, trials=trials, p=p, seed=seed)
+@given(**{**_SEPARABILITY_CASES, "q_form": st.just("unfactored")}, k=st.sampled_from([600, 1000]))
+def test_separability_ratios_hold_where_the_power_sums_leave_the_float_range(
+    d, perturbed, q_form, p, seed, k
+):
+    """Every symbol image of the unfactored form scales with the symbol, so
+    the ratios do not: at a scale 2^k whose raw power sums of every norm
+    under- or overflow, they match the per-trial ratios of the unscaled
+    problem to rounding."""
+    trials = _TRIAL_BLOCK + 3
+    ratios, _ = _per_trial_separability(_separability_problem(d, perturbed, q_form), trials, p, seed)
+    big = _separability_problem(d, perturbed, q_form, scale=2.0**k)
+    rep = fs.separability_check(big, trials=trials, p=p, seed=seed)
+    np.testing.assert_allclose(rep.meta["ratios"], ratios, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import binom, gamma as gamma_fn
 
 import fracspec as fs
+from conftest import gl_weights, rl_derivative_oracle
 
 # D^gamma x^2 = Gamma(3)/Gamma(3-gamma) x^(2-gamma); value at x = 1, gamma = 1.5
 POWER_RULE_X2 = 2.0 / gamma_fn(1.5)
@@ -66,15 +67,15 @@ def test_liouville_semigroup_on_band_limited():
 
 def test_gl_weights_recurrence_and_binomial():
     gamma = 1.5
-    w = fs.gl_weights(gamma, 4)
+    w = gl_weights(gamma, 4)
     np.testing.assert_allclose(w, [1.0, -1.5, 0.375, 0.0625, 0.0234375], rtol=1e-14)
     n = 12
     k = np.arange(n + 1)
     np.testing.assert_allclose(
-        fs.gl_weights(1.3, n), (-1.0) ** k * binom(1.3, k), rtol=1e-12, atol=1e-15
+        gl_weights(1.3, n), (-1.0) ** k * binom(1.3, k), rtol=1e-12, atol=1e-15
     )
     with pytest.raises(ValueError):
-        fs.gl_weights(1.5, -1)
+        gl_weights(1.5, -1)
 
 
 @pytest.mark.parametrize(
@@ -85,19 +86,19 @@ def test_gl_power_rule(func, exact):
     n = 4096
     h = 1.0 / n
     x = h * np.arange(n + 1)
-    got = fs.rl_derivative_oracle(func(x), gamma, h)[-1]
+    got = rl_derivative_oracle(func(x), gamma, h)[-1]
     assert abs(got - exact) < 1e-3
 
 
 def test_gl_oracle_domain():
     with pytest.raises(ValueError):
-        fs.rl_derivative_oracle(np.ones(8), 2.0, 0.1)
+        rl_derivative_oracle(np.ones(8), 2.0, 0.1)
     with pytest.raises(ValueError):
-        fs.rl_derivative_oracle(np.ones(8), 1.0, 0.1)
+        rl_derivative_oracle(np.ones(8), 1.0, 0.1)
     with pytest.raises(ValueError):
-        fs.rl_derivative_oracle(np.ones(8), 1.5, 0.0)
+        rl_derivative_oracle(np.ones(8), 1.5, 0.0)
     with pytest.raises(ValueError):
-        fs.rl_derivative_oracle(np.ones((4, 2)), 1.5, 0.1)
+        rl_derivative_oracle(np.ones((4, 2)), 1.5, 0.1)
 
 
 def _bump(x):
@@ -118,7 +119,7 @@ def test_gl_matches_spectral_on_bump():
         g = fs.SpatialGrid(L, n)
         f = fs.GridFunction(g, _bump(g.points))
         spectral = fs.liouville_derivative(f, gamma).values[:, 0].real
-        gl = fs.rl_derivative_oracle(f.values[:, 0].real, gamma, g.spacing)
+        gl = rl_derivative_oracle(f.values[:, 0].real, gamma, g.spacing)
         window = (g.points >= 3.0) & (g.points <= 5.0)
         errors.append(np.max(np.abs(spectral[window] - gl[window])))
     for coarse, fine in zip(errors, errors[1:]):

@@ -19,27 +19,6 @@ def _gauss(grid):
     return np.exp(-grid.points**2)
 
 
-@pytest.mark.parametrize(
-    "value, p, p1, arg, fault",
-    [
-        (0.1, 2.0, 1e308, "p1", "underflows to 0"),
-        (0.1, 1e308, 2.0, "p", "underflows to 0"),
-        (2.0, 2.0, 1e308, "p1", "overflows the float range"),
-        (2.0, 1e308, 2.0, "p", "overflows the float range"),
-    ],
-)
-def test_ranged_mixed_norm_puts_the_fault_on_the_exponent_of_its_slices(value, p, p1, arg, fault):
-    """A mixed norm that overflows or underflows to 0 is at fault p when a
-    time slice's p-norm does so too, else at fault p1."""
-    g = fs.SpatialGrid(1.0, 4)
-    f = fs.SpaceTimeFunction(g, np.linspace(0.0, 1.0, 3), np.full((3, 4), value))
-    with pytest.raises(OverflowError, match=fault) as exc:
-        parabolic._ranged_mixed_norm(f, p, p1)
-    assert exc.value.arg == arg
-    zero = fs.SpaceTimeFunction(g, f.times, np.zeros((3, 4)))
-    assert parabolic._ranged_mixed_norm(zero, p, p1) == 0.0
-
-
 @pytest.mark.parametrize("scheme", parabolic.SCHEMES)
 def test_overflowing_time_step_is_at_fault_dt(scheme):
     prob = make_problem(fs.SpatialGrid(10.0, 64))
