@@ -315,21 +315,17 @@ def _profile_weights(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     return np.ones(times.size)
 
 
-def _space_time_forcing(cfg: RunConfig, grid, dim: int, times, rng) -> SpaceTimeFunction:
-    """Spatial forcing times the ``[parameters] time_profile`` weight at each time."""
-    spatial = build_forcing(cfg, grid, dim, rng)
-    vals = _profile_weights(cfg, times)[:, None, None] * spatial.values[None, :, :]
-    return SpaceTimeFunction(grid, times, vals)
-
-
 def _parabolic_forcing(cfg: RunConfig, grid, dim: int, rng) -> SpaceTimeFunction:
-    """The forcing on the uniform grid of ``[parameters] nt`` steps over
+    """Spatial forcing times the ``[parameters] time_profile`` weight at each
+    time of the uniform grid of ``[parameters] nt`` steps over
     ``[parameters] t``, after checking that its (nt+1) x N x d field fits in
     memory and that its time step is normal."""
     steps = cfg.value("parameters", "nt")
     _require_memory("[parameters] nt", steps, (steps + 1, grid.size, dim))
     times = np.linspace(0.0, _horizon(cfg, steps), steps + 1)
-    return _space_time_forcing(cfg, grid, dim, times, rng)
+    spatial = build_forcing(cfg, grid, dim, rng)
+    vals = _profile_weights(cfg, times)[:, None, None] * spatial.values[None, :, :]
+    return SpaceTimeFunction(grid, times, vals)
 
 
 def _task_solve_parabolic(run: _Run) -> bool:

@@ -217,9 +217,11 @@ def coercive_report(
     term_norms = _term_norms(prob, rep, u_spec)
     conv_sum = 0.0
     plain_sum = 0.0
+    # the solve's ledger holds ||a*D^gamma u|| already, with the same bits
+    conv_at_gamma = term_norms[f"a*D^{gamma:g} u"]
     for s, w in zip(s_set, weights):
         frac = frac_power_i_xi(sym.xi, s)
-        n_conv = multiplier_norm(u_spec, sym.a * frac, p)
+        n_conv = conv_at_gamma if s == gamma else multiplier_norm(u_spec, sym.a * frac, p)
         n_plain = multiplier_norm(u_spec, frac, p)
         term_norms[f"a*D^{s:g} u"] = n_conv
         term_norms[f"D^{s:g} u"] = n_plain

@@ -1,5 +1,6 @@
-"""Fractional differentiation: the (i*xi)^s branch, the spectral Liouville
-derivative, and fractional powers of SPD matrices.
+"""Fractional differentiation: the (i*xi)^s branch, which is the multiplier
+of the spectral Liouville derivative D^s, and fractional powers of SPD
+matrices.
 
 The multiplier branch is fixed once for the whole package:
 
@@ -16,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, _at_fault, apply_multiplier, forward_transform
+from .core import _at_fault
 
 __all__ = [
     "FractionalOrder",
     "frac_power_i_xi",
-    "liouville_derivative",
     "matrix_fractional_power",
 ]
 
@@ -56,13 +56,6 @@ def frac_power_i_xi(xi, alpha: float):
             alpha * (np.log(np.abs(arr[nz])) + 0.5j * np.pi * np.sign(arr[nz]))
         )
     return complex(out[0]) if scalar else out
-
-
-def liouville_derivative(f: GridFunction, s: float) -> GridFunction:
-    """Spectral derivative of order s >= 0: conjugate (i*xi)^s by the transform."""
-    if s < 0.0:
-        raise ValueError(f"derivative order must be >= 0, got {s}")
-    return apply_multiplier(forward_transform(f), frac_power_i_xi(f.grid.frequencies, s))
 
 
 def matrix_fractional_power(mat: np.ndarray, theta: float) -> np.ndarray:

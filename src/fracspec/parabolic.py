@@ -343,13 +343,6 @@ class SystemMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def _shifted_coupling(mat: SystemMatrix, lam: complex, literal_shift: bool) -> np.ndarray:
-    if literal_shift:
-        # lambda added inside the coupling sum: every entry shifts.
-        return mat.entries + lam * np.ones_like(mat.entries)
-    return mat.entries + lam * np.eye(mat.size)
-
-
 def solve_system(
     mat: SystemMatrix,
     order: FractionalOrder,
@@ -380,8 +373,10 @@ def solve_system(
         raise ValueError(
             f"forcing must be a GridFunction or a SpaceTimeFunction, got {type(f).__name__}"
         )
+    # a literal shift adds lambda inside the coupling sum: every entry shifts
+    shift = np.ones_like(mat.entries) if literal_shift else np.eye(mat.size)
     try:
-        coupling = constant_operator(_shifted_coupling(mat, lam, literal_shift), name="coupling+shift")
+        coupling = constant_operator(mat.entries + lam * shift, name="coupling+shift")
     except ValueError as exc:
         raise _at_fault("lam", exc)
     grid = f.grid

@@ -41,8 +41,6 @@ __all__ = [
     "scalar_inequality_suite",
 ]
 
-_FD_STEP = 1e-5  # central-difference step is _FD_STEP * max(1, |xi|)
-
 # Singular-symbol gate: Q(xi, lambda) is singular where its smallest
 # singular value is at most _SINGULAR_TOL * max(largest, 1).
 _SINGULAR_TOL = 1e-14
@@ -110,11 +108,12 @@ class ConditionReport(JsonRecord):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSymbol:
-    """Scalar symbol xi -> a(xi); ``func`` must accept ndarray input."""
+    """Scalar symbol xi -> a(xi) and its analytic derivative xi -> a'(xi);
+    ``func`` and ``derivative`` must accept ndarray input."""
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    derivative: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, xi) -> np.ndarray:
         arr = np.asarray(xi, dtype=float)
@@ -122,13 +121,10 @@ class CoefficientSymbol:
         return np.broadcast_to(out, arr.shape).copy() if out.shape != arr.shape else out
 
     def derivative_at(self, xi) -> np.ndarray:
-        """a'(xi): the analytic derivative when given, else a central difference."""
+        """a'(xi), evaluated as ``__call__`` evaluates a(xi)."""
         arr = np.asarray(xi, dtype=float)
-        if self.derivative is not None:
-            out = np.asarray(self.derivative(arr), dtype=complex)
-            return np.broadcast_to(out, arr.shape).copy() if out.shape != arr.shape else out
-        step = _FD_STEP * np.maximum(1.0, np.abs(arr))
-        return (self(arr + step) - self(arr - step)) / (2.0 * step)
+        out = np.asarray(self.derivative(arr), dtype=complex)
+        return np.broadcast_to(out, arr.shape).copy() if out.shape != arr.shape else out
 
 
 def smallest_singular_values(q: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int | None]:
@@ -143,7 +139,8 @@ def smallest_singular_values(q: np.ndarray, rel_tol: float) -> tuple[np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class OperatorSymbol:
-    """Matrix symbol xi -> A(xi) in C^{d x d}; ``func`` maps (M,) -> (M, d, d).
+    """Matrix symbol xi -> A(xi) in C^{d x d} and its analytic derivative
+    xi -> A'(xi); ``func`` and ``derivative`` map (M,) -> (M, d, d).
 
     A(xi0) at the reference frequency xi0 = 1 normalizes the multiplier
     bounds and must be invertible.  ``constant_matrix`` is set by the
@@ -154,7 +151,7 @@ class OperatorSymbol:
     name: str
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    derivative: Callable[[np.ndarray], np.ndarray]
     constant_matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -165,32 +162,27 @@ class OperatorSymbol:
                 f"frequency xi0={_XI0}"
             )
 
-    def __call__(self, xi) -> np.ndarray:
+    def _stack(self, fn, xi, what: str) -> np.ndarray:
+        """``fn`` on ``xi`` as an (M, d, d) stack; any other shape is a
+        ValueError naming ``what`` of the symbol."""
         arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.asarray(self.func(arr), dtype=complex)
+        out = np.asarray(fn(arr), dtype=complex)
         if out.shape != (arr.size, self.dim, self.dim):
             raise ValueError(
-                f"operator symbol {self.name!r} returned shape {out.shape}, "
+                f"{what}operator symbol {self.name!r} returned shape {out.shape}, "
                 f"expected {(arr.size, self.dim, self.dim)}"
             )
         return out
+
+    def __call__(self, xi) -> np.ndarray:
+        return self._stack(self.func, xi, "")
 
     def at(self, xi: float) -> np.ndarray:
         return self(np.array([float(xi)]))[0]
 
     def derivative_at(self, xi) -> np.ndarray:
-        """A'(xi): the analytic derivative when given, else a central difference."""
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.derivative is not None:
-            out = np.asarray(self.derivative(arr), dtype=complex)
-            if out.shape != (arr.size, self.dim, self.dim):
-                raise ValueError(
-                    f"derivative of operator symbol {self.name!r} returned shape "
-                    f"{out.shape}, expected {(arr.size, self.dim, self.dim)}"
-                )
-            return out
-        step = _FD_STEP * np.maximum(1.0, np.abs(arr))
-        return (self(arr + step) - self(arr - step)) / (2.0 * step)[:, None, None]
+        """A'(xi), checked for shape as A(xi) is."""
+        return self._stack(self.derivative, xi, "derivative of ")
 
 
 def constant_coefficient(value: complex) -> CoefficientSymbol:
@@ -452,9 +444,8 @@ def check_mikhlin_bounds(prob: EllipticProblem) -> ConditionReport:
 
     A term fails when its sup sits in the outer half-band |xi| >= xi_max/2
     and exceeds 1.25x the mid-band sup, i.e. the quantity is still growing
-    at the edge of the resolved spectrum.  A symbol without an analytic
-    derivative is differenced centrally; ``meta["used_fd"]`` says whether
-    any was.
+    at the edge of the resolved spectrum.  The b = 1 terms read the
+    symbols' analytic derivatives.
     """
     sym = prob._symbol
     nz = sym.xi != 0.0
@@ -466,7 +457,6 @@ def check_mikhlin_bounds(prob: EllipticProblem) -> ConditionReport:
         "coeff_b1": np.abs(xi) * np.abs(prob.a.derivative_at(xi)),
     }
     const = prob.A.constant_matrix
-    used_fd = prob.a.derivative is None or (const is None and prob.A.derivative is None)
     if const is None:
         terms["op_b0"] = np.linalg.norm(sym.A[nz] @ ref_inv, ord=2, axis=(1, 2))
         terms["op_b1"] = np.abs(xi) * np.linalg.norm(
@@ -498,7 +488,7 @@ def check_mikhlin_bounds(prob: EllipticProblem) -> ConditionReport:
             "C2": max(sups["op_b0"], sups["op_b1"]),
         },
         witnesses=tuple(witnesses),
-        meta={"term_sups": sups, "used_fd": used_fd, "grid_size": prob.grid.size},
+        meta={"term_sups": sups, "grid_size": prob.grid.size},
     )
 
 

@@ -1,5 +1,5 @@
-"""Shared builders and the reference oracles: the dense-matrix solver and
-the Grunwald-Letnikov derivative.
+"""Shared builders and the reference oracles: the dense-matrix solver, the
+Grunwald-Letnikov derivative and the central difference of a symbol.
 
 The dense path never touches an FFT or a per-frequency division: the
 transform pair is materialized as explicit quadrature matrices straight
@@ -99,6 +99,16 @@ def rl_derivative_oracle(samples: np.ndarray, gamma: float, spacing: float) -> n
         raise ValueError("samples must be one-dimensional")
     w = gl_weights(gamma, vals.size - 1)
     return np.convolve(vals, w)[: vals.size] * spacing ** (-gamma)
+
+
+def central_difference(func, xi):
+    """(func(xi + h) - func(xi - h)) / 2h at h = 1e-5 * max(1, |xi|), for a
+    scalar symbol (M,) or a matrix symbol (M, d, d): the judge of the
+    symbols' analytic derivatives."""
+    xi = np.asarray(xi, dtype=float)
+    step = 1e-5 * np.maximum(1.0, np.abs(xi))
+    diff = np.asarray(func(xi + step)) - np.asarray(func(xi - step))
+    return diff / (2.0 * step).reshape(step.shape + (1,) * (diff.ndim - step.ndim))
 
 
 def dense_operator(prob, lam):

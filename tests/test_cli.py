@@ -18,9 +18,9 @@ from fracspec import bvp, cli, config, elliptic, parabolic
 from fracspec.bvp import BVPCoefficients
 from fracspec.cli import (
     CSV_BLOCK_ROWS,
+    _parabolic_forcing,
     _product_lead,
     _profile_weights,
-    _space_time_forcing,
     _write_csv,
     _write_solution,
     _write_space_time_solution,
@@ -422,10 +422,12 @@ def test_convergence_bytes_match_golden(tmp_path, scheme, seed, profile):
 
 @pytest.mark.parametrize("profile", ["constant", "sine", "ramp"])
 def test_separable_forcing_spectrum_matches_full_transform(profile):
-    cfg = RunConfig({"parameters": {"forcing": "random", "time_profile": profile}})
+    params = {"forcing": "random", "time_profile": profile, "nt": "16", "t": "1.0"}
+    cfg = RunConfig({"parameters": params})
     grid = SpatialGrid(half_width=10.0, size=64)
     times = np.linspace(0.0, 1.0, 17)
-    full = _space_time_forcing(cfg, grid, 2, times, np.random.default_rng(3))
+    full = _parabolic_forcing(cfg, grid, 2, np.random.default_rng(3))
+    assert np.array_equal(full.times, times)
     want = grid.to_spectral(full.values)
     shat = grid.to_spectral(build_forcing(cfg, grid, 2, np.random.default_rng(3)).values)
     got = _profile_weights(cfg, times)[:, None, None] * shat[None]
@@ -444,8 +446,9 @@ def test_convergence_matches_general_path(tmp_path, profile):
     prob = build_problem(cfg)
 
     def final_slice(steps, scheme):
-        times = np.linspace(0.0, 2.0, steps + 1)
-        f = _space_time_forcing(cfg, prob.grid, 1, times, np.random.default_rng(3))
+        nt = {**cfg.sections["parameters"], "nt": str(steps)}
+        stepped = RunConfig({**cfg.sections, "parameters": nt})
+        f = _parabolic_forcing(stepped, prob.grid, 1, np.random.default_rng(3))
         return parabolic.solve_parabolic(prob, f, scheme).values[-1]
 
     exact = final_slice(32, "exact")

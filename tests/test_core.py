@@ -1,8 +1,10 @@
 """Grids, transforms, norms, sectors."""
 
+import ast
 import importlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,7 +382,7 @@ PUBLIC_NAMES = [
     "__version__", "apply_multiplier", "band_limited_spectrum", "check_ellipticity",
     "check_mikhlin_bounds", "check_sector_growth", "coercive_report", "constant_coefficient",
     "constant_operator", "discretize_bvp", "embedding_probe", "forward_transform",
-    "frac_power_i_xi", "inverse_transform", "liouville_derivative", "lp_norm",
+    "frac_power_i_xi", "inverse_transform", "lp_norm",
     "matrix_fractional_power", "mixed_norm", "multiplier_norm", "parabolic_coercive_report",
     "perturbed_operator", "q_matrices", "random_band_limited", "resolvent_sweep",
     "scalar_inequality_suite", "scaled_decay_coefficient",
@@ -400,6 +402,34 @@ def test_export_surface_has_no_stale_entries():
         assert all(getattr(fs, name) is getattr(mod, name) for name in mod.__all__), layer
     assert fs.__all__ == [*exported, "__version__"]
     assert sorted(fs.__all__) == PUBLIC_NAMES
+
+
+# Public names the package need not call itself: the version, and the
+# library's time-stepping entry point, whose solve the CLI reaches through
+# parabolic_coercive_report.
+UNCALLED_PUBLIC_NAMES = {"solve_parabolic", "__version__"}
+
+
+def _package_references() -> set[str]:
+    """Every name that ``src/fracspec`` reads, by name or as an attribute,
+    outside the top-level statement that defines it; imports read nothing."""
+    seen = set()
+    for path in Path(fs.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            nodes = list(ast.walk(stmt))
+            names = [node for node in nodes if isinstance(node, ast.Name)]
+            own = {getattr(stmt, "name", None)}
+            own |= {node.id for node in names if isinstance(node.ctx, ast.Store)}
+            seen |= {node.id for node in names if isinstance(node.ctx, ast.Load)} - own
+            seen |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    return seen
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert UNCALLED_PUBLIC_NAMES <= set(fs.__all__)
+    assert sorted(set(fs.__all__) - UNCALLED_PUBLIC_NAMES - _package_references()) == []
 
 
 def test_one_transform_for_slices_and_stacks():

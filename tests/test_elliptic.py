@@ -154,6 +154,31 @@ def test_coercive_report_lambda_zero_uses_zero_power_convention():
     assert math.isfinite(rep.coercive_ratio)
 
 
+@pytest.mark.parametrize("s_set,count", [(None, 7), ((0.5, 1.0), 6)])
+def test_coercive_report_takes_a_star_d_gamma_u_once(monkeypatch, s_set, count):
+    """The solve's ledger takes ||a*D^gamma u|| and ||A*u||; the probe loop
+    takes ||a*D^s u|| and ||D^s u|| at each s, except ||a*D^gamma u||, which
+    it reads from the ledger."""
+    from fracspec import elliptic
+
+    calls = []
+    norm = elliptic.multiplier_norm
+
+    def counted(*args):
+        calls.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(elliptic, "multiplier_norm", counted)
+    g = fs.SpatialGrid(10.0, 64)
+    prob = make_problem(g, gamma=1.5, a_family="scaled_decay")
+    rep = fs.coercive_report(prob, fs.GridFunction(g, np.exp(-g.points**2)), 1.0, s_set=s_set)
+    assert len(calls) == count
+    # the ledger's value has the bits of a fresh norm
+    u_spec = fs.forward_transform(rep.solution)
+    fresh = norm(u_spec, prob.a(g.frequencies) * fs.frac_power_i_xi(g.frequencies, 1.5), 2.0)
+    assert rep.term_norms["a*D^1.5 u"] == fresh
+
+
 def test_resolvent_sweep_gamma_two_is_contractive():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=2.0)
@@ -442,7 +467,9 @@ def test_separability_ratios_hold_where_the_power_sums_leave_the_float_range(
 def test_separability_multiplier_not_finite_off_the_band_fails_trial_one(p):
     g = fs.SpatialGrid(10.0, 64)
     cut = g.frequencies[g.size // 4]
-    spike = fs.CoefficientSymbol("spike", lambda xi: np.where(np.abs(xi) > cut, np.inf, -1.0))
+    spike = fs.CoefficientSymbol(
+        "spike", lambda xi: np.where(np.abs(xi) > cut, np.inf, -1.0), lambda xi: np.zeros(xi.shape)
+    )
     prob = fs.EllipticProblem(
         fs.FractionalOrder(1.5), spike, fs.constant_operator(np.eye(2)), fs.Sector(0.5), g
     )

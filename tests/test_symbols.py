@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracspec as fs
-from conftest import make_problem
+from conftest import central_difference, make_problem
 from fracspec.bvp import BVPCoefficients, discretize_bvp
-from fracspec.parabolic import SystemMatrix, _shifted_coupling
 from fracspec import symbols
 from fracspec.symbols import _grouped_by_magnitude
 
@@ -76,16 +74,22 @@ def test_coefficient_symbols():
     np.testing.assert_allclose(flat(xi), np.full(3, 0.7), atol=1e-14)
 
 
-def test_symbol_derivatives_match_finite_differences():
-    # the same symbol without its analytic derivative is differenced centrally
-    a = fs.scaled_decay_coefficient(-1.0, 1.5)
-    xi = np.array([-2.0, -0.5, 0.7, 5.0])
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        fs.constant_coefficient(-1.0 + 0.5j),
+        fs.scaled_decay_coefficient(-1.0, 1.5),
+        fs.scaled_decay_coefficient(0.7 - 0.2j, 1.2),
+        fs.scaled_decay_coefficient(0.7, 2.0),
+        fs.constant_operator(np.array([[2.0, 1.0], [1.0, 3.0]])),
+        fs.perturbed_operator(np.diag([2.0, 3.0]), np.array([[0.5, 0.2], [0.2, 0.1]])),
+    ],
+    ids=lambda symbol: symbol.name,
+)
+def test_symbol_derivatives_match_the_central_difference(symbol):
+    xi = np.array([-40.0, -2.0, -0.5, 0.3, 0.7, 1.0, 5.0, 40.0])
     np.testing.assert_allclose(
-        a.derivative_at(xi), replace(a, derivative=None).derivative_at(xi), atol=1e-6
-    )
-    op = fs.perturbed_operator(np.diag([2.0, 3.0]), np.array([[0.5, 0.2], [0.2, 0.1]]))
-    np.testing.assert_allclose(
-        op.derivative_at(xi), replace(op, derivative=None).derivative_at(xi), atol=1e-6
+        symbol.derivative_at(xi), central_difference(symbol, xi), rtol=0.0, atol=1e-6
     )
 
 
@@ -95,9 +99,12 @@ def test_operator_symbol_validation():
     op = fs.constant_operator(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert op.at(3.0).shape == (2, 2)
     assert op.constant_matrix is not None
-    with pytest.raises(ValueError, match="shape"):
-        bad = fs.OperatorSymbol(name="bad", dim=2, func=lambda xi: np.ones((xi.size, 1, 1)))
-        bad(np.array([1.0]))
+    ones = lambda xi: np.ones((xi.size, 1, 1))  # noqa: E731
+    with pytest.raises(ValueError, match=r"^operator symbol 'bad' returned shape \(1, 1, 1\)"):
+        fs.OperatorSymbol(name="bad", dim=2, func=ones, derivative=op.derivative)
+    bad_derivative = fs.OperatorSymbol(name="bad", dim=2, func=op.func, derivative=ones)
+    with pytest.raises(ValueError, match=r"^derivative of operator symbol 'bad' returned shape"):
+        bad_derivative.derivative_at(np.array([1.0]))
     with pytest.raises(ValueError, match="does not match"):
         fs.perturbed_operator(np.eye(2), np.eye(3))
 
@@ -217,7 +224,8 @@ def test_non_hermitian_operators_keep_the_svd(svd_calls):
             mesh_size=7,
         )
     )
-    literal = _shifted_coupling(SystemMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])), 1.0 + 1.0j, True)
+    # a literal shift by lambda = 1 + i adds it to every entry of the coupling
+    literal = np.array([[2.0, 1.0], [1.0, 2.0]]) + (1.0 + 1.0j) * np.ones((2, 2))
     for mat in (variable_b2, literal):
         prob = _gate_problem(mat)
         assert fs.symbol_kernel(prob) == "svd"
@@ -411,23 +419,16 @@ def test_grouped_by_magnitude_matches_the_per_value_scan():
             assert got.dtype == want.dtype
 
 
-@pytest.mark.parametrize("use_fd", [False, True])
-def test_mikhlin_constant_operator_matches_the_stacked_norms(use_fd):
+def test_mikhlin_constant_operator_matches_the_stacked_norms():
     g = fs.SpatialGrid(10.0, 256)
     mat = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
     const = fs.constant_operator(mat)
-    # the same symbol without constant_matrix takes the per-frequency stacks;
-    # with use_fd neither symbol has an analytic derivative
-    stacked = fs.OperatorSymbol(
-        name="stacked", dim=3, func=const.func, derivative=None if use_fd else const.derivative
-    )
+    # the same symbol without constant_matrix takes the per-frequency stacks
+    stacked = fs.OperatorSymbol(name="stacked", dim=3, func=const.func, derivative=const.derivative)
     reps = []
     for op in (const, stacked):
         prob = make_problem(g, gamma=1.5, a_family="scaled_decay", operator=op)
-        if use_fd:
-            prob = replace(prob, a=replace(prob.a, derivative=None))
         reps.append(fs.check_mikhlin_bounds(prob))
-    assert [r.meta["used_fd"] for r in reps] == [use_fd, use_fd]
     got, want = (r.meta["term_sups"] for r in reps)
     assert got.keys() == want.keys()
     for key in got:
@@ -484,19 +485,16 @@ def test_mikhlin_bounds_constant_problem():
     prob = make_problem(g, gamma=1.5)
     rep = fs.check_mikhlin_bounds(prob)
     assert rep.passed
-    assert rep.meta["used_fd"] is False
     assert rep.constants["C1"] == pytest.approx(1.0, abs=1e-12)
     assert rep.constants["C2"] == pytest.approx(1.0, abs=1e-12)
-    # a coefficient without an analytic derivative is differenced, with the same verdict
-    rep_fd = fs.check_mikhlin_bounds(replace(prob, a=replace(prob.a, derivative=None)))
-    assert rep_fd.passed
-    assert rep_fd.meta["used_fd"] is True
 
 
 def test_mikhlin_bounds_flags_unbounded_growth():
     g = fs.SpatialGrid(10.0, 64)
     growing = fs.CoefficientSymbol(
-        name="bessel-growth", func=lambda xi: np.sqrt(1.0 + xi**2) + 0j
+        name="bessel-growth",
+        func=lambda xi: np.sqrt(1.0 + xi**2) + 0j,
+        derivative=lambda xi: xi / np.sqrt(1.0 + xi**2) + 0j,
     )
     prob = fs.EllipticProblem(
         order=fs.FractionalOrder(1.5),
@@ -507,8 +505,6 @@ def test_mikhlin_bounds_flags_unbounded_growth():
     )
     rep = fs.check_mikhlin_bounds(prob)
     assert not rep.passed
-    # bessel-growth has no analytic derivative, so D a is a finite difference
-    assert rep.meta["used_fd"] is True
     assert {w.label for w in rep.witnesses} <= {"coeff_b0", "coeff_b1"}
     edge = max(abs(w.location["xi"]) for w in rep.witnesses)
     assert edge >= 0.5 * np.abs(g.frequencies).max()
