@@ -178,12 +178,20 @@ def _term_norms(prob: EllipticProblem, rep: SolveReport, u_spec: SpectralFunctio
 
 def _probe_orders(gamma: float, s_set: Sequence[float] | None = None) -> Sequence[float]:
     """The probe orders of the term sums: ``s_set``, each checked to lie in
-    [0, gamma] (a ValueError at fault ``s_set``), or by default {0, gamma/2, gamma}."""
+    [0, gamma] and to print unlike every other under ``:g``, the form that
+    keys its ledger terms (a ValueError at fault ``s_set``), or by default
+    {0, gamma/2, gamma}."""
     if s_set is None:
         return (0.0, gamma / 2.0, gamma)
+    labels: dict[str, float] = {}
     for s in s_set:
         if not 0.0 <= s <= gamma:
             raise _at_fault("s_set", ValueError(f"probe order {s} outside [0, {gamma}]"))
+        label = f"{s:g}"
+        if label in labels:
+            alike = f"probe orders {labels[label]} and {s} share the ledger key D^{label}"
+            raise _at_fault("s_set", ValueError(alike))
+        labels[label] = s
     return s_set
 
 

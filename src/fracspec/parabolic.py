@@ -1,12 +1,14 @@
 """Time evolution u_t + O u = f with u(0) = 0, frequency by frequency.
 
 The primary integrator is variation of constants with the forcing taken
-piecewise linear in t on each step, evaluated through the matrix
-exponential of a block-augmented matrix (one 3d x 3d exponential per
-frequency); it is exact for forcing data that is genuinely piecewise
-linear in time, and second-order for smooth data.  Implicit Euler and
-Crank-Nicolson steppers, selected through the same entry point, exist for
-cross-validation of convergence orders.
+piecewise linear in t on each step; it is exact for forcing data that is
+genuinely piecewise linear in time, and second-order for smooth data.
+When Q(xi, 0) is normal it steps each eigenmode with the scalars e^z,
+phi1(z) and phi2(z); otherwise it slices e^Z, phi1(Z) and phi2(Z) out of
+the matrix exponential of a block-augmented matrix (one 3d x 3d
+exponential per frequency).  Implicit Euler and Crank-Nicolson steppers,
+selected through the same entry point, exist for cross-validation of
+convergence orders.
 
 The coupled-system entry point wraps a constant SPD coupling matrix as an
 operator symbol after gating on symmetry and positive definiteness.
@@ -76,8 +78,10 @@ def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential, by ``scipy.linalg.expm``.
 
-    scipy is imported here, on the first call, so that importing fracspec
-    (and every task that never integrates exactly in time) does not load it.
+    scipy is imported here, on the first call.  Only the exact scheme on a
+    Q that is not normal and the ``convergence`` study's reference call
+    it, so importing fracspec, and every other task and solve, never loads
+    scipy.
     """
     from scipy.linalg import expm as scipy_expm
 
@@ -94,6 +98,43 @@ def _step_matrices(q0: np.ndarray, dt: float):
     for m in aug:
         m[...] = expm(m)
     return aug[:, :d, :d], aug[:, :d, d : 2 * d], aug[:, :d, 2 * d :]
+
+
+# Terms of the Taylor series of phi1 and phi2 taken on |z| < 1: the first
+# one left out is below 1/19! < 1e-17 there, against |phi1|, |phi2| > 1/4.
+_PHI_TERMS = 18
+
+
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^z, phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, elementwise:
+    the scalar e^Z, phi1(Z), phi2(Z) of :func:`_step_matrices`.
+
+    On |z| < 1, where the closed forms cancel, phi1 and phi2 are their Taylor
+    series.  Elsewhere phi1 = expm1(z)/z and phi2 = (phi1 - 1)/z, which stay
+    finite at every finite z with Re z <= 0; (e^z - 1 - z)/z^2 would divide
+    by an overflowed z^2 once |z| passes about 1e154.
+    """
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    zl = np.where(small, 1.0, z)
+    t1 = t2 = 0.0
+    for k in range(_PHI_TERMS - 1, -1, -1):
+        t1 = t1 * zs + 1.0 / math.factorial(k + 1)
+        t2 = t2 * zs + 1.0 / math.factorial(k + 2)
+    p1 = np.expm1(zl) / zl
+    return np.exp(z), np.where(small, t1, p1), np.where(small, t2, (p1 - 1.0) / zl)
+
+
+def _step_overflow(dt: float) -> OverflowError:
+    overflow = f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
+    return _at_fault("dt", OverflowError(overflow))
+
+
+def _check_step(q0: np.ndarray, dt: float) -> None:
+    """OverflowError, at fault ``dt``, when dt * Q(xi, 0) overflows."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(dt * q0).all():
+            raise _step_overflow(dt)
 
 
 def _evolve(
@@ -117,10 +158,7 @@ def _evolve(
     finite, when the step is so long that the spectral solution overflows;
     either is at fault ``dt``.
     """
-    overflow = f"time step {dt:.6g} overflows the spectral solution; shorten the horizon"
-    with np.errstate(over="ignore"):
-        if not np.isfinite(dt * q0).all():
-            raise _at_fault("dt", OverflowError(overflow))
+    _check_step(q0, dt)
     eye = np.eye(q0.shape[1])[None, :, :]
 
     def planar(m):
@@ -152,11 +190,45 @@ def _evolve(
         f1 = forcing(m)
         u = step(u, f0, f1)
         if not np.isfinite(u).all():
-            raise _at_fault("dt", OverflowError(overflow))
+            raise _step_overflow(dt)
         if states is not None:
             states[m] = u
         f0 = f1
     return u
+
+
+def _evolve_normal(
+    prob: EllipticProblem, q0: np.ndarray, dt: float, fhat: np.ndarray
+) -> np.ndarray:
+    """The (M, N, d) spectra of every state of the exact scheme, for a normal
+    Q(xi, 0) and the (M, N, d) forcing spectrum ``fhat``, stepped in Q's
+    eigenbasis with no matrix exponential.
+
+    Q(xi, 0) = V diag(nu) V^H, with (mu, V) the eigenpairs of the Hermitian
+    ``_symbol.normal`` (d = 1 takes its one entry and V = I) and
+    nu = a (i xi)^gamma + mu (unfactored) or a ((i xi)^gamma + mu) (factored).
+    ``fhat`` is rotated into the eigenbasis once, every mode steps with the
+    scalars of :func:`_phi` at z = -dt nu, and the states are rotated back
+    once.  Overflows as :func:`_evolve`, at fault ``dt``.
+    """
+    _check_step(q0, dt)
+    sym = prob._symbol
+    mu, v = (prob._mu, None) if prob.dim == 1 else np.linalg.eigh(sym.normal)
+    a_vals, frac = sym.a[:, None], sym.frac[:, None]
+    # V is (d, d) for a constant operator and (N, d, d) for a perturbed one
+    g = fhat if v is None else np.einsum("...j,...ji->...i", fhat, v.conj())
+    w = np.zeros_like(g)
+    # whatever overflows here leaves a state that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = a_vals * frac + mu if prob.q_form == "unfactored" else a_vals * (frac + mu)
+        e, p1, p2 = _phi(-dt * nu)
+        for m in range(1, len(g)):
+            w[m] = e * w[m - 1] + dt * (p1 * g[m - 1] + p2 * (g[m] - g[m - 1]))
+        del g  # the rotated forcing, before the rotation back allocates
+        states = w if v is None else np.einsum("...ij,...j->...i", v, w)
+    if not np.isfinite(states).all():
+        raise _step_overflow(dt)
+    return states
 
 
 def _convergence_errors(
@@ -182,6 +254,13 @@ def _convergence_errors(
         uhat = _evolve(q0, horizon / steps, steps, lambda m: w[m] * shat, integrator)
         return grid.to_physical(uhat.T)
 
+    # The reference stays on the augmented expm even for a normal Q.  The
+    # eigenbasis steps of _evolve_normal move the `error` column of
+    # convergence.csv by up to 2e-9 relative (its norm by up to 3e-11), and
+    # the benchmark's fingerprint check judges that column at 1e-12 of its
+    # own scale, below the rounding of the two solutions it is the
+    # difference of.  Switch once that check judges `error` at the
+    # solutions' scale (ROADMAP item 1).
     exact = final_state(levels[-1], "exact")
     errors = []
     for steps in levels:
@@ -194,26 +273,30 @@ def _convergence_errors(
 
 def _solve_spectral(
     prob: EllipticProblem, f: SpaceTimeFunction, scheme: str
-) -> tuple[np.ndarray, SpaceTimeFunction]:
-    """The gated stack Q(xi, 0) and the solution of :func:`solve_parabolic`."""
+) -> tuple[np.ndarray, np.ndarray, SpaceTimeFunction]:
+    """The gated stack Q(xi, 0), the C-ordered (M, N, d) spectra of the
+    solution of :func:`solve_parabolic`, and that solution."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     _check_forcing(prob, f)
     q0 = _dissipative_gate(prob)
-    fhat = prob.grid.to_spectral(f.values)
-    fplanar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
-    del fhat
-    # The loop writes each (d, N) state through a planar view of C-ordered
-    # (M, N, d) memory: the solution is C-ordered, as the forcing is, and so
-    # are the ledger's spectra, whose Parseval sums follow the layout.
-    states = np.zeros(f.values.shape, dtype=complex)
     steps = f.times.size - 1
     dt = float(f.times[-1]) / steps
-    _evolve(q0, dt, steps, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
-    # Free the forcing spectrum before the inverse transform allocates its
-    # output, so the two never sit on the heap together.
-    del fplanar
-    return q0, SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(states))
+    if scheme == "exact" and prob._symbol.normal is not None:
+        states = _evolve_normal(prob, q0, dt, prob.grid.to_spectral(f.values))
+    else:
+        fhat = prob.grid.to_spectral(f.values)
+        fplanar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
+        del fhat
+        # The loop writes each (d, N) state through a planar view of C-ordered
+        # (M, N, d) memory: the solution is C-ordered, as the forcing is, and
+        # so are the ledger's spectra, whose Parseval sums follow the layout.
+        states = np.zeros(f.values.shape, dtype=complex)
+        _evolve(q0, dt, steps, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
+        # Free the forcing spectrum before the inverse transform allocates
+        # its output, so the two never sit on the heap together.
+        del fplanar
+    return q0, states, SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(states))
 
 
 def solve_parabolic(
@@ -229,7 +312,7 @@ def solve_parabolic(
     Raises ``OverflowError`` when the step is so long that the spectral
     solution is not finite.
     """
-    return _solve_spectral(prob, f, scheme)[1]
+    return _solve_spectral(prob, f, scheme)[2]
 
 
 def parabolic_coercive_report(
@@ -250,16 +333,15 @@ def parabolic_coercive_report(
     (either ``swap``) the a*D^gamma u and A*u norms are read off their
     spectra by discrete Parseval, with no inverse transform; d_t u, the
     residual and f stay in physical space, so the round trip is still
-    exercised.
+    exercised.  u's spectra are the solve's own states, not a transform of u.
     """
-    q0, u = _solve_spectral(prob, f, scheme)
+    q0, uhat, u = _solve_spectral(prob, f, scheme)
     grid = prob.grid
     horizon, steps = float(f.times[-1]), f.times.size - 1
     du_dt = np.gradient(u.values, horizon / steps, axis=0, edge_order=2)
 
     sym = prob._symbol
     gamma = prob.order.gamma
-    uhat = grid.to_spectral(u.values)
 
     def _apply(stack: np.ndarray) -> np.ndarray:
         """The (M, N, d) spectra of the (N, d, d) ``stack`` applied to u's

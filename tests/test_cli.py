@@ -631,6 +631,23 @@ def _task_l_edit(task, half_width):
     )
 
 
+def _retask(task, problem_lines, params, half_width="10.0"):
+    """Config edit that switches the task to ``task`` on the half-width
+    ``half_width``, adds ``problem_lines`` to [problem] and sets the
+    [parameters] lines ``params``."""
+    return (
+        "l = 10.0\nn = 64\n\n[task]\nname = solve-elliptic\n\n[parameters]",
+        f"l = {half_width}\nn = 64\n{problem_lines}\n\n[task]\nname = {task}\n\n"
+        f"[parameters]\n{params}",
+    )
+
+
+# A constant operator that is not normal, and a parabolic system whose
+# literal complex shift leaves its coupling complex symmetric, not Hermitian.
+_NON_NORMAL = "a_op_matrix = 2,1.5;0,1"
+_COMPLEX_SHIFT = "mode = parabolic\nmatrix = 2,1;1,2\nliteral_shift = true\nlambda = 1+1j\n"
+
+
 @pytest.mark.parametrize(
     "task, params",
     [
@@ -716,10 +733,11 @@ _OVERSIZED = [
         (_problem_edit(_PERTURBED + "1,2;3"), [], "[problem] a_op_perturbation"),
         (_problem_edit(_PERTURBED + "1,2"), [], "[problem] a_op_perturbation"),
         (_task_edit("system", "matrix = 1+1j"), [], "[parameters] matrix"),
-        (_task_edit("solve-parabolic", "t = 1e40\nnt = 4"), [], "[parameters] t"),
-        (_task_edit("solve-parabolic", "t = 1e300\nnt = 4"), [], "[parameters] t"),
-        (_task_edit("system", "mode = parabolic\nt = 1e40\nnt = 4"), [], "[parameters] t"),
-        (_task_edit("system", "mode = parabolic\nt = 1e300\nnt = 4"), [], "[parameters] t"),
+        # a Q that is not normal takes the augmented matrix exponential
+        (_retask("solve-parabolic", _NON_NORMAL, "t = 1e40\nnt = 4"), [], "[parameters] t"),
+        (_retask("solve-parabolic", _NON_NORMAL, "t = 1e300\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("system", _COMPLEX_SHIFT + "t = 1e150\nnt = 4"), [], "[parameters] t"),
+        (_task_edit("system", _COMPLEX_SHIFT + "t = 1e300\nnt = 4"), [], "[parameters] t"),
         (_task_edit("convergence", "t = 1e40"), [], "[parameters] t"),
         (_task_edit("convergence", "t = 1e300"), [], "[parameters] t"),
         (_task_edit("solve-elliptic", "lambda = inf"), [], "[parameters] lambda"),
@@ -898,6 +916,11 @@ _OVERSIZED = [
             [],
             "[parameters] t = 1e308: time step 3.90625e+305 overflows the spectral solution",
         ),
+        (
+            _task_edit("solve-elliptic", "s_set = 1.0,1.0000001,1.5"),
+            [],
+            "[parameters] s_set: probe orders 1.0 and 1.0000001 share the ledger key D^1\n",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -911,17 +934,6 @@ def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: " + key)
     assert not out.exists()
-
-
-def _retask(task, problem_lines, params, half_width="10.0"):
-    """Config edit that switches the task to ``task`` on the half-width
-    ``half_width``, adds ``problem_lines`` to [problem] and sets the
-    [parameters] lines ``params``."""
-    return (
-        "l = 10.0\nn = 64\n\n[task]\nname = solve-elliptic\n\n[parameters]",
-        f"l = {half_width}\nn = 64\n{problem_lines}\n\n[task]\nname = {task}\n\n"
-        f"[parameters]\n{params}",
-    )
 
 
 def _finite_numbers(value):
@@ -973,6 +985,32 @@ def test_ledger_norms_are_finite_past_the_range_of_their_powers(tmp_path, capsys
     assert _finite_numbers(results)
     if "l = 1e150" in edit[1]:
         assert results["term_norms"]["a*D^1.5 u"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _task_edit("solve-parabolic", "t = 1e40\nnt = 4"),
+        _task_edit("solve-parabolic", "t = 1e300\nnt = 4"),
+        _task_edit("system", "mode = parabolic\nt = 1e40\nnt = 4"),
+        _task_edit("system", "mode = parabolic\nt = 1e300\nnt = 4"),
+        # the top frequency pi n / 2l is about 1e152
+        _retask("solve-parabolic", "a_op_matrix = 2,1;1,2", "", half_width="1e-150"),
+        _retask("system", "", "mode = parabolic\nmatrix = 2,1;1,2", half_width="1e-150"),
+    ],
+)
+def test_normal_exact_solves_run_where_the_augmented_exponential_overflowed(tmp_path, capsys, edit):
+    """A normal Q steps its eigenmodes with e^z, phi1(z) and phi2(z), which
+    stay finite at any |z|: long steps and huge frequencies exit 0 without a
+    warning and report finite numbers."""
+    ini, out = _write_ini(tmp_path, "solve-elliptic")
+    ini.write_text(ini.read_text().replace(*edit))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(ini)]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    assert _finite_numbers(_report(out)["results"])
 
 
 @pytest.mark.parametrize(
@@ -1292,3 +1330,37 @@ def test_import_does_not_load_scipy(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "task, problem_extra, params, loads",
+    [
+        ("solve-parabolic", "a_op_matrix = 2,1;1,2", "scheme = exact\nnt = 4", False),
+        # a real literal shift keeps the coupling symmetric
+        ("system", "", "mode = parabolic\nmatrix = 2,1;1,2\nliteral_shift = true\nnt = 4", False),
+        ("solve-parabolic", _NON_NORMAL, "scheme = exact\nnt = 4", True),
+        ("system", "", _COMPLEX_SHIFT + "nt = 4", True),
+    ],
+)
+def test_only_an_exact_solve_of_a_q_that_is_not_normal_loads_scipy(
+    tmp_path, task, problem_extra, params, loads
+):
+    """A normal Q steps in its eigenbasis with no matrix exponential, so its
+    exact solve leaves scipy unloaded; a Q that is not normal loads it."""
+    ini, out = _write_ini(tmp_path, task, params=params, problem_extra=problem_extra)
+    code = (
+        "import sys; from fracspec.cli import main; "
+        f"print(main(['--config', {str(ini)!r}]), "
+        "any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(fracspec.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"0 {loads}\n"
+    assert (out / "solution.csv").exists()

@@ -208,17 +208,50 @@ def _random_forcing(grid, dim, seed):
 _COUPLED = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-@pytest.mark.parametrize("scheme", parabolic.SCHEMES)
-def test_spectral_evolution_matches_solve_parabolic(scheme):
+_NON_NORMAL = np.array([[2.0, 1.5], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "scheme, mat",
+    [pytest.param(s, _COUPLED, id=s) for s in parabolic.SCHEMES]
+    + [pytest.param("exact", _NON_NORMAL, id="exact-non-normal")],
+)
+def test_spectral_evolution_matches_solve_parabolic(scheme, mat):
     g = fs.SpatialGrid(10.0, 64)
-    prob = make_problem(g, mat=_COUPLED, a_family="scaled_decay")
+    prob = make_problem(g, mat=mat, a_family="scaled_decay")
     f = _random_forcing(g, 2, 5)
     q0 = parabolic._dissipative_gate(prob)
     fhat = g.to_spectral(f.values).transpose(0, 2, 1)
     uhat = parabolic._evolve(q0, 1.0 / 16, 16, fhat.__getitem__, scheme)
     u = fs.solve_parabolic(prob, f, scheme)
     assert u.values.flags.c_contiguous
-    assert np.array_equal(g.to_physical(uhat.T), u.values[-1])
+    want = g.to_physical(uhat.T)
+    if scheme == "exact" and prob._symbol.normal is not None:
+        # a normal Q steps in its eigenbasis, which rounds otherwise
+        assert rel_linf(u.values[-1], want) <= 1e-12
+    else:
+        assert np.array_equal(want, u.values[-1])
+
+
+def _phi_case_points():
+    """z = r e^(i theta) over r from 1e-12 to 1e4, both sides of |z| = 1
+    included, and theta on [pi/2, pi] and its mirror: Re z <= 0."""
+    radii = np.concatenate([np.logspace(-12, 4, 65), [1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9]])
+    angles = np.linspace(0.5 * np.pi, np.pi, 9)
+    return (radii[:, None] * np.exp(1j * np.concatenate([angles, -angles]))[None, :]).ravel()
+
+
+def test_phi_matches_the_augmented_scalar_exponential():
+    """e^z, phi1(z), phi2(z) against the top row of scipy's expm of the 3x3
+    block [[z, 1, 0], [0, 0, 1], [0, 0, 0]], the d = 1 augmented matrix."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    z = _phi_case_points()
+    got = np.stack(parabolic._phi(z), axis=1)
+    aug = np.zeros((z.size, 3, 3), dtype=complex)
+    aug[:, 0, 0], aug[:, 0, 1], aug[:, 1, 2] = z, 1.0, 1.0
+    want = np.array([scipy_linalg.expm(m)[0] for m in aug])
+    # e^z underflows to 0 in both at Re z below about -745
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def _reference_evolve(q0, dt, fhat, scheme):
@@ -277,15 +310,16 @@ def test_planar_evolution_matches_frequency_major_loop_bit_for_bit(scheme, dim):
     assert np.array_equal(final.T, want[-1])
 
 
-def _physical_ledger(prob, u, p, p1, swap):
-    """The a*D^gamma u and A*u mixed norms, each field inverse transformed."""
+def _physical_ledger(prob, f, scheme, p, p1, swap):
+    """The a*D^gamma u and A*u mixed norms of the solve's u, each field
+    inverse transformed from the solve's own spectra of u."""
     g = prob.grid
     xi = g.frequencies
-    uhat = g.to_spectral(u.values)
+    uhat = parabolic._solve_spectral(prob, f, scheme)[1]
     mult = prob.a(xi) * fs.frac_power_i_xi(xi, prob.order.gamma)
     spectra = (mult[None, :, None] * uhat, np.einsum("kij,mkj->mki", prob.A(xi), uhat))
     return [
-        fs.mixed_norm(fs.SpaceTimeFunction(g, u.times, g.to_physical(s)), p, p1, swap=swap)
+        fs.mixed_norm(fs.SpaceTimeFunction(g, f.times, g.to_physical(s)), p, p1, swap=swap)
         for s in spectra
     ]
 
@@ -302,7 +336,7 @@ def test_p2_ledger_from_spectrum_matches_physical_path(swap, scheme):
     prob, f = _ledger_case()
     rep = fs.parabolic_coercive_report(prob, f, scheme, p=2.0, p1=2.0, swap=swap)
     got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
-    want = _physical_ledger(prob, rep.solution, 2.0, 2.0, swap)
+    want = _physical_ledger(prob, f, scheme, 2.0, 2.0, swap)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -311,7 +345,7 @@ def test_ledger_off_p2_is_the_physical_path(p, p1, swap):
     prob, f = _ledger_case()
     rep = fs.parabolic_coercive_report(prob, f, "exact", p=p, p1=p1, swap=swap)
     got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
-    assert got == _physical_ledger(prob, rep.solution, p, p1, swap)
+    assert got == _physical_ledger(prob, f, "exact", p, p1, swap)
 
 
 def test_dissipativity_gate():
@@ -452,6 +486,27 @@ def test_solve_parabolic_matches_dense_time_oracle(scheme):
         f = fs.SpaceTimeFunction(g, times, _random_field(rng, (9, 16, prob.dim)))
         got = fs.solve_parabolic(prob, f, scheme).values
         assert rel_linf(got, dense_evolve(prob, f, scheme)) <= 1e-12
+
+
+def test_eigenbasis_solve_matches_the_augmented_path():
+    """Every normal oracle problem, at d = 1, 2 and 3 and in both q_forms,
+    gives the states of the augmented-expm loop to 1e-12 relative."""
+    g = fs.SpatialGrid(10.0, 16)
+    rng = np.random.default_rng(37)
+    steps, dt = 8, 1.0 / 8
+    seen = set()
+    for prob in _oracle_problems(g):
+        if prob._symbol.normal is None:
+            continue
+        seen.add((prob.dim, prob.q_form))
+        fhat = g.to_spectral(_random_field(rng, (steps + 1, 16, prob.dim)))
+        q0 = parabolic._dissipative_gate(prob)
+        want = np.zeros(fhat.shape, dtype=complex)
+        planar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
+        parabolic._evolve(q0, dt, steps, planar.__getitem__, "exact", want.transpose(0, 2, 1))
+        got = parabolic._evolve_normal(prob, q0, dt, fhat)
+        assert rel_linf(got, want) <= 1e-12
+    assert seen == {(d, form) for d in (1, 2, 3) for form in ("unfactored", "factored")}
 
 
 def test_system_parabolic_matches_dense_time_oracle():
