@@ -111,8 +111,10 @@ def discretize_bvp(coeffs: BVPCoefficients) -> np.ndarray:
 
     The principal coefficient must stay away from zero, |b2| >= 1e-8, on
     the mesh, and no coefficient may overflow its stencil entries (see
-    :func:`_stencil_coefficient`).  With b1 = 0 the matrix is real
-    symmetric; b1 enters through the skew stencil of -i d/dy.
+    :func:`_stencil_coefficient`).  b1 enters through the skew stencil of
+    -i d/dy.  With b2 and b1 constant on the mesh the matrix is Hermitian,
+    real symmetric when b1 = 0; a b2 or b1 that varies makes it not
+    Hermitian (real but not symmetric when b2 varies and b1 = 0).
     """
     b2v, b1v, b0v = (_stencil_coefficient(coeffs, label) for label in ("b2", "b1", "b0"))
     m = coeffs.mesh_size

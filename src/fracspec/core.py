@@ -308,31 +308,23 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def mixed_norm(f: SpaceTimeFunction, p: float, p1: float, swap: bool = False) -> float:
-    """Mixed norm with inner x-integral (exponent p) and outer t-integral (p1).
-
-    ``swap=True`` selects the transposed reading: inner t-integral with
-    exponent p1 and outer x-integral with exponent p.
-    """
+def mixed_norm(f: SpaceTimeFunction, p: float, p1: float) -> float:
+    """Mixed norm with inner x-integral (exponent p) and outer t-integral (p1)."""
     p = _check_exponent(p)
     p1 = _check_exponent(p1)
     h = f.grid.spacing
     w = _trapezoid_weights(f.times)
-
-    def mags(v):
-        return np.linalg.norm(v, axis=2)  # (Nt+1, N)
-
-    # The outer norms take the inner ones as (K, 1) vectors.
-    if not swap:
-        inner = _power_norm(f.values, p, lambda v: h * np.sum(mags(v) ** p, axis=1), axis=0)
-        return float(_power_norm(inner[:, None], p1, lambda v: np.sum(w * v[:, 0] ** p1)))
-    inner = _power_norm(f.values, p1, lambda v: np.sum(w[:, None] * mags(v) ** p1, axis=0), axis=1)
-    return float(_power_norm(inner[:, None], p, lambda v: h * np.sum(v[:, 0] ** p)))
+    # The inner norms run over each slice's (N, d) values; the outer norm
+    # takes them as a (K, 1) vector.
+    inner = _power_norm(
+        f.values, p, lambda v: h * np.sum(np.linalg.norm(v, axis=2) ** p, axis=1), axis=0
+    )
+    return float(_power_norm(inner[:, None], p1, lambda v: np.sum(w * v[:, 0] ** p1)))
 
 
 def _mixed_l2_of_spectra(grid: SpatialGrid, times: np.ndarray, spectra: np.ndarray) -> float:
-    """``mixed_norm`` at p = p1 = 2 (either ``swap``) of the field whose
-    slices have the (Nt+1, N, d) ``spectra``, with no inverse transform.
+    """``mixed_norm`` at p = p1 = 2 of the field whose slices have the
+    (Nt+1, N, d) ``spectra``, with no inverse transform.
 
     Discrete Parseval per slice, as in :func:`multiplier_norm`, under the
     trapezoid weights w_m in t: sqrt(sum_m w_m sum_k |g^_mk|^2 / 2L).

@@ -5,10 +5,10 @@ piecewise linear in t on each step; it is exact for forcing data that is
 genuinely piecewise linear in time, and second-order for smooth data.
 When Q(xi, 0) is normal it steps each eigenmode with the scalars e^z,
 phi1(z) and phi2(z); otherwise it slices e^Z, phi1(Z) and phi2(Z) out of
-the matrix exponential of a block-augmented matrix (one 3d x 3d
-exponential per frequency).  Implicit Euler and Crank-Nicolson steppers,
-selected through the same entry point, exist for cross-validation of
-convergence orders.
+the matrix exponentials of block-augmented matrices (one 3d x 3d matrix
+per frequency, all in one call).  Implicit Euler and Crank-Nicolson
+steppers, selected through the same entry point, exist for
+cross-validation of convergence orders.
 
 The coupled-system entry point wraps a constant SPD coupling matrix as an
 operator symbol after gating on symmetry and positive definiteness.
@@ -36,6 +36,7 @@ from .fractional import FractionalOrder
 from .symbols import (
     CoefficientSymbol,
     EllipticProblem,
+    _eigenvalues,
     constant_operator,
     q_matrices,
 )
@@ -61,9 +62,13 @@ def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
-    """Q(xi, 0) stack after checking every eigenvalue has positive real part."""
+    """Q(xi, 0) stack after checking every eigenvalue has positive real part:
+    a normal Q's read off :func:`_eigenvalues`, others (or overflowed) by eigvals."""
     q0 = q_matrices(prob, 0.0)
-    eigs = np.linalg.eigvals(q0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigs = None if prob._symbol.normal is None else _eigenvalues(prob, 0.0)
+    if eigs is None or not np.isfinite(eigs).all():
+        eigs = np.linalg.eigvals(q0)
     re_min = eigs.real.min(axis=1)
     if (re_min <= 0.0).any():
         k = int(np.argmin(re_min))
@@ -76,12 +81,12 @@ def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential, by ``scipy.linalg.expm``.
+    """Matrix exponentials of a (..., n, n) stack by ``scipy.linalg.expm``,
+    which takes them slice by slice: the bits of one call per matrix.
 
-    scipy is imported here, on the first call.  Only the exact scheme on a
-    Q that is not normal and the ``convergence`` study's reference call
-    it, so importing fracspec, and every other task and solve, never loads
-    scipy.
+    scipy is imported here, on the first call, which only the exact scheme
+    on a Q that is not normal and the ``convergence`` study's reference
+    make: importing fracspec, and every other task and solve, never loads it.
     """
     from scipy.linalg import expm as scipy_expm
 
@@ -89,14 +94,13 @@ def expm(m: np.ndarray) -> np.ndarray:
 
 
 def _step_matrices(q0: np.ndarray, dt: float):
-    """Per-frequency e^Z, phi1(Z), phi2(Z) for Z = -dt*Q, sliced out of the
-    exponential of the augmented matrix [[Z, I, 0], [0, 0, I], [0, 0, 0]]."""
+    """Per-frequency e^Z, phi1(Z), phi2(Z) for Z = -dt*Q, sliced out of one
+    :func:`expm` of the stack of [[Z, I, 0], [0, 0, I], [0, 0, 0]]."""
     n, d, _ = q0.shape
     aug = np.zeros((n, 3 * d, 3 * d), dtype=complex)
     aug[:, :d, :d] = -dt * q0
     aug[:, :d, d : 2 * d] = aug[:, d : 2 * d, 2 * d :] = np.eye(d)
-    for m in aug:
-        m[...] = expm(m)
+    aug = expm(aug)
     return aug[:, :d, :d], aug[:, :d, d : 2 * d], aug[:, :d, 2 * d :]
 
 
@@ -205,23 +209,20 @@ def _evolve_normal(
     eigenbasis with no matrix exponential.
 
     Q(xi, 0) = V diag(nu) V^H, with (mu, V) the eigenpairs of the Hermitian
-    ``_symbol.normal`` (d = 1 takes its one entry and V = I) and
-    nu = a (i xi)^gamma + mu (unfactored) or a ((i xi)^gamma + mu) (factored).
+    ``_symbol.normal`` (d = 1 takes its one entry and V = I) and nu the
+    eigenvalues of :func:`_eigenvalues` at lambda = 0 built on that mu.
     ``fhat`` is rotated into the eigenbasis once, every mode steps with the
     scalars of :func:`_phi` at z = -dt nu, and the states are rotated back
     once.  Overflows as :func:`_evolve`, at fault ``dt``.
     """
     _check_step(q0, dt)
-    sym = prob._symbol
-    mu, v = (prob._mu, None) if prob.dim == 1 else np.linalg.eigh(sym.normal)
-    a_vals, frac = sym.a[:, None], sym.frac[:, None]
+    mu, v = (None, None) if prob.dim == 1 else np.linalg.eigh(prob._symbol.normal)
     # V is (d, d) for a constant operator and (N, d, d) for a perturbed one
     g = fhat if v is None else np.einsum("...j,...ji->...i", fhat, v.conj())
     w = np.zeros_like(g)
     # whatever overflows here leaves a state that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = a_vals * frac + mu if prob.q_form == "unfactored" else a_vals * (frac + mu)
-        e, p1, p2 = _phi(-dt * nu)
+        e, p1, p2 = _phi(-dt * _eigenvalues(prob, 0.0, mu))
         for m in range(1, len(g)):
             w[m] = e * w[m - 1] + dt * (p1 * g[m - 1] + p2 * (g[m] - g[m - 1]))
         del g  # the rotated forcing, before the rotation back allocates
@@ -321,7 +322,6 @@ def parabolic_coercive_report(
     scheme: str = "exact",
     p: float = 2.0,
     p1: float = 2.0,
-    swap: bool = False,
 ) -> SolveReport:
     """Solve u_t + O u = f by ``solve_parabolic`` with ``scheme`` and report
     the mixed-norm ledger ||u_t|| + ||a*D^gamma u|| + ||A*u|| against ||f||.
@@ -329,11 +329,11 @@ def parabolic_coercive_report(
     The time derivative is second-order central differencing (one-sided at
     the endpoints); the residual field u_t + O u - f, with O the symbol
     Q(xi, 0) that ``solve_parabolic`` integrates (in either ``q_form``), is
-    reported relative to ||f|| in the same mixed norm.  At p = p1 = 2
-    (either ``swap``) the a*D^gamma u and A*u norms are read off their
-    spectra by discrete Parseval, with no inverse transform; d_t u, the
-    residual and f stay in physical space, so the round trip is still
-    exercised.  u's spectra are the solve's own states, not a transform of u.
+    reported relative to ||f|| in the same mixed norm.  At p = p1 = 2 the
+    a*D^gamma u and A*u norms are read off their spectra by discrete
+    Parseval, with no inverse transform; d_t u, the residual and f stay in
+    physical space, so the round trip is still exercised.  u's spectra are
+    the solve's own states, not a transform of u.
     """
     q0, uhat, u = _solve_spectral(prob, f, scheme)
     grid = prob.grid
@@ -355,7 +355,7 @@ def parabolic_coercive_report(
     ou = grid.to_physical(_apply(q0))
 
     def _mixed(vals: np.ndarray) -> float:
-        return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1, swap=swap)
+        return mixed_norm(SpaceTimeFunction(grid, u.times, vals), p, p1)
 
     def _ledger(spectra: np.ndarray) -> float:
         """Mixed norm of the field whose slices have these spectra."""
@@ -380,7 +380,6 @@ def parabolic_coercive_report(
         meta={
             "p": p,
             "p1": p1,
-            "swap": swap,
             "steps": steps,
             "horizon": horizon,
             "forcing_norm": f_norm,

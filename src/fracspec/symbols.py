@@ -309,7 +309,7 @@ class EllipticProblem:
 
     @cached_property
     def _mu(self) -> np.ndarray:
-        """The eigenvalues of ``_symbol.normal``, taken when the gate first asks."""
+        """The eigenvalues of ``_symbol.normal``, taken on first use."""
         normal = self._symbol.normal
         return normal[..., 0] if self.dim == 1 else np.linalg.eigvalsh(normal)
 
@@ -344,26 +344,31 @@ def symbol_kernel(prob: EllipticProblem) -> str:
     return "svd" if prob._symbol.normal is None else "hermitian-eig"
 
 
+def _eigenvalues(prob: EllipticProblem, lam: complex, mu: np.ndarray | None = None) -> np.ndarray:
+    """The (N, d) eigenvalues nu_j of a normal Q(xi, lambda) on the problem
+    grid: nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
+    a ((i xi)^gamma + lambda + mu_j) (factored), with mu_j the eigenvalues
+    of A(xi), ``prob._mu`` unless the caller has them already."""
+    sym, mu = prob._symbol, prob._mu if mu is None else mu
+    a_vals, frac = sym.a[:, None], sym.frac[:, None]
+    if prob.q_form == "unfactored":
+        return a_vals * frac + lam + mu
+    return a_vals * (frac + lam + mu)
+
+
 def symbol_smin(
     prob: EllipticProblem, lam: complex, q: np.ndarray | None = None
 ) -> tuple[np.ndarray, int | None]:
     """``smallest_singular_values(q_matrices(prob, lam), _SINGULAR_TOL)``
     without the SVD when Q is normal: the singular-symbol gate.
 
-    A normal Q has singular values |nu_j|, the moduli of its eigenvalues
-    nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
-    a ((i xi)^gamma + lambda + mu_j) (factored), with mu_j the eigenvalues
-    of A(xi); one ``eigvalsh`` gives every mu_j.  Other problems take the
-    SVD, of ``q`` when the caller has built the stack already.
+    A normal Q has singular values |nu_j|, the moduli of the eigenvalues of
+    :func:`_eigenvalues`.  Other problems take the SVD, of ``q`` when the
+    caller has built the stack already.
     """
-    sym = prob._symbol
-    if sym.normal is not None:
-        a_vals, frac, mu = sym.a[:, None], sym.frac[:, None], prob._mu
+    if prob._symbol.normal is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            if prob.q_form == "unfactored":
-                mods = np.abs(a_vals * frac + lam + mu)
-            else:
-                mods = np.abs(a_vals * (frac + lam + mu))
+            mods = np.abs(_eigenvalues(prob, lam))
         # an overflowed modulus bounds nothing: leave the verdict to the SVD
         if np.isfinite(mods).all():
             smin = mods.min(axis=1)

@@ -52,6 +52,26 @@ def test_discretize_b1_gives_hermitian_complex_matrix():
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "b2, b1, kernel",
+    [(lambda y: 1.0 + 0.5 * y, _const(0.0), "svd"), (_const(1.0), _const(1.0), "hermitian-eig")],
+    ids=["varying-b2", "constant-b2-b1"],
+)
+def test_boundary_matrix_is_hermitian_only_for_constant_b2_and_b1(b2, b1, kernel):
+    """A b2 that varies gives a real matrix that is not symmetric, which
+    takes the SVD gate; constant b2 and b1 give a Hermitian one."""
+    mat = fs.discretize_bvp(fs.BVPCoefficients(b2, b1, _const(1.0), 9))
+    assert np.array_equal(mat, mat.conj().T) == (kernel == "hermitian-eig")
+    prob = fs.EllipticProblem(
+        order=fs.FractionalOrder(2.0),
+        a=fs.constant_coefficient(-1.0),
+        A=fs.constant_operator(mat),
+        sector=fs.Sector(0.5),
+        grid=fs.SpatialGrid(10.0, 32),
+    )
+    assert fs.symbol_kernel(prob) == kernel
+
+
 def test_degenerate_principal_coefficient_is_rejected():
     coeffs = fs.BVPCoefficients(lambda y: y - 0.5, _const(0.0), _const(0.0), 31)
     with pytest.raises(ValueError, match="degenerates at y=0.5"):

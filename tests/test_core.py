@@ -147,17 +147,11 @@ def _norm_cases(rng, p, p1, d):
     keep = np.abs(g.indices) <= 2
     block, band = draw(3, d, int(keep.sum())), rng.uniform(0.5, 2.0, int(keep.sum()))
 
-    def mixed_ref(v, swap):
-        mags = np.linalg.norm(v, axis=2)
-        if not swap:
-            inner_sums = h * np.sum(mags**p, axis=1)
-            inner = inner_sums ** (1.0 / p)
-            outer = np.sum(w * inner**p1)
-            return outer ** (1.0 / p1), _in_range(inner_sums) and _in_range(outer)
-        inner_sums = np.sum(w[:, None] * mags**p1, axis=0)
-        inner = inner_sums ** (1.0 / p1)
-        outer = h * np.sum(inner**p)
-        return outer ** (1.0 / p), _in_range(inner_sums) and _in_range(outer)
+    def mixed_ref(v):
+        inner_sums = h * np.sum(np.linalg.norm(v, axis=2) ** p, axis=1)
+        inner = inner_sums ** (1.0 / p)
+        outer = np.sum(w * inner**p1)
+        return outer ** (1.0 / p1), _in_range(inner_sums) and _in_range(outer)
 
     def lp_ref(v):
         s = h * np.sum(np.linalg.norm(v, axis=1) ** p)
@@ -183,12 +177,8 @@ def _norm_cases(rng, p, p1, d):
 
     return [
         ("lp_norm", f, lambda v: fs.lp_norm(fs.GridFunction(g, v), p), lp_ref, lambda v: v),
-        *[
-            (f"mixed_norm swap={swap}", st_f,
-             lambda v, s=swap: fs.mixed_norm(fs.SpaceTimeFunction(g, times, v), p, p1, swap=s),
-             lambda v, s=swap: mixed_ref(v, s), lambda v: v)
-            for swap in (False, True)
-        ],
+        ("mixed_norm", st_f,
+         lambda v: fs.mixed_norm(fs.SpaceTimeFunction(g, times, v), p, p1), mixed_ref, lambda v: v),
         ("multiplier_norm", spec, lambda v: fs.multiplier_norm(fs.SpectralFunction(g, v), mult, 2.0),
          mult_ref, lambda v: mult[:, None] * v),
         ("_image_norms", block, lambda v: _image_norms(g, keep, v, band, p), image_ref,
@@ -237,8 +227,7 @@ def test_power_norms_of_zero_fields_are_zero():
     g = fs.SpatialGrid(1.0, 4)
     assert fs.lp_norm(fs.GridFunction(g, np.zeros(4)), 1e308) == 0.0
     zero = fs.SpaceTimeFunction(g, np.linspace(0.0, 1.0, 3), np.zeros((3, 4)))
-    for swap in (False, True):
-        assert fs.mixed_norm(zero, 3.0, 1e308, swap=swap) == 0.0
+    assert fs.mixed_norm(zero, 3.0, 1e308) == 0.0
 
 
 def test_power_norms_at_huge_exponents_are_the_sup_norm():
@@ -248,8 +237,7 @@ def test_power_norms_at_huge_exponents_are_the_sup_norm():
     assert fs.lp_norm(f, 1e308) == 2.0
     times = np.linspace(0.0, 1.0, 3)
     st_f = fs.SpaceTimeFunction(g, times, np.outer([1.0, 4.0, 0.5], vals))
-    for swap in (False, True):
-        assert fs.mixed_norm(st_f, 1e308, 1e308, swap=swap) == 8.0
+    assert fs.mixed_norm(st_f, 1e308, 1e308) == 8.0
 
 
 def test_mixed_norm_constant_exact():
@@ -260,11 +248,9 @@ def test_mixed_norm_constant_exact():
     assert abs(fs.mixed_norm(f, 2.0, 2.0) - want) < 1e-12
     want4 = 2.0 * (2.0 * g.half_width) ** 0.5 * 2.0**0.25
     assert abs(fs.mixed_norm(f, 2.0, 4.0) - want4) < 1e-12
-    # for constants the transposed reading agrees
-    assert abs(fs.mixed_norm(f, 2.0, 4.0, swap=True) - want4) < 1e-12
 
 
-def test_mixed_norm_homogeneity_and_swap():
+def test_mixed_norm_homogeneity():
     g = fs.SpatialGrid(3.0, 16)
     times = np.linspace(0.0, 1.0, 7)
     rng = np.random.default_rng(17)
@@ -272,9 +258,6 @@ def test_mixed_norm_homogeneity_and_swap():
     f = fs.SpaceTimeFunction(g, times, vals)
     f3 = fs.SpaceTimeFunction(g, times, 3.0 * vals)
     assert abs(fs.mixed_norm(f3, 2.0, 4.0) - 3.0 * fs.mixed_norm(f, 2.0, 4.0)) < 1e-12
-    # p = p1 = 2 is Fubini-symmetric; distinct exponents are genuinely ordered
-    assert abs(fs.mixed_norm(f, 2.0, 2.0) - fs.mixed_norm(f, 2.0, 2.0, swap=True)) < 1e-12
-    assert abs(fs.mixed_norm(f, 2.0, 4.0) - fs.mixed_norm(f, 2.0, 4.0, swap=True)) > 1e-6
 
 
 def test_mixed_norm_matches_manual_loops():

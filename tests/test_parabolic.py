@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fracspec as fs
-from fracspec import parabolic
+from fracspec import parabolic, symbols
 from conftest import dense_evolve, make_problem, rel_linf
 
 
@@ -310,7 +310,7 @@ def test_planar_evolution_matches_frequency_major_loop_bit_for_bit(scheme, dim):
     assert np.array_equal(final.T, want[-1])
 
 
-def _physical_ledger(prob, f, scheme, p, p1, swap):
+def _physical_ledger(prob, f, scheme, p, p1):
     """The a*D^gamma u and A*u mixed norms of the solve's u, each field
     inverse transformed from the solve's own spectra of u."""
     g = prob.grid
@@ -319,8 +319,7 @@ def _physical_ledger(prob, f, scheme, p, p1, swap):
     mult = prob.a(xi) * fs.frac_power_i_xi(xi, prob.order.gamma)
     spectra = (mult[None, :, None] * uhat, np.einsum("kij,mkj->mki", prob.A(xi), uhat))
     return [
-        fs.mixed_norm(fs.SpaceTimeFunction(g, f.times, g.to_physical(s)), p, p1, swap=swap)
-        for s in spectra
+        fs.mixed_norm(fs.SpaceTimeFunction(g, f.times, g.to_physical(s)), p, p1) for s in spectra
     ]
 
 
@@ -330,22 +329,21 @@ def _ledger_case():
     return prob, _random_forcing(g, 2, 11)
 
 
-@pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("scheme", ["exact", "crank-nicolson"])
-def test_p2_ledger_from_spectrum_matches_physical_path(swap, scheme):
+def test_p2_ledger_from_spectrum_matches_physical_path(scheme):
     prob, f = _ledger_case()
-    rep = fs.parabolic_coercive_report(prob, f, scheme, p=2.0, p1=2.0, swap=swap)
+    rep = fs.parabolic_coercive_report(prob, f, scheme, p=2.0, p1=2.0)
     got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
-    want = _physical_ledger(prob, f, scheme, 2.0, 2.0, swap)
+    want = _physical_ledger(prob, f, scheme, 2.0, 2.0)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("p, p1, swap", [(2.0, 3.0, False), (2.0, 3.0, True), (3.0, 3.0, False)])
-def test_ledger_off_p2_is_the_physical_path(p, p1, swap):
+@pytest.mark.parametrize("p, p1", [(2.0, 3.0), (3.0, 3.0)])
+def test_ledger_off_p2_is_the_physical_path(p, p1):
     prob, f = _ledger_case()
-    rep = fs.parabolic_coercive_report(prob, f, "exact", p=p, p1=p1, swap=swap)
+    rep = fs.parabolic_coercive_report(prob, f, "exact", p=p, p1=p1)
     got = [rep.term_norms["a*D^1.5 u"], rep.term_norms["A*u"]]
-    assert got == _physical_ledger(prob, f, "exact", p, p1, swap)
+    assert got == _physical_ledger(prob, f, "exact", p, p1)
 
 
 def test_dissipativity_gate():
@@ -507,6 +505,104 @@ def test_eigenbasis_solve_matches_the_augmented_path():
         got = parabolic._evolve_normal(prob, q0, dt, fhat)
         assert rel_linf(got, want) <= 1e-12
     assert seen == {(d, form) for d in (1, 2, 3) for form in ("unfactored", "factored")}
+
+
+def _normal_oracle_problems(grid):
+    """The normal problems of ``_oracle_problems``, each with its negation
+    -Q(xi, 0), which is normal and not dissipative: a = 2 in both forms, and
+    the operator negated too in the unfactored form."""
+    seen = set()
+    for operator in _ORACLE_OPERATORS.values():
+        for q_form, sign in (("unfactored", 1.0), ("factored", -1.0)):
+            prob = make_problem(grid, a_value=-2.0, q_form=q_form, operator=operator(sign))
+            if prob._symbol.normal is None:
+                continue
+            seen.add((prob.dim, q_form))
+            neg_sign = -sign if q_form == "unfactored" else sign
+            yield prob, make_problem(grid, a_value=2.0, q_form=q_form, operator=operator(neg_sign))
+    assert seen == {(d, form) for d in (1, 2, 3) for form in ("unfactored", "factored")}
+
+
+def test_symbol_eigenvalues_match_eigvals_of_the_stack():
+    g = fs.SpatialGrid(10.0, 16)
+    for prob, neg in _normal_oracle_problems(g):
+        for p in (prob, neg):
+            got = np.sort(symbols._eigenvalues(p, 0.0), axis=1)
+            want = np.sort(np.linalg.eigvals(fs.q_matrices(p, 0.0)), axis=1)
+            assert rel_linf(got, want) <= 1e-12
+
+
+def test_normal_gate_names_the_eigenvalue_the_general_gate_names():
+    """A negated normal problem fails the gate with the message that
+    ``eigvals`` of its whole stack gives."""
+    g = fs.SpatialGrid(10.0, 16)
+    for _, neg in _normal_oracle_problems(g):
+        assert neg._symbol.normal is not None
+        eigs = np.linalg.eigvals(fs.q_matrices(neg, 0.0))
+        k = int(np.argmin(eigs.real.min(axis=1)))
+        j = int(np.argmin(eigs[k].real))
+        xi = g.frequencies[k]
+        want = f"operator symbol is not dissipative at xi={xi:.6g}: eigenvalue {eigs[k, j]:.6g}"
+        with pytest.raises(fs.SolveError) as exc:
+            parabolic._dissipative_gate(neg)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("dt", [1.0 / 256, 1.0 / 64, 1.0], ids=["dt=1/256", "dt=1/64", "dt=1"])
+def test_stacked_step_matrices_match_a_per_frequency_expm_loop_bit_for_bit(dt):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    g = fs.SpatialGrid(10.0, 16)
+    probs = [*_oracle_problems(g), make_problem(g, operator=_PERTURBED_3, a_family="scaled_decay")]
+    assert {(p.dim, p._symbol.normal is None) for p in probs} == {
+        (1, False), (2, False), (2, True), (3, False), (3, True)
+    }
+    for prob in probs:
+        q0 = fs.q_matrices(prob, 0.0)
+        d = prob.dim
+        got = np.concatenate(parabolic._step_matrices(q0, dt), axis=2)
+        for k in range(g.size):
+            aug = np.zeros((3 * d, 3 * d), dtype=complex)
+            aug[:d, :d] = -dt * q0[k]
+            aug[:d, d : 2 * d] = aug[d : 2 * d, 2 * d :] = np.eye(d)
+            assert got[k].tobytes() == scipy_linalg.expm(aug)[:d].tobytes()
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_gate_of_a_hermitian_problem_calls_no_eigvals(eig_calls):
+    """A constant Hermitian operator takes one eigvalsh of its d x d matrix;
+    a Q that is not normal takes eigvals of its (N, d, d) stack."""
+    g = fs.SpatialGrid(10.0, 32)
+    parabolic._dissipative_gate(make_problem(g, mat=_COUPLED, a_family="scaled_decay"))
+    assert eig_calls == [("eigvalsh", (2, 2))]
+    eig_calls.clear()
+    parabolic._dissipative_gate(make_problem(g, mat=_NON_NORMAL, a_family="scaled_decay"))
+    assert eig_calls == [("eigvals", (32, 2, 2))]
+
+
+def test_gate_of_a_normal_q_whose_eigenvalues_overflow_takes_eigvals(eig_calls):
+    """The factored Q = a ((i xi)^gamma + A) overflows at a = -2, A = -1e308:
+    the gate leaves the verdict to eigvals of the stack, which rejects it."""
+    g = fs.SpatialGrid(10.0, 32)
+    prob = make_problem(g, a_value=-2.0, q_form="factored", mat=np.array([[-1e308]]))
+    assert prob._symbol.normal is not None
+    with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        parabolic._dissipative_gate(prob)
+    assert eig_calls == [("eigvals", (32, 1, 1))]
 
 
 def test_system_parabolic_matches_dense_time_oracle():
