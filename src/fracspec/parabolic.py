@@ -62,13 +62,9 @@ def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
-    """Q(xi, 0) stack after checking every eigenvalue has positive real part:
-    a normal Q's read off :func:`_eigenvalues`, others (or overflowed) by eigvals."""
+    """Q(xi, 0) stack after checking every eigenvalue has positive real part."""
     q0 = q_matrices(prob, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eigs = None if prob._symbol.normal is None else _eigenvalues(prob, 0.0)
-    if eigs is None or not np.isfinite(eigs).all():
-        eigs = np.linalg.eigvals(q0)
+    eigs = np.linalg.eigvals(q0)
     re_min = eigs.real.min(axis=1)
     if (re_min <= 0.0).any():
         k = int(np.argmin(re_min))

@@ -507,36 +507,41 @@ def test_eigenbasis_solve_matches_the_augmented_path():
     assert seen == {(d, form) for d in (1, 2, 3) for form in ("unfactored", "factored")}
 
 
-def _normal_oracle_problems(grid):
+def _normal_oracle_problems(grid, gamma):
     """The normal problems of ``_oracle_problems``, each with its negation
     -Q(xi, 0), which is normal and not dissipative: a = 2 in both forms, and
     the operator negated too in the unfactored form."""
     seen = set()
     for operator in _ORACLE_OPERATORS.values():
         for q_form, sign in (("unfactored", 1.0), ("factored", -1.0)):
-            prob = make_problem(grid, a_value=-2.0, q_form=q_form, operator=operator(sign))
+            prob = make_problem(grid, gamma, -2.0, q_form=q_form, operator=operator(sign))
             if prob._symbol.normal is None:
                 continue
             seen.add((prob.dim, q_form))
             neg_sign = -sign if q_form == "unfactored" else sign
-            yield prob, make_problem(grid, a_value=2.0, q_form=q_form, operator=operator(neg_sign))
+            yield prob, make_problem(grid, gamma, 2.0, q_form=q_form, operator=operator(neg_sign))
     assert seen == {(d, form) for d in (1, 2, 3) for form in ("unfactored", "factored")}
 
 
-def test_symbol_eigenvalues_match_eigvals_of_the_stack():
+_GAMMAS = pytest.mark.parametrize("gamma", [1.1, 1.5, 2.0])
+
+
+@_GAMMAS
+def test_symbol_eigenvalues_match_eigvals_of_the_stack(gamma):
     g = fs.SpatialGrid(10.0, 16)
-    for prob, neg in _normal_oracle_problems(g):
+    for prob, neg in _normal_oracle_problems(g, gamma):
         for p in (prob, neg):
             got = np.sort(symbols._eigenvalues(p, 0.0), axis=1)
             want = np.sort(np.linalg.eigvals(fs.q_matrices(p, 0.0)), axis=1)
             assert rel_linf(got, want) <= 1e-12
 
 
-def test_normal_gate_names_the_eigenvalue_the_general_gate_names():
-    """A negated normal problem fails the gate with the message that
-    ``eigvals`` of its whole stack gives."""
+@_GAMMAS
+def test_gate_names_the_least_eigenvalue_of_a_negated_normal_problem(gamma):
+    """A negated normal problem fails the gate at the frequency and with the
+    eigenvalue of least real part that ``eigvals`` of its stack gives."""
     g = fs.SpatialGrid(10.0, 16)
-    for _, neg in _normal_oracle_problems(g):
+    for _, neg in _normal_oracle_problems(g, gamma):
         assert neg._symbol.normal is not None
         eigs = np.linalg.eigvals(fs.q_matrices(neg, 0.0))
         k = int(np.argmin(eigs.real.min(axis=1)))
@@ -565,44 +570,6 @@ def test_stacked_step_matrices_match_a_per_frequency_expm_loop_bit_for_bit(dt):
             aug[:d, :d] = -dt * q0[k]
             aug[:d, d : 2 * d] = aug[d : 2 * d, 2 * d :] = np.eye(d)
             assert got[k].tobytes() == scipy_linalg.expm(aug)[:d].tobytes()
-
-
-@pytest.fixture
-def eig_calls(monkeypatch):
-    calls = []
-
-    def counting(name, fn):
-        def wrapped(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
-            return fn(a, *args, **kwargs)
-
-        return wrapped
-
-    for name in ("eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    return calls
-
-
-def test_gate_of_a_hermitian_problem_calls_no_eigvals(eig_calls):
-    """A constant Hermitian operator takes one eigvalsh of its d x d matrix;
-    a Q that is not normal takes eigvals of its (N, d, d) stack."""
-    g = fs.SpatialGrid(10.0, 32)
-    parabolic._dissipative_gate(make_problem(g, mat=_COUPLED, a_family="scaled_decay"))
-    assert eig_calls == [("eigvalsh", (2, 2))]
-    eig_calls.clear()
-    parabolic._dissipative_gate(make_problem(g, mat=_NON_NORMAL, a_family="scaled_decay"))
-    assert eig_calls == [("eigvals", (32, 2, 2))]
-
-
-def test_gate_of_a_normal_q_whose_eigenvalues_overflow_takes_eigvals(eig_calls):
-    """The factored Q = a ((i xi)^gamma + A) overflows at a = -2, A = -1e308:
-    the gate leaves the verdict to eigvals of the stack, which rejects it."""
-    g = fs.SpatialGrid(10.0, 32)
-    prob = make_problem(g, a_value=-2.0, q_form="factored", mat=np.array([[-1e308]]))
-    assert prob._symbol.normal is not None
-    with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-        parabolic._dissipative_gate(prob)
-    assert eig_calls == [("eigvals", (32, 1, 1))]
 
 
 def test_system_parabolic_matches_dense_time_oracle():
