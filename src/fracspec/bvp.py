@@ -284,5 +284,6 @@ def solve_anisotropic(
             "mesh_spacing": hy,
             "forcing_norm": f_norm,
             "s_set": list(s_set),
+            "symmetrizer_cond": None if core._symmetrizer is None else core._symmetrizer.kappa,
         },
     )

@@ -34,6 +34,7 @@ from .symbols import (
     constant_coefficient,
     constant_operator,
     perturbed_operator,
+    q_matrices,
     scaled_decay_coefficient,
 )
 
@@ -413,6 +414,18 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
         key = "a_value" if np.isfinite(sym.frac[k]) else "l"
         raise ConfigError(
             f"[problem] {key} = {cfg.text('problem', key)}: a(xi) (i xi)^gamma "
+            f"overflows the float range at xi = {sym.xi[k]:.6g}"
+        )
+    if cfg.task == "embedding-probe":  # the one task that builds no Q(xi, lambda)
+        return prob
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0_finite = np.isfinite(q_matrices(prob, 0.0)).all(axis=(1, 2))
+    if not q0_finite.all():
+        # the larger of a and A there is at fault, as in separability_check
+        k = np.argmin(q0_finite)
+        key = "a_value" if abs(sym.a[k]) >= np.abs(sym.A[k]).max() else "a_op_matrix"
+        raise ConfigError(
+            f"[problem] {key} = {cfg.text('problem', key)}: Q(xi, 0) "
             f"overflows the float range at xi = {sym.xi[k]:.6g}"
         )
     return prob

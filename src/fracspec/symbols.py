@@ -267,6 +267,15 @@ class _GridSymbol(NamedTuple):
     normal: np.ndarray | None
 
 
+class _Symmetrizer(NamedTuple):
+    """A positive diagonal s, kappa = max s / min s and J = S A S^-1 = W diag(mu) W^T."""
+
+    s: np.ndarray
+    kappa: float
+    mu: np.ndarray
+    W: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class EllipticProblem:
     """Problem data for a*D^gamma u + A*u + lambda*u = f on the line.
@@ -312,6 +321,30 @@ class EllipticProblem:
         """The eigenvalues of ``_symbol.normal``, taken on first use."""
         normal = self._symbol.normal
         return normal[..., 0] if self.dim == 1 else np.linalg.eigvalsh(normal)
+
+    @cached_property
+    def _symmetrizer(self) -> _Symmetrizer | None:
+        """The diagonal symmetrizer of a constant A that is not normal but real
+        tridiagonal with A[i, i+1] A[i+1, i] > 0 (Wilkinson 1965, ch. 5), taken
+        on first use; None for any other A, or when kappa >= _SINGULAR_TOL**-0.5
+        and the gate's bounds clear nothing.  No product of two entries is formed."""
+        mat = self.A.constant_matrix
+        if mat is None or self._symbol.normal is not None or mat.imag.any():
+            return None
+        mat = mat.real
+        up, low = np.diag(mat, 1), np.diag(mat, -1)
+        tridiagonal = not (np.triu(mat, 2).any() or np.tril(mat, -2).any())
+        if not tridiagonal or (np.sign(up) * np.sign(low) <= 0).any():
+            return None
+        root_up, root_low = np.sqrt(np.abs(up)), np.sqrt(np.abs(low))
+        with np.errstate(all="ignore"):
+            s = np.cumprod(np.r_[1.0, root_up / root_low])  # s[i+1] / s[i] = sqrt|up[i] / low[i]|
+            kappa = float(s.max() / s.min())
+        if not kappa < _SINGULAR_TOL**-0.5:
+            return None
+        off = np.sign(up) * root_up * root_low
+        mu, w = np.linalg.eigh(np.diag(np.diag(mat)) + np.diag(off, 1) + np.diag(off, -1))
+        return _Symmetrizer(s, kappa, mu, w)
 
 
 def _in_sector(sector: Sector, lam: complex) -> complex:
@@ -371,10 +404,36 @@ def symbol_smin(
             mods = np.abs(_eigenvalues(prob, lam))
         # an overflowed modulus bounds nothing: leave the verdict to the SVD
         if np.isfinite(mods).all():
-            smin = mods.min(axis=1)
-            bad = np.flatnonzero(smin <= _SINGULAR_TOL * np.maximum(mods.max(axis=1), 1.0))
+            smin, smax = _row_extremes(mods)
+            bad = np.flatnonzero(~_cleared(smin, smax, 1.0))
             return smin, (int(bad[0]) if bad.size else None)
     return smallest_singular_values(q_matrices(prob, lam) if q is None else q, _SINGULAR_TOL)
+
+
+def _row_extremes(mods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mods.min(axis=1)`` and ``mods.max(axis=1)`` bit for bit, reduced over the
+    contiguous transpose: numpy combines columns far faster than short rows."""
+    planar = np.ascontiguousarray(mods.T)
+    return planar.min(axis=0), planar.max(axis=0)
+
+
+def _cleared(lo: np.ndarray, hi: np.ndarray, kappa: float) -> np.ndarray:
+    """Where Q = S^-1 N S, N normal with eigenvalue moduli in [lo, hi] and
+    kappa = cond(S), surely passes the singular-symbol gate, as smin(Q) >= lo / kappa
+    and smax(Q) <= kappa hi (Bauer & Fike 1960); at kappa = 1, the gate itself."""
+    return lo / kappa > _SINGULAR_TOL * np.maximum(kappa * hi, 1.0)
+
+
+def _symmetrized_gate(prob: EllipticProblem, lam: complex) -> tuple[np.ndarray, int | None]:
+    """The eigenvalues nu of a symmetrizable Q and the verdict of ``symbol_smin``,
+    for which only the frequencies that ``_cleared`` cannot clear take the SVD."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = _eigenvalues(prob, lam, prob._symmetrizer.mu)
+        unclear = np.flatnonzero(~_cleared(*_row_extremes(np.abs(nu)), prob._symmetrizer.kappa))
+    if not unclear.size:
+        return nu, None
+    _, k = smallest_singular_values(q_matrices(prob, lam)[unclear], _SINGULAR_TOL)
+    return nu, None if k is None else int(unclear[k])
 
 
 def _grouped_by_magnitude(xi: np.ndarray, vals: np.ndarray):

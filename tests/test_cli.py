@@ -922,6 +922,18 @@ _OVERSIZED = [
             [],
             "[parameters] s_set: probe orders 1.0 and 1.0000001 share the ledger key D^1\n",
         ),
+        # a ((i xi)^gamma + A) overflows where a (i xi)^gamma does not: the
+        # larger of a and A is named
+        (
+            _retask("solve-parabolic", "q_form = factored\na_value = -2\na_op_matrix = -1e308", "nt = 4"),
+            [],
+            "[problem] a_op_matrix = -1e308: Q(xi, 0) overflows the float range at xi = 0\n",
+        ),
+        (
+            _retask("solve-elliptic", "q_form = factored\na_value = 1e300\na_op_matrix = 1e10", ""),
+            [],
+            "[problem] a_value = 1e300: Q(xi, 0) overflows the float range at xi = ",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

@@ -392,6 +392,19 @@ def test_grid_symbol_consumers_match_a_direct_evaluation_bit_for_bit(dim, family
     assert par.term_norms["A*u"] == _mixed_l2_of_spectra(grid, times, au)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 31])
+def test_row_extremes_match_the_row_reductions_bit_for_bit(dim):
+    """The planar min and max over the components equal min(axis=1) and
+    max(axis=1), on moduli with ties, zeros, subnormals and huge values."""
+    rng = np.random.default_rng(dim)
+    mods = 10.0 ** rng.uniform(-320.0, 308.0, (257, dim))
+    mods[::5] = rng.choice([0.0, 5e-324, 1.0, 1.7e308], (len(mods[::5]), dim))
+    mods[1::7, : (dim + 1) // 2] = mods[1::7, -1:]
+    lo, hi = symbols._row_extremes(mods)
+    assert lo.tobytes() == mods.min(axis=1).tobytes()
+    assert hi.tobytes() == mods.max(axis=1).tobytes()
+
+
 def test_symbol_smin_leaves_an_overflowed_modulus_to_the_svd(svd_calls):
     prob = make_problem(fs.SpatialGrid(10.0, 16), a_value=1e308, mat=np.diag([1.0, 2.0]))
     assert fs.symbol_kernel(prob) == "hermitian-eig"
