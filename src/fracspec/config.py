@@ -34,7 +34,6 @@ from .symbols import (
     constant_coefficient,
     constant_operator,
     perturbed_operator,
-    q_matrices,
     scaled_decay_coefficient,
 )
 
@@ -419,11 +418,15 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     if cfg.task == "embedding-probe":  # the one task that builds no Q(xi, lambda)
         return prob
     with np.errstate(over="ignore", invalid="ignore"):
-        q0_finite = np.isfinite(q_matrices(prob, 0.0)).all(axis=(1, 2))
+        q0_finite = np.isfinite(prob._q0).all(axis=(1, 2))
     if not q0_finite.all():
-        # the larger of a and A there is at fault, as in separability_check
+        # the larger of a and A there is at fault, as in separability_check;
+        # within A, the perturbation when it moves A further than a_op_matrix's size
         k = np.argmin(q0_finite)
         key = "a_value" if abs(sym.a[k]) >= np.abs(sym.A[k]).max() else "a_op_matrix"
+        base = cfg.value("problem", "a_op_matrix")
+        if key == "a_op_matrix" and np.abs(sym.A[k] - base).max() > np.abs(base).max():
+            key = "a_op_perturbation"
         raise ConfigError(
             f"[problem] {key} = {cfg.text('problem', key)}: Q(xi, 0) "
             f"overflows the float range at xi = {sym.xi[k]:.6g}"

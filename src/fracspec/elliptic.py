@@ -180,7 +180,7 @@ def _round_trip(prob, lam, f, spec, uhat):
     ||(O + lambda) u - f||_2."""
     u = inverse_transform(SpectralFunction(spec.grid, uhat))
     u_spec = forward_transform(u)
-    ou = apply_multiplier(u_spec, q_matrices(prob, 0.0))
+    ou = apply_multiplier(u_spec, prob._q0)
     return u, u_spec, lp_norm(ou + _lambda_coupling(prob, lam, u, u_spec) - f, 2.0)
 
 
@@ -445,8 +445,8 @@ def separability_check(
             return bool(np.isfinite(m).all()), np.ascontiguousarray(m[keep].T)
 
         # Each multiplier is built on the full grid in turn, and only its band
-        # is kept; Q(xi, 0), the largest to build, comes first.
-        ou = band(q_matrices(prob, 0.0))
+        # is kept; Q(xi, 0) is the problem's own stack.
+        ou = band(prob._q0)
         checked = [band(sym.a * frac_power_i_xi(sym.xi, s)) for s in s_set] + [band(sym.A), ou]
         finite = all(ok for ok, _ in checked)
         mults = [m for _, m in checked]

@@ -3,12 +3,12 @@
 The primary integrator is variation of constants with the forcing taken
 piecewise linear in t on each step; it is exact for forcing data that is
 genuinely piecewise linear in time, and second-order for smooth data.
-When Q(xi, 0) is normal it steps each eigenmode with the scalars e^z,
-phi1(z) and phi2(z); otherwise it slices e^Z, phi1(Z) and phi2(Z) out of
-the matrix exponentials of block-augmented matrices (one 3d x 3d matrix
-per frequency, all in one call).  Implicit Euler and Crank-Nicolson
-steppers, selected through the same entry point, exist for
-cross-validation of convergence orders.
+One time loop steps every scheme.  On a normal Q(xi, 0) the exact scheme
+steps each eigenmode with the scalars e^z, phi1(z) and phi2(z); otherwise
+it slices e^Z, phi1(Z) and phi2(Z) out of the matrix exponentials of
+block-augmented matrices (one 3d x 3d matrix per frequency, all in one
+call).  The implicit Euler and Crank-Nicolson steppers always step with
+matrices; they exist for cross-validation of convergence orders.
 
 The coupled-system entry point wraps a constant SPD coupling matrix as an
 operator symbol after gating on symmetry and positive definiteness.
@@ -38,7 +38,6 @@ from .symbols import (
     EllipticProblem,
     _eigenvalues,
     constant_operator,
-    q_matrices,
 )
 
 __all__ = [
@@ -62,8 +61,8 @@ def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
-    """Q(xi, 0) stack after checking every eigenvalue has positive real part."""
-    q0 = q_matrices(prob, 0.0)
+    """The problem's Q(xi, 0) stack after checking every eigenvalue has positive real part."""
+    q0 = prob._q0
     eigs = np.linalg.eigvals(q0)
     re_min = eigs.real.min(axis=1)
     if (re_min <= 0.0).any():
@@ -130,15 +129,8 @@ def _step_overflow(dt: float) -> OverflowError:
     return _at_fault("dt", OverflowError(overflow))
 
 
-def _check_step(q0: np.ndarray, dt: float) -> None:
-    """OverflowError, at fault ``dt``, when dt * Q(xi, 0) overflows."""
-    with np.errstate(over="ignore"):
-        if not np.isfinite(dt * q0).all():
-            raise _step_overflow(dt)
-
-
 def _evolve(
-    q0: np.ndarray,
+    q: np.ndarray,
     dt: float,
     steps: int,
     forcing: Callable[[int], np.ndarray],
@@ -147,85 +139,61 @@ def _evolve(
 ) -> np.ndarray:
     """Spectrum of u(t_steps) after ``steps`` uniform steps of length ``dt``.
 
-    ``q0`` is the gated stack Q(xi, 0) and ``forcing(m)`` the planar (d, N)
-    spectrum of f(t_m), read once, when step m first needs it.  The loop
-    runs entirely in frequency space and holds only the current (d, N)
-    state; given a (steps+1, d, N) ``states``, it writes each u(t_m),
-    m >= 1, into ``states[m]`` as soon as it is computed.  The step
-    matrices are held as (d, d, N) stacks, so every contraction runs with
-    the frequency axis innermost.  Raises ``OverflowError`` before the
-    first step when dt * Q overflows, and at the first state that is not
-    finite, when the step is so long that the spectral solution overflows;
-    either is at fault ``dt``.
+    ``q`` is the gated (N, d, d) stack Q(xi, 0) or, for the exact scheme
+    only, the (N, d) eigenvalues nu of a normal Q(xi, 0); ``forcing(m)`` is
+    the planar (d, N) spectrum of f(t_m) in the same basis, read when step m
+    first needs it.  The loop holds only the current (d, N) state; given a
+    (steps+1, d, N) ``states``, it writes each u(t_m), m >= 1, into
+    ``states[m]`` as soon as it is computed.  The coefficients, (d, N)
+    scalars of :func:`_phi` at -dt nu or (d, d, N) stacks of matrices, are
+    held with the frequency axis innermost.  Raises ``OverflowError``, at
+    fault ``dt`` and with no warning, before the first step when dt * q
+    overflows and at the first state that is not finite.
     """
-    _check_step(q0, dt)
-    eye = np.eye(q0.shape[1])[None, :, :]
+    eye = np.eye(q.shape[1])[None, :, :]
 
     def planar(m):
-        return np.ascontiguousarray(m.transpose(1, 2, 0))
+        return np.ascontiguousarray(np.moveaxis(m, 0, -1))
 
-    def mul(m, v):
-        return np.einsum("ijk,jk->ik", m, v)
-
-    if scheme == "exact":
-        e, p1, p2 = map(planar, _step_matrices(q0, dt))
-
-        def step(u, f0, f1):
-            return mul(e, u) + dt * (mul(p1, f0) + mul(p2, f1 - f0))
-    elif scheme == "implicit-euler":
-        inv = planar(np.linalg.inv(eye + dt * q0))
-
-        def step(u, f0, f1):
-            return mul(inv, u + dt * f1)
+    if q.ndim == 2:
+        mul = np.multiply
     else:
-        back = planar(np.linalg.inv(eye + 0.5 * dt * q0))
-        fwd = planar(eye - 0.5 * dt * q0)
 
-        def step(u, f0, f1):
-            return mul(back, mul(fwd, u) + 0.5 * dt * (f0 + f1))
+        def mul(m, v):
+            return np.einsum("ijk,jk->ik", m, v)
 
-    f0 = forcing(0)
-    u = np.zeros_like(f0)
-    for m in range(1, steps + 1):
-        f1 = forcing(m)
-        u = step(u, f0, f1)
-        if not np.isfinite(u).all():
-            raise _step_overflow(dt)
-        if states is not None:
-            states[m] = u
-        f0 = f1
-    return u
-
-
-def _evolve_normal(
-    prob: EllipticProblem, q0: np.ndarray, dt: float, fhat: np.ndarray
-) -> np.ndarray:
-    """The (M, N, d) spectra of every state of the exact scheme, for a normal
-    Q(xi, 0) and the (M, N, d) forcing spectrum ``fhat``, stepped in Q's
-    eigenbasis with no matrix exponential.
-
-    Q(xi, 0) = V diag(nu) V^H, with (mu, V) the eigenpairs of the Hermitian
-    ``_symbol.normal`` (d = 1 takes its one entry and V = I) and nu the
-    eigenvalues of :func:`_eigenvalues` at lambda = 0 built on that mu.
-    ``fhat`` is rotated into the eigenbasis once, every mode steps with the
-    scalars of :func:`_phi` at z = -dt nu, and the states are rotated back
-    once.  Overflows as :func:`_evolve`, at fault ``dt``.
-    """
-    _check_step(q0, dt)
-    mu, v = (None, None) if prob.dim == 1 else np.linalg.eigh(prob._symbol.normal)
-    # V is (d, d) for a constant operator and (N, d, d) for a perturbed one
-    g = fhat if v is None else np.einsum("...j,...ji->...i", fhat, v.conj())
-    w = np.zeros_like(g)
-    # whatever overflows here leaves a state that is not finite
+    # whatever overflows here leaves a value that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        e, p1, p2 = _phi(-dt * _eigenvalues(prob, 0.0, mu))
-        for m in range(1, len(g)):
-            w[m] = e * w[m - 1] + dt * (p1 * g[m - 1] + p2 * (g[m] - g[m - 1]))
-        del g  # the rotated forcing, before the rotation back allocates
-        states = w if v is None else np.einsum("...ij,...j->...i", v, w)
-    if not np.isfinite(states).all():
-        raise _step_overflow(dt)
-    return states
+        if not np.isfinite(dt * q).all():
+            raise _step_overflow(dt)
+        if scheme == "exact":
+            e, p1, p2 = map(planar, _phi(-dt * q) if q.ndim == 2 else _step_matrices(q, dt))
+
+            def step(u, f0, f1):
+                return mul(e, u) + dt * (mul(p1, f0) + mul(p2, f1 - f0))
+        elif scheme == "implicit-euler":
+            inv = planar(np.linalg.inv(eye + dt * q))
+
+            def step(u, f0, f1):
+                return mul(inv, u + dt * f1)
+        else:
+            back = planar(np.linalg.inv(eye + 0.5 * dt * q))
+            fwd = planar(eye - 0.5 * dt * q)
+
+            def step(u, f0, f1):
+                return mul(back, mul(fwd, u) + 0.5 * dt * (f0 + f1))
+
+        f0 = forcing(0)
+        u = np.zeros_like(f0)
+        for m in range(1, steps + 1):
+            f1 = forcing(m)
+            u = step(u, f0, f1)
+            if not np.isfinite(u).all():
+                raise _step_overflow(dt)
+            if states is not None:
+                states[m] = u
+            f0 = f1
+    return u
 
 
 def _convergence_errors(
@@ -252,7 +220,7 @@ def _convergence_errors(
         return grid.to_physical(uhat.T)
 
     # The reference stays on the augmented expm even for a normal Q.  The
-    # eigenbasis steps of _evolve_normal move the `error` column of
+    # eigenbasis steps of _solve_spectral move the `error` column of
     # convergence.csv by up to 2e-9 relative (its norm by up to 3e-11), and
     # the benchmark's fingerprint check judges that column at 1e-12 of its
     # own scale, below the rounding of the two solutions it is the
@@ -272,27 +240,39 @@ def _solve_spectral(
     prob: EllipticProblem, f: SpaceTimeFunction, scheme: str
 ) -> tuple[np.ndarray, np.ndarray, SpaceTimeFunction]:
     """The gated stack Q(xi, 0), the C-ordered (M, N, d) spectra of the
-    solution of :func:`solve_parabolic`, and that solution."""
+    solution of :func:`solve_parabolic`, and that solution.
+
+    The exact scheme on a normal Q(xi, 0) = V diag(nu) V^H steps in the
+    eigenbasis: (mu, V) are the eigenpairs of ``_symbol.normal`` (V = I at
+    d = 1) and nu the eigenvalues of :func:`_eigenvalues` on that mu.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     _check_forcing(prob, f)
     q0 = _dissipative_gate(prob)
     steps = f.times.size - 1
     dt = float(f.times[-1]) / steps
+    q, v, fhat = q0, None, prob.grid.to_spectral(f.values)
     if scheme == "exact" and prob._symbol.normal is not None:
-        states = _evolve_normal(prob, q0, dt, prob.grid.to_spectral(f.values))
-    else:
-        fhat = prob.grid.to_spectral(f.values)
-        fplanar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
-        del fhat
-        # The loop writes each (d, N) state through a planar view of C-ordered
-        # (M, N, d) memory: the solution is C-ordered, as the forcing is, and
-        # so are the ledger's spectra, whose Parseval sums follow the layout.
-        states = np.zeros(f.values.shape, dtype=complex)
-        _evolve(q0, dt, steps, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
-        # Free the forcing spectrum before the inverse transform allocates
-        # its output, so the two never sit on the heap together.
-        del fplanar
+        mu, v = (None, None) if prob.dim == 1 else np.linalg.eigh(prob._symbol.normal)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = _eigenvalues(prob, 0.0, mu)
+        # V is (d, d) for a constant operator and (N, d, d) for a perturbed one
+        fhat = fhat if v is None else np.einsum("...j,...ji->...i", fhat, v.conj())
+    fplanar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
+    del fhat
+    # The loop writes each (d, N) state through a planar view of C-ordered
+    # (M, N, d) memory: the solution is C-ordered, as the forcing is, and
+    # so are the ledger's spectra, whose Parseval sums follow the layout.
+    states = np.zeros(f.values.shape, dtype=complex)
+    _evolve(q, dt, steps, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
+    # Free the forcing spectrum before the inverse transform allocates
+    # its output, so the two never sit on the heap together.
+    del fplanar
+    if v is not None:
+        states = np.einsum("...ij,...j->...i", v, states)
+        if not np.isfinite(states).all():
+            raise _step_overflow(dt)
     return q0, states, SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(states))
 
 

@@ -317,6 +317,12 @@ class EllipticProblem:
         return _GridSymbol(*(v if v is None else np.broadcast_to(v, v.shape) for v in parts))
 
     @cached_property
+    def _q0(self) -> np.ndarray:
+        """The stack Q(xi, 0) of :func:`q_matrices` as a read-only view, taken on first use."""
+        q0 = q_matrices(self, 0.0)
+        return np.broadcast_to(q0, q0.shape)
+
+    @cached_property
     def _mu(self) -> np.ndarray:
         """The eigenvalues of ``_symbol.normal``, taken on first use."""
         normal = self._symbol.normal

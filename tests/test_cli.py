@@ -934,6 +934,18 @@ _OVERSIZED = [
             [],
             "[problem] a_value = 1e300: Q(xi, 0) overflows the float range at xi = ",
         ),
+        # the perturbation, not the base matrix, moves A out of the float range
+        (
+            _retask(
+                "solve-elliptic",
+                "q_form = factored\na_value = -2\na_op_family = perturbed\n"
+                "a_op_matrix = 1,0;0,1\na_op_perturbation = -1e308,0;0,-1e308",
+                "",
+            ),
+            [],
+            "[problem] a_op_perturbation = -1e308,0;0,-1e308: Q(xi, 0) overflows the float "
+            "range at xi = 0\n",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

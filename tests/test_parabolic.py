@@ -1,6 +1,7 @@
 """Time stepping against per-mode closed forms, plus the system solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -492,19 +493,75 @@ def test_eigenbasis_solve_matches_the_augmented_path():
     g = fs.SpatialGrid(10.0, 16)
     rng = np.random.default_rng(37)
     steps, dt = 8, 1.0 / 8
+    times = np.linspace(0.0, 1.0, steps + 1)
     seen = set()
     for prob in _oracle_problems(g):
         if prob._symbol.normal is None:
             continue
         seen.add((prob.dim, prob.q_form))
-        fhat = g.to_spectral(_random_field(rng, (steps + 1, 16, prob.dim)))
+        f = fs.SpaceTimeFunction(g, times, _random_field(rng, (steps + 1, 16, prob.dim)))
+        fhat = g.to_spectral(f.values)
         q0 = parabolic._dissipative_gate(prob)
         want = np.zeros(fhat.shape, dtype=complex)
         planar = np.ascontiguousarray(fhat.transpose(0, 2, 1))
         parabolic._evolve(q0, dt, steps, planar.__getitem__, "exact", want.transpose(0, 2, 1))
-        got = parabolic._evolve_normal(prob, q0, dt, fhat)
+        got = parabolic._solve_spectral(prob, f, "exact")[1]
         assert rel_linf(got, want) <= 1e-12
     assert seen == {(d, form) for d in (1, 2, 3) for form in ("unfactored", "factored")}
+
+
+def _eigenbasis_recurrence(prob, f):
+    """The exact scheme's states for a normal Q(xi, 0) = V diag(nu) V^H,
+    written out: the forcing rotated into the eigenbasis, each mode stepped
+    with the scalars of ``_phi`` at -dt nu, and the states rotated back."""
+    steps = f.times.size - 1
+    dt = float(f.times[-1]) / steps
+    fhat = prob.grid.to_spectral(f.values)
+    mu, v = (None, None) if prob.dim == 1 else np.linalg.eigh(prob._symbol.normal)
+    g = fhat if v is None else np.einsum("...j,...ji->...i", fhat, v.conj())
+    e, p1, p2 = parabolic._phi(-dt * symbols._eigenvalues(prob, 0.0, mu))
+    w = np.zeros_like(g)
+    for m in range(1, steps + 1):
+        w[m] = e * w[m - 1] + dt * (p1 * g[m - 1] + p2 * (g[m] - g[m - 1]))
+    return w if v is None else np.einsum("...ij,...j->...i", v, w)
+
+
+def test_eigenbasis_states_are_the_written_out_recurrence_bit_for_bit():
+    """The one time loop, given the eigenvalues of a normal Q, steps the
+    recurrence of ``_eigenbasis_recurrence`` in its order of operations: a
+    complex d = 1 operator, the constant d = 2 and the perturbed d = 3 one."""
+    g = fs.SpatialGrid(10.0, 32)
+    rng = np.random.default_rng(41)
+    times = np.linspace(0.0, 0.7, 11)
+    probs = [
+        make_problem(g, operator=fs.constant_operator(np.array([[1.0 + 0.5j]]))),
+        make_problem(g, a_value=-2.0, operator=_ORACLE_OPERATORS["d2-normal"](1.0)),
+        make_problem(g, a_value=-2.0, operator=_ORACLE_OPERATORS["d3-perturbed"](1.0)),
+    ]
+    for prob in probs:
+        assert prob._symbol.normal is not None
+        f = fs.SpaceTimeFunction(g, times, _random_field(rng, (11, 32, prob.dim)))
+        got = parabolic._solve_spectral(prob, f, "exact")[1]
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _eigenbasis_recurrence(prob, f).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["exact", "crank-nicolson"])
+def test_states_overflowing_after_the_pre_step_test_are_at_fault_dt(scheme):
+    """A forcing near the top of the float range over a long horizon, with Q
+    near 0 at xi = 0: dt * Q is finite, the first state is not, and the loop
+    raises with no warning, in the eigenbasis (exact, normal Q) and with
+    matrices (Crank-Nicolson)."""
+    prob = make_problem(fs.SpatialGrid(10.0, 64), mat=np.array([[1e-3]]))
+    times = np.linspace(0.0, 100.0, 9)
+    f = _profiled(prob.grid, times, np.ones(9), 1e307 * _gauss(prob.grid))
+    assert np.isfinite(12.5 * fs.q_matrices(prob, 0.0)).all()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="time step 12.5 overflows") as exc:
+            fs.solve_parabolic(prob, f, scheme)
+    assert exc.value.arg == "dt"
+    assert caught == []
 
 
 def _normal_oracle_problems(grid, gamma):

@@ -244,8 +244,9 @@ def test_non_hermitian_operators_keep_the_svd(svd_calls):
 
 @pytest.mark.parametrize("mat", [np.array([[2.0, 1.0], [0.0, 2.0]]), np.diag([1.0, 2.0])])
 def test_solve_builds_its_symbol_stack_once(monkeypatch, svd_calls, mat):
-    """Q(xi, lambda) is built once for the gate and the solve, whichever
-    kernel the gate takes, and Q(xi, 0) once more for the residual."""
+    """Q(xi, lambda) is built once per solve for the gate and the solve,
+    whichever kernel the gate takes, and Q(xi, 0) once per problem for the
+    residual: a second solve builds only Q(xi, lambda) again."""
     stacks = []
     real_q_stack = symbols._q_stack
 
@@ -260,6 +261,9 @@ def test_solve_builds_its_symbol_stack_once(monkeypatch, svd_calls, mat):
     fs.solve_elliptic(prob, f, 1.0)
     assert stacks == [1.0, 0.0]
     assert len(svd_calls) == (fs.symbol_kernel(prob) == "svd")
+    fs.solve_elliptic(prob, f, 1.0)
+    assert stacks == [1.0, 0.0, 1.0]
+    assert len(svd_calls) == 2 * (fs.symbol_kernel(prob) == "svd")
 
 
 _BASES = {
