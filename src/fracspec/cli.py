@@ -25,6 +25,7 @@ from .config import (
     KEYS,
     ConfigError,
     RunConfig,
+    _operator_key,
     _require_memory,
     build_forcing,
     build_problem,
@@ -568,7 +569,8 @@ _ARG_KEYS = {
 @contextlib.contextmanager
 def _keyed(cfg: RunConfig):
     """Re-raise an error that a library rule put on an argument (its ``arg``)
-    as a ConfigError naming the task's key of that argument:
+    as a ConfigError naming the task's key of that argument (for the
+    operator, the key of its larger part, as ``build_problem`` names it):
     ``[section] key: message``, or ``[section] key = text: message`` for an
     arithmetic fault (an overflow or a zero division).
     Any other error passes unchanged."""
@@ -578,6 +580,8 @@ def _keyed(cfg: RunConfig):
         key = _ARG_KEYS[cfg.task].get(getattr(exc, "arg", None))
         if key is None:
             raise
+        if key == "a_op_matrix":
+            key = _operator_key(cfg)
         section = "problem" if key in KEYS["problem"] else "parameters"
         label = f"[{section}] {key}"
         if isinstance(exc, ArithmeticError):

@@ -356,6 +356,14 @@ def build_operator(cfg: RunConfig) -> OperatorSymbol:
         return perturbed_operator(mat, bump)
 
 
+def _operator_key(cfg: RunConfig) -> str:
+    """The [problem] key of the operator's larger part: a_op_perturbation when
+    the perturbed family's largest entry is there, else a_op_matrix."""
+    base, bump = cfg.value("problem", "a_op_matrix"), cfg.value("problem", "a_op_perturbation")
+    perturbed = cfg.value("problem", "a_op_family") == "perturbed"
+    return "a_op_perturbation" if perturbed and abs(bump).max() > abs(base).max() else "a_op_matrix"
+
+
 def _require_memory(key: str, text, shape: tuple[int, ...]) -> None:
     """ConfigError naming ``key = text`` when a complex field of ``shape``
     would not fit in physical memory (page count times page size).
@@ -420,13 +428,9 @@ def build_problem(cfg: RunConfig) -> EllipticProblem:
     with np.errstate(over="ignore", invalid="ignore"):
         q0_finite = np.isfinite(prob._q0).all(axis=(1, 2))
     if not q0_finite.all():
-        # the larger of a and A there is at fault, as in separability_check;
-        # within A, the perturbation when it moves A further than a_op_matrix's size
+        # the larger of a and A there is at fault, as in separability_check
         k = np.argmin(q0_finite)
-        key = "a_value" if abs(sym.a[k]) >= np.abs(sym.A[k]).max() else "a_op_matrix"
-        base = cfg.value("problem", "a_op_matrix")
-        if key == "a_op_matrix" and np.abs(sym.A[k] - base).max() > np.abs(base).max():
-            key = "a_op_perturbation"
+        key = "a_value" if abs(sym.a[k]) >= np.abs(sym.A[k]).max() else _operator_key(cfg)
         raise ConfigError(
             f"[problem] {key} = {cfg.text('problem', key)}: Q(xi, 0) "
             f"overflows the float range at xi = {sym.xi[k]:.6g}"

@@ -107,32 +107,34 @@ class SpatialGrid:
         return np.fft.ifft(values * self.parity[:, None], axis=-2) / self.spacing
 
 
-def _as_samples(values: np.ndarray, length: int) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2 or v.shape[0] != length:
-        raise ValueError(
-            f"sample array of shape {np.shape(values)} does not match grid size {length}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise ValueError("sample array contains non-finite entries")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Samples of an H-valued function on a SpatialGrid, stored as (N, d)."""
+class _Samples:
+    """Finite complex samples on a SpatialGrid, stored as (N, d); 1-D values have d = 1."""
 
     grid: SpatialGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_samples(self.values, self.grid.size))
+        v = np.asarray(self.values, dtype=complex)
+        if v.ndim == 1:
+            v = v[:, None]
+        if v.ndim != 2 or v.shape[0] != self.grid.size:
+            raise ValueError(
+                f"sample array of shape {np.shape(self.values)} does not match grid size "
+                f"{self.grid.size}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sample array contains non-finite entries")
+        object.__setattr__(self, "values", v)
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class GridFunction(_Samples):
+    """Samples of an H-valued function on a SpatialGrid, stored as (N, d)."""
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if self.grid != other.grid:
@@ -151,18 +153,8 @@ class GridFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralFunction:
+class SpectralFunction(_Samples):
     """Transform values at the grid's frequencies, stored as (N, d) in DFT order."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_samples(self.values, self.grid.size))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

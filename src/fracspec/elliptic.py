@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_SEED,
     GridFunction,
     Sector,
+    SpaceTimeFunction,
     SpatialGrid,
     SpectralFunction,
     _at_fault,
@@ -124,15 +125,20 @@ def solve_elliptic(
     return replace(rep, term_norms=_term_norms(prob, rep, u_spec))
 
 
+def _check_forcing(prob: EllipticProblem, f: GridFunction | SpaceTimeFunction) -> None:
+    """ValueError unless the forcing ``f`` lies on the problem grid and has its dimension."""
+    if f.grid != prob.grid:
+        raise ValueError("grid mismatch between forcing and problem")
+    if f.dim != prob.dim:
+        raise ValueError(f"forcing dimension {f.dim} does not match problem dimension {prob.dim}")
+
+
 def _solve_with_spectrum(
     prob: EllipticProblem, f: GridFunction, lam: complex, p: float
 ) -> tuple[SolveReport, SpectralFunction]:
     """``solve_elliptic`` without its term norms, plus the transform of u
     that a norm ledger is built from."""
-    if f.grid != prob.grid:
-        raise ValueError("grid mismatch between forcing and problem")
-    if f.dim != prob.dim:
-        raise ValueError(f"forcing dimension {f.dim} does not match problem dimension {prob.dim}")
+    _check_forcing(prob, f)
     lam = _in_sector(prob.sector, lam)
 
     # A symmetrizable Q = S^-1 (c I + J) S is gated by its bounds and solved
@@ -150,7 +156,7 @@ def _solve_with_spectrum(
     f_norm = lp_norm(f, 2.0)
     tol = _RESIDUAL_TOL * max(f_norm, np.finfo(float).tiny)
     if rec is not None:
-        uhat = (spec.values * rec.s) @ rec.W / nu @ rec.W.T / rec.s
+        uhat = (spec.values * rec.s) @ rec.W / nu.T @ rec.W.T / rec.s
         u, u_spec, resid = _round_trip(prob, lam, f, spec, uhat)
     # The modal residual carries a factor up to kappa that an LU's does not:
     # a modal solution the gate does not accept is solved again by LU.

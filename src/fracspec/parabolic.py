@@ -31,7 +31,7 @@ from .core import (
     lp_norm,
     mixed_norm,
 )
-from .elliptic import SolveError, SolveReport, solve_elliptic
+from .elliptic import SolveError, SolveReport, _check_forcing, solve_elliptic
 from .fractional import FractionalOrder
 from .symbols import (
     CoefficientSymbol,
@@ -48,16 +48,6 @@ __all__ = [
 ]
 
 SCHEMES = ("exact", "implicit-euler", "crank-nicolson")
-
-
-def _check_forcing(prob: EllipticProblem, f: SpaceTimeFunction) -> None:
-    if f.grid != prob.grid:
-        raise ValueError("grid mismatch between forcing and problem")
-    if f.dim != prob.dim:
-        raise ValueError(f"forcing dimension {f.dim} does not match problem dimension {prob.dim}")
-    # The ledger's second-order np.gradient needs 3 time samples.
-    if f.times.size < 3:
-        raise ValueError(f"need at least 2 time steps, got {f.times.size - 1}")
 
 
 def _dissipative_gate(prob: EllipticProblem) -> np.ndarray:
@@ -140,24 +130,24 @@ def _evolve(
     """Spectrum of u(t_steps) after ``steps`` uniform steps of length ``dt``.
 
     ``q`` is the gated (N, d, d) stack Q(xi, 0) or, for the exact scheme
-    only, the (N, d) eigenvalues nu of a normal Q(xi, 0); ``forcing(m)`` is
-    the planar (d, N) spectrum of f(t_m) in the same basis, read when step m
-    first needs it.  The loop holds only the current (d, N) state; given a
-    (steps+1, d, N) ``states``, it writes each u(t_m), m >= 1, into
-    ``states[m]`` as soon as it is computed.  The coefficients, (d, N)
-    scalars of :func:`_phi` at -dt nu or (d, d, N) stacks of matrices, are
-    held with the frequency axis innermost.  Raises ``OverflowError``, at
-    fault ``dt`` and with no warning, before the first step when dt * q
-    overflows and at the first state that is not finite.
+    only, the planar (d, N) eigenvalues nu of a normal Q(xi, 0), as
+    :func:`_eigenvalues` gives them; ``forcing(m)`` is the planar (d, N)
+    spectrum of f(t_m) in the same basis, read when step m first needs it.
+    The loop holds only the current (d, N) state; given a (steps+1, d, N)
+    ``states``, it writes each u(t_m), m >= 1, into ``states[m]`` as soon
+    as it is computed.  The coefficients, (d, N) scalars of :func:`_phi` at
+    -dt nu or (d, d, N) stacks of matrices, are held with the frequency axis
+    innermost; the identity is built only for the matrices.  Raises
+    ``OverflowError``, at fault ``dt`` and with no warning, before the first
+    step when dt * q overflows and at the first state that is not finite.
     """
-    eye = np.eye(q.shape[1])[None, :, :]
-
-    def planar(m):
-        return np.ascontiguousarray(np.moveaxis(m, 0, -1))
-
     if q.ndim == 2:
         mul = np.multiply
     else:
+        eye = np.eye(q.shape[1])[None, :, :]
+
+        def planar(m):
+            return np.ascontiguousarray(np.moveaxis(m, 0, -1))
 
         def mul(m, v):
             return np.einsum("ijk,jk->ik", m, v)
@@ -167,7 +157,7 @@ def _evolve(
         if not np.isfinite(dt * q).all():
             raise _step_overflow(dt)
         if scheme == "exact":
-            e, p1, p2 = map(planar, _phi(-dt * q) if q.ndim == 2 else _step_matrices(q, dt))
+            e, p1, p2 = _phi(-dt * q) if q.ndim == 2 else map(planar, _step_matrices(q, dt))
 
             def step(u, f0, f1):
                 return mul(e, u) + dt * (mul(p1, f0) + mul(p2, f1 - f0))
@@ -244,11 +234,14 @@ def _solve_spectral(
 
     The exact scheme on a normal Q(xi, 0) = V diag(nu) V^H steps in the
     eigenbasis: (mu, V) are the eigenpairs of ``_symbol.normal`` (V = I at
-    d = 1) and nu the eigenvalues of :func:`_eigenvalues` on that mu.
+    d = 1) and nu the planar (d, N) eigenvalues of :func:`_eigenvalues` on that mu.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     _check_forcing(prob, f)
+    # The ledger's second-order np.gradient needs 3 time samples.
+    if f.times.size < 3:
+        raise ValueError(f"need at least 2 time steps, got {f.times.size - 1}")
     q0 = _dissipative_gate(prob)
     steps = f.times.size - 1
     dt = float(f.times[-1]) / steps

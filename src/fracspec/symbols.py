@@ -384,15 +384,15 @@ def symbol_kernel(prob: EllipticProblem) -> str:
 
 
 def _eigenvalues(prob: EllipticProblem, lam: complex, mu: np.ndarray | None = None) -> np.ndarray:
-    """The (N, d) eigenvalues nu_j of a normal Q(xi, lambda) on the problem
-    grid: nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
-    a ((i xi)^gamma + lambda + mu_j) (factored), with mu_j the eigenvalues
-    of A(xi), ``prob._mu`` unless the caller has them already."""
+    """The planar (d, N) eigenvalues nu_j of a normal Q(xi, lambda) on the
+    problem grid: nu_j = a (i xi)^gamma + lambda + mu_j (unfactored) or
+    a ((i xi)^gamma + lambda + mu_j) (factored), with mu_j the (d,) or
+    (N, d) eigenvalues of A(xi), ``prob._mu`` unless the caller has them already."""
     sym, mu = prob._symbol, prob._mu if mu is None else mu
-    a_vals, frac = sym.a[:, None], sym.frac[:, None]
+    mu = np.atleast_2d(mu).T  # (d, 1) or (d, N)
     if prob.q_form == "unfactored":
-        return a_vals * frac + lam + mu
-    return a_vals * (frac + lam + mu)
+        return sym.a * sym.frac + lam + mu
+    return sym.a * (sym.frac + lam + mu)
 
 
 def symbol_smin(
@@ -410,17 +410,10 @@ def symbol_smin(
             mods = np.abs(_eigenvalues(prob, lam))
         # an overflowed modulus bounds nothing: leave the verdict to the SVD
         if np.isfinite(mods).all():
-            smin, smax = _row_extremes(mods)
-            bad = np.flatnonzero(~_cleared(smin, smax, 1.0))
+            smin = mods.min(axis=0)
+            bad = np.flatnonzero(~_cleared(smin, mods.max(axis=0), 1.0))
             return smin, (int(bad[0]) if bad.size else None)
     return smallest_singular_values(q_matrices(prob, lam) if q is None else q, _SINGULAR_TOL)
-
-
-def _row_extremes(mods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``mods.min(axis=1)`` and ``mods.max(axis=1)`` bit for bit, reduced over the
-    contiguous transpose: numpy combines columns far faster than short rows."""
-    planar = np.ascontiguousarray(mods.T)
-    return planar.min(axis=0), planar.max(axis=0)
 
 
 def _cleared(lo: np.ndarray, hi: np.ndarray, kappa: float) -> np.ndarray:
@@ -431,11 +424,13 @@ def _cleared(lo: np.ndarray, hi: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _symmetrized_gate(prob: EllipticProblem, lam: complex) -> tuple[np.ndarray, int | None]:
-    """The eigenvalues nu of a symmetrizable Q and the verdict of ``symbol_smin``,
+    """The (d, N) eigenvalues nu of a symmetrizable Q and the verdict of ``symbol_smin``,
     for which only the frequencies that ``_cleared`` cannot clear take the SVD."""
+    rec = prob._symmetrizer
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = _eigenvalues(prob, lam, prob._symmetrizer.mu)
-        unclear = np.flatnonzero(~_cleared(*_row_extremes(np.abs(nu)), prob._symmetrizer.kappa))
+        nu = _eigenvalues(prob, lam, rec.mu)
+        mods = np.abs(nu)
+        unclear = np.flatnonzero(~_cleared(mods.min(axis=0), mods.max(axis=0), rec.kappa))
     if not unclear.size:
         return nu, None
     _, k = smallest_singular_values(q_matrices(prob, lam)[unclear], _SINGULAR_TOL)

@@ -14,7 +14,6 @@ from fracspec.symbols import (
     _SINGULAR_TOL,
     _cleared,
     _eigenvalues,
-    _row_extremes,
     _symmetrized_gate,
 )
 
@@ -305,8 +304,8 @@ def test_gate_bounds_carry_the_symmetrizer_condition():
     rec = prob._symmetrizer
     assert rec.kappa == pytest.approx(100.0, rel=1e-15)
     lam = 1.0 + 1e-11
-    nu = _eigenvalues(prob, lam, rec.mu)
-    assert _cleared(*_row_extremes(np.abs(nu)), 1.0).all()
+    mods = np.abs(_eigenvalues(prob, lam, rec.mu))
+    assert _cleared(mods.min(axis=0), mods.max(axis=0), 1.0).all()
     want = fs.smallest_singular_values(fs.q_matrices(prob, lam), _SINGULAR_TOL)[1]
     assert prob._symbol.xi[want] == 0.0
     assert _symmetrized_gate(prob, lam)[1] == want

@@ -946,6 +946,21 @@ _OVERSIZED = [
             "[problem] a_op_perturbation = -1e308,0;0,-1e308: Q(xi, 0) overflows the float "
             "range at xi = 0\n",
         ),
+        # so does separability when the perturbation overflows its trial norms
+        *[
+            (
+                _retask(
+                    "separability",
+                    "a_op_family = perturbed\na_op_matrix = 1,0;0,1\n"
+                    f"a_op_perturbation = {bump},0;0,{bump}",
+                    "trials = 3",
+                ),
+                [],
+                f"[problem] a_op_perturbation = {bump},0;0,{bump}: the norms of separability "
+                "trial 1 overflow\n",
+            )
+            for bump in ("1e308", "-1e308")
+        ],
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

@@ -415,6 +415,25 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert sorted(set(fs.__all__) - UNCALLED_PUBLIC_NAMES - _package_references()) == []
 
 
+def _private_module_names() -> set[str]:
+    """Every name with one leading underscore that a top-level statement of
+    ``src/fracspec`` defines: a function, a class or an assigned name."""
+    seen = set()
+    for path in Path(fs.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                seen.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                seen |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in seen if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    """A private helper that no other statement of the package reads is dead code."""
+    assert sorted(_private_module_names() - _package_references()) == []
+
+
 def test_one_transform_for_slices_and_stacks():
     # (N, d) and (M, N, d) arrays share one implementation on axis -2, with
     # the arithmetic of the per-axis formulas: h * fft * parity.

@@ -372,6 +372,25 @@ def test_problem_and_forcing_validations():
         fs.solve_parabolic(prob, ok, "leapfrog")
 
 
+def test_elliptic_and_parabolic_solves_reject_a_forcing_alike():
+    """A forcing on another grid, or of another dimension, gets the same
+    message from the elliptic and the parabolic solve."""
+    g = fs.SpatialGrid(10.0, 32)
+    prob = make_problem(g)
+    times = np.linspace(0.0, 1.0, 9)
+    other = fs.SpatialGrid(5.0, 32)
+    cases = [
+        (other, 1, "grid mismatch between forcing and problem"),
+        (g, 2, "forcing dimension 2 does not match problem dimension 1"),
+    ]
+    for grid, dim, message in cases:
+        with pytest.raises(ValueError) as in_elliptic:
+            fs.solve_elliptic(prob, fs.GridFunction(grid, np.ones((32, dim))), 1.0)
+        with pytest.raises(ValueError) as in_parabolic:
+            fs.solve_parabolic(prob, fs.SpaceTimeFunction(grid, times, np.ones((9, 32, dim))))
+        assert str(in_elliptic.value) == str(in_parabolic.value) == message
+
+
 def test_system_matrix_gates():
     mat = fs.SystemMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert mat.size == 2
@@ -519,7 +538,7 @@ def _eigenbasis_recurrence(prob, f):
     fhat = prob.grid.to_spectral(f.values)
     mu, v = (None, None) if prob.dim == 1 else np.linalg.eigh(prob._symbol.normal)
     g = fhat if v is None else np.einsum("...j,...ji->...i", fhat, v.conj())
-    e, p1, p2 = parabolic._phi(-dt * symbols._eigenvalues(prob, 0.0, mu))
+    e, p1, p2 = parabolic._phi(-dt * symbols._eigenvalues(prob, 0.0, mu).T)
     w = np.zeros_like(g)
     for m in range(1, steps + 1):
         w[m] = e * w[m - 1] + dt * (p1 * g[m - 1] + p2 * (g[m] - g[m - 1]))
@@ -588,7 +607,7 @@ def test_symbol_eigenvalues_match_eigvals_of_the_stack(gamma):
     g = fs.SpatialGrid(10.0, 16)
     for prob, neg in _normal_oracle_problems(g, gamma):
         for p in (prob, neg):
-            got = np.sort(symbols._eigenvalues(p, 0.0), axis=1)
+            got = np.sort(symbols._eigenvalues(p, 0.0).T, axis=1)
             want = np.sort(np.linalg.eigvals(fs.q_matrices(p, 0.0)), axis=1)
             assert rel_linf(got, want) <= 1e-12
 

@@ -397,16 +397,46 @@ def test_grid_symbol_consumers_match_a_direct_evaluation_bit_for_bit(dim, family
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 31])
-def test_row_extremes_match_the_row_reductions_bit_for_bit(dim):
-    """The planar min and max over the components equal min(axis=1) and
-    max(axis=1), on moduli with ties, zeros, subnormals and huge values."""
+def test_planar_extremes_match_the_row_reductions_bit_for_bit(dim):
+    """The min and max over axis 0 of planar (d, N) moduli, the layout of
+    ``_eigenvalues``, equal min(axis=1) and max(axis=1) of the (N, d) ones,
+    on moduli with ties, zeros, subnormals and huge values."""
     rng = np.random.default_rng(dim)
     mods = 10.0 ** rng.uniform(-320.0, 308.0, (257, dim))
     mods[::5] = rng.choice([0.0, 5e-324, 1.0, 1.7e308], (len(mods[::5]), dim))
     mods[1::7, : (dim + 1) // 2] = mods[1::7, -1:]
-    lo, hi = symbols._row_extremes(mods)
-    assert lo.tobytes() == mods.min(axis=1).tobytes()
-    assert hi.tobytes() == mods.max(axis=1).tobytes()
+    planar = np.ascontiguousarray(mods.T)
+    assert planar.min(axis=0).tobytes() == mods.min(axis=1).tobytes()
+    assert planar.max(axis=0).tobytes() == mods.max(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8])
+@pytest.mark.parametrize("q_form", ["unfactored", "factored"])
+def test_normal_symbol_smin_is_the_row_minimum_of_the_eigenvalue_moduli(dim, q_form):
+    """The gate of a normal Q reads the row minimum of the (N, d) moduli
+    |a (i xi)^gamma + lambda + mu_j| (factored: |a ((i xi)^gamma + lambda + mu_j)|),
+    byte for byte, for a constant and, at d = 3, a perturbed Hermitian A."""
+    g = fs.SpatialGrid(10.0, 32)
+    rng = np.random.default_rng(dim)
+    base = rng.standard_normal((dim, dim))
+    base = base + base.T + 2.0 * dim * np.eye(dim)
+    operators = [fs.constant_operator(base)]
+    if dim == 3:
+        operators.append(fs.perturbed_operator(base, np.diag([1.0, 0.0, 2.0])))
+    lam = 2.0 + 0.5j
+    for operator in operators:
+        prob = make_problem(g, a_value=-2.0, q_form=q_form, operator=operator)
+        assert fs.symbol_kernel(prob) == "hermitian-eig"
+        sym = prob._symbol
+        mu = np.linalg.eigvalsh(sym.normal) if dim > 1 else sym.normal[..., 0]
+        a_vals, frac = sym.a[:, None], sym.frac[:, None]
+        if q_form == "unfactored":
+            rows = a_vals * frac + lam + mu
+        else:
+            rows = a_vals * (frac + lam + mu)
+        smin, bad = fs.symbol_smin(prob, lam)
+        assert bad is None
+        assert smin.tobytes() == np.abs(rows).min(axis=1).tobytes()
 
 
 def test_symbol_smin_leaves_an_overflowed_modulus_to_the_svd(svd_calls):
