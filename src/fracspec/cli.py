@@ -183,7 +183,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     rounding in fixed precision and hands the cells it cannot prove to
     ``'%.16e' % x``, so every byte is that of ``%``-formatting.  A 2-D
     uint8 column holds rendered cells, one row each, padded with 0 bytes
-    (as ``_product_lead`` makes them).  Rows are formatted and written
+    (as ``_write_solution`` makes them).  Rows are formatted and written
     ``CSV_BLOCK_ROWS`` at a time, so the file is never held whole.
     """
     columns = [np.asarray(c) for c in columns]
@@ -236,27 +236,24 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
-def _write_solution(path: Path, lead: list[str], lead_cols: list, values: np.ndarray) -> None:
-    """Solution CSV: the lead columns, then the real and imaginary part of
-    each component of ``values`` (last axis; the others flatten to rows)."""
-    flat = values.reshape(-1, values.shape[-1])
+def _write_solution(path: Path, axes: dict, values: np.ndarray) -> None:
+    """Solution CSV of a field sampled on the product of ``axes`` (name to
+    points, the first varying slowest): a column per axis, then the real and
+    imaginary part of each component of ``values``, one row per point of the
+    product.  Each axis's points are formatted once, as rendered cells."""
+    rows = math.prod(len(points) for points in axes.values())
+    header, cols, outer = list(axes), [], 1
+    for points in axes.values():
+        cells = _float_cells(np.asarray(points, dtype=float))
+        shape = (outer, len(cells), rows // (outer * len(cells)), cells.shape[1])
+        cols.append(np.broadcast_to(cells[None, :, None], shape).reshape(rows, -1))
+        outer *= len(cells)
+    flat = values.reshape(rows, -1)
     names = ["u"] if flat.shape[1] == 1 else [f"u_{c + 1}" for c in range(flat.shape[1])]
-    header, cols = list(lead), list(lead_cols)
     for c, name in enumerate(names):
         header += [f"re_{name}", f"im_{name}"]
         cols += [flat[:, c].real, flat[:, c].imag]
     _write_csv(path, header, cols)
-
-
-def _product_lead(outer, inner) -> list:
-    """Lead columns of the grid ``outer`` x ``inner``, outer varying slowest,
-    as rendered float cells: each distinct value is formatted once."""
-    outer, inner = (_float_cells(np.asarray(v, dtype=float)) for v in (outer, inner))
-    return [np.repeat(outer, len(inner), axis=0), np.tile(inner, (len(outer), 1))]
-
-
-def _write_space_time_solution(path: Path, u: SpaceTimeFunction) -> None:
-    _write_solution(path, ["t", "x"], _product_lead(u.times, u.grid.points), u.values)
 
 
 def _horizon(cfg: RunConfig, steps: int) -> float:
@@ -301,7 +298,7 @@ def _task_solve_elliptic(run: _Run) -> bool:
     f = build_forcing(cfg, prob.grid, prob.dim, run.rng())
     lam, s_set = cfg.value("parameters", "lambda"), cfg.value("parameters", "s_set")
     rep = coercive_report(prob, f, lam, s_set=s_set, p=cfg.value("parameters", "p"))
-    _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
+    _write_solution(run.out / "solution.csv", {"x": prob.grid.points}, rep.solution.values)
     run.report(rep.to_jsonable(), [])
     return False
 
@@ -340,7 +337,8 @@ def _task_solve_parabolic(run: _Run) -> bool:
         p=cfg.value("parameters", "p"),
         p1=cfg.value("parameters", "p1"),
     )
-    _write_space_time_solution(run.out / "solution.csv", rep.solution)
+    u = rep.solution
+    _write_solution(run.out / "solution.csv", {"t": u.times, "x": prob.grid.points}, u.values)
     run.report(rep.to_jsonable(), [])
     return False
 
@@ -351,12 +349,16 @@ def _task_resolvent_sweep(run: _Run) -> bool:
     sweep_angle = cfg.value("parameters", "sweep_angle")
     with naming("[parameters] sweep_angle"):
         sweep_sector = prob.sector if sweep_angle is None else Sector(sweep_angle)
+    radii, angles, probes = (cfg.value("parameters", k) for k in ("radii", "angles", "probes"))
+    # The sweep holds its radius x angle lattice and every probe's forcing.
+    _require_memory("[parameters] angles", angles, (len(radii), angles))
+    _require_memory("[parameters] probes", probes, (probes, prob.grid.size, prob.dim))
     rep = resolvent_sweep(
         prob,
         sweep_sector,
-        radii=cfg.value("parameters", "radii"),
-        angles=cfg.value("parameters", "angles"),
-        probes=cfg.value("parameters", "probes"),
+        radii=radii,
+        angles=angles,
+        probes=probes,
         p=cfg.value("parameters", "p"),
         seed=run.seed,
         refine=cfg.value("parameters", "refine"),
@@ -383,6 +385,8 @@ def _task_verify_conditions(run: _Run) -> bool:
     phi1_angle = cfg.value("parameters", "phi1")
     with naming("[parameters] phi1"):
         phi1 = prob.sector if phi1_angle is None else Sector(phi1_angle)
+    samples = cfg.value("parameters", "samples")
+    _require_memory("[parameters] samples", samples, (samples,))
     # The lambda_set rule runs first; report.json sorts the checks, so the order
     # leaves its bytes alone.
     reports = [
@@ -390,7 +394,6 @@ def _task_verify_conditions(run: _Run) -> bool:
         check_sector_growth(prob, phi1),
         check_mikhlin_bounds(prob),
     ]
-    samples = cfg.value("parameters", "samples")
     try:
         reports.append(scalar_inequality_suite(phi1, prob.sector, samples=samples, seed=run.seed))
     except ValueError as exc:
@@ -402,9 +405,12 @@ def _task_verify_conditions(run: _Run) -> bool:
 
 def _task_separability(run: _Run) -> bool:
     cfg = run.cfg
+    prob, trials = build_problem(cfg), cfg.value("parameters", "trials")
+    # Each trial keeps its ratio.
+    _require_memory("[parameters] trials", trials, (trials,))
     rep = separability_check(
-        build_problem(cfg),
-        trials=cfg.value("parameters", "trials"),
+        prob,
+        trials=trials,
         p=cfg.value("parameters", "p"),
         s_set=cfg.value("parameters", "s_set"),
         seed=run.seed,
@@ -420,6 +426,7 @@ def _task_embedding_probe(run: _Run) -> bool:
     prob = build_problem(cfg)
     h_set = cfg.value("parameters", "h_set")
     draws = cfg.value("parameters", "draws")
+    _require_memory("[parameters] draws", draws, (draws, prob.grid.size, prob.dim))
     alpha, s, p, q, mu = (cfg.value("parameters", k) for k in ("alpha", "s", "p", "q_exp", "mu"))
     rng = run.rng()
     us = [random_band_limited(prob.grid, prob.dim, rng) for _ in range(draws)]
@@ -471,8 +478,8 @@ def _task_bvp(run: _Run) -> bool:
     rep = solve_anisotropic(coeffs, prob.order, prob.a, lam, f, p=p)
     with naming("[parameters] phi0"):
         ell = check_ellipticity(coeffs, Sector(cfg.value("parameters", "phi0")))
-    lead = _product_lead(grid.points, coeffs.mesh)
-    _write_solution(run.out / "solution.csv", ["x", "y"], lead, rep.solution.values[:, :, None])
+    mesh = {"x": grid.points, "y": coeffs.mesh}
+    _write_solution(run.out / "solution.csv", mesh, rep.solution.values)
     failed = [] if ell.passed else [ell.name]
     run.report({"ellipticity": ell.to_jsonable(), "solve": rep.to_jsonable()}, failed)
     return bool(failed)
@@ -488,18 +495,16 @@ def _task_system(run: _Run) -> bool:
     _require_memory("[problem] n", prob.grid.size, (prob.grid.size, mat.size, mat.size))
     lam = cfg.value("parameters", "lambda")
     literal = cfg.value("parameters", "literal_shift")
-    p = cfg.value("parameters", "p")
+    # elliptic mode declares no p1 and reads its default, which it does not use
+    p, p1 = cfg.value("parameters", "p"), cfg.value("parameters", "p1")
+    axes = {"x": prob.grid.points}
     if cfg.value("parameters", "mode") == "elliptic":
         f = build_forcing(cfg, prob.grid, mat.size, run.rng())
-        rep = solve_system(mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p)
-        _write_solution(run.out / "solution.csv", ["x"], [prob.grid.points], rep.solution.values)
     else:
         f = _parabolic_forcing(cfg, prob.grid, mat.size, run.rng())
-        rep = solve_system(
-            mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p,
-            p1=cfg.value("parameters", "p1"),
-        )
-        _write_space_time_solution(run.out / "solution.csv", rep.solution)
+        axes = {"t": f.times, **axes}
+    rep = solve_system(mat, prob.order, prob.a, lam, f, literal_shift=literal, p=p, p1=p1)
+    _write_solution(run.out / "solution.csv", axes, rep.solution.values)
     run.report(rep.to_jsonable(), [])
     return False
 

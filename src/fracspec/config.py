@@ -127,6 +127,7 @@ def _log_range(text: str) -> list[float]:
     lo, hi, n = _float(parts[0]), _float(parts[1]), _int(parts[2])
     if lo <= 0.0 or hi <= 0.0 or n < 1:
         raise ValueError(f"must have positive endpoints and count, got {text!r}")
+    _require_memory("count", n, (n,))
     return list(np.logspace(math.log10(lo), math.log10(hi), n))
 
 

@@ -107,6 +107,18 @@ class SpatialGrid:
         return np.fft.ifft(values * self.parity[:, None], axis=-2) / self.spacing
 
 
+def _sample_values(values, lead: tuple[int, ...]) -> np.ndarray:
+    """``values`` as finite complex samples of shape lead + (d,); d = 1 for shape ``lead``."""
+    v = np.asarray(values, dtype=complex)
+    if v.ndim == len(lead):
+        v = v[..., None]
+    if v.shape[:-1] != lead:
+        raise ValueError(f"sample array of shape {np.shape(values)} does not match {lead} + (d,)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("sample array contains non-finite entries")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class _Samples:
     """Finite complex samples on a SpatialGrid, stored as (N, d); 1-D values have d = 1."""
@@ -115,21 +127,11 @@ class _Samples:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.size:
-            raise ValueError(
-                f"sample array of shape {np.shape(self.values)} does not match grid size "
-                f"{self.grid.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample array contains non-finite entries")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _sample_values(self.values, (self.grid.size,)))
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,19 +139,20 @@ class GridFunction(_Samples):
     """Samples of an H-valued function on a SpatialGrid, stored as (N, d)."""
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch in GridFunction arithmetic")
-        return GridFunction(self.grid, self.values + other.values)
+        return GridFunction(self.grid, self.values + self._same_grid(other).values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch in GridFunction arithmetic")
-        return GridFunction(self.grid, self.values - other.values)
+        return GridFunction(self.grid, self.values - self._same_grid(other).values)
 
     def __mul__(self, scalar: complex) -> "GridFunction":
         return GridFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
+
+    def _same_grid(self, other: "GridFunction") -> "GridFunction":
+        if self.grid != other.grid:
+            raise ValueError("grid mismatch in GridFunction arithmetic")
+        return other
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,22 +179,15 @@ class SpaceTimeFunction:
         dt = np.diff(t)
         if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0) or dt[0] <= 0.0:
             raise ValueError("times must be uniformly spaced and increasing")
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim == 2:
-            v = v[:, :, None]
-        if v.ndim != 3 or v.shape[0] != t.size or v.shape[1] != self.grid.size:
-            raise ValueError(
-                f"value array of shape {np.shape(self.values)} does not match "
-                f"{t.size} time slices on a grid of size {self.grid.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample array contains non-finite entries")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _sample_values(self.values, (t.size, self.grid.size)))
+
+    dim = _Samples.dim
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[2]
+    def step(self) -> float:
+        """The time step T / Nt."""
+        return _time_step(self.times)
 
 
 def forward_transform(f: GridFunction) -> SpectralFunction:
@@ -286,15 +282,24 @@ def _power_norm(v: np.ndarray, p: float, power_sum, axis: int | None = None):
     return norm
 
 
+def _rectangle_norm(values: np.ndarray, h: float, p: float, axis: int | None = None):
+    """Rectangle-rule L_p norm (h * sum_j |v_j|_2^p)^(1/p) over the grid axis
+    -2 of (..., N, d) ``values``: one norm, or one per index of ``axis``."""
+    return _power_norm(values, p, lambda v: h * np.sum(np.linalg.norm(v, axis=-1) ** p, -1), axis)
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Rectangle-rule L_p norm, (h * sum_j |f(x_j)|_2^p)^(1/p)."""
-    p = _check_exponent(p)
-    h = f.grid.spacing
-    return float(_power_norm(f.values, p, lambda v: h * np.sum(np.linalg.norm(v, axis=1) ** p)))
+    return float(_rectangle_norm(f.values, f.grid.spacing, _check_exponent(p)))
+
+
+def _time_step(times: np.ndarray) -> float:
+    """T / Nt of the uniform ``times`` 0 = t_0 < ... < t_Nt = T."""
+    return float(times[-1]) / (times.size - 1)
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    dt = times[1] - times[0]
+    dt = _time_step(times)
     w = np.full(times.size, dt)
     w[0] = w[-1] = 0.5 * dt
     return w
@@ -302,15 +307,11 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 def mixed_norm(f: SpaceTimeFunction, p: float, p1: float) -> float:
     """Mixed norm with inner x-integral (exponent p) and outer t-integral (p1)."""
-    p = _check_exponent(p)
-    p1 = _check_exponent(p1)
-    h = f.grid.spacing
+    p, p1 = _check_exponent(p), _check_exponent(p1)
     w = _trapezoid_weights(f.times)
     # The inner norms run over each slice's (N, d) values; the outer norm
     # takes them as a (K, 1) vector.
-    inner = _power_norm(
-        f.values, p, lambda v: h * np.sum(np.linalg.norm(v, axis=2) ** p, axis=1), axis=0
-    )
+    inner = _rectangle_norm(f.values, f.grid.spacing, p, axis=0)
     return float(_power_norm(inner[:, None], p1, lambda v: np.sum(w * v[:, 0] ** p1)))
 
 

@@ -28,6 +28,7 @@ from .core import (
     _band_limited_block,
     _check_exponent,
     _power_norm,
+    _rectangle_norm,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -408,9 +409,7 @@ def _image_norms(
         return _power_norm(image, 2.0, power_sum, axis=0)
     full = np.zeros((len(image), grid.size, spec.shape[1]), dtype=complex)
     full[:, keep] = image.transpose(0, 2, 1)
-    h = grid.spacing
-    return _power_norm(grid.to_physical(full), p, axis=0,
-                       power_sum=lambda v: h * np.sum(np.linalg.norm(v, axis=-1) ** p, axis=-1))
+    return _rectangle_norm(grid.to_physical(full), grid.spacing, p, axis=0)
 
 
 def separability_check(

@@ -28,6 +28,7 @@ from .core import (
     SpaceTimeFunction,
     _at_fault,
     _mixed_l2_of_spectra,
+    _time_step,
     lp_norm,
     mixed_norm,
 )
@@ -204,9 +205,10 @@ def _convergence_errors(
     q0 = _dissipative_gate(prob)
 
     def final_state(steps: int, integrator: str) -> np.ndarray:
-        w = profile(np.linspace(0.0, horizon, steps + 1))
+        times = np.linspace(0.0, horizon, steps + 1)
+        w = profile(times)
         # The forcing spectrum of step m is formed when the loop reads it.
-        uhat = _evolve(q0, horizon / steps, steps, lambda m: w[m] * shat, integrator)
+        uhat = _evolve(q0, _time_step(times), steps, lambda m: w[m] * shat, integrator)
         return grid.to_physical(uhat.T)
 
     # The reference stays on the augmented expm even for a normal Q.  The
@@ -243,8 +245,6 @@ def _solve_spectral(
     if f.times.size < 3:
         raise ValueError(f"need at least 2 time steps, got {f.times.size - 1}")
     q0 = _dissipative_gate(prob)
-    steps = f.times.size - 1
-    dt = float(f.times[-1]) / steps
     q, v, fhat = q0, None, prob.grid.to_spectral(f.values)
     if scheme == "exact" and prob._symbol.normal is not None:
         mu, v = (None, None) if prob.dim == 1 else np.linalg.eigh(prob._symbol.normal)
@@ -258,14 +258,14 @@ def _solve_spectral(
     # (M, N, d) memory: the solution is C-ordered, as the forcing is, and
     # so are the ledger's spectra, whose Parseval sums follow the layout.
     states = np.zeros(f.values.shape, dtype=complex)
-    _evolve(q, dt, steps, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
+    _evolve(q, f.step, f.times.size - 1, fplanar.__getitem__, scheme, states.transpose(0, 2, 1))
     # Free the forcing spectrum before the inverse transform allocates
     # its output, so the two never sit on the heap together.
     del fplanar
     if v is not None:
         states = np.einsum("...ij,...j->...i", v, states)
         if not np.isfinite(states).all():
-            raise _step_overflow(dt)
+            raise _step_overflow(f.step)
     return q0, states, SpaceTimeFunction(prob.grid, f.times, prob.grid.to_physical(states))
 
 
@@ -306,8 +306,7 @@ def parabolic_coercive_report(
     """
     q0, uhat, u = _solve_spectral(prob, f, scheme)
     grid = prob.grid
-    horizon, steps = float(f.times[-1]), f.times.size - 1
-    du_dt = np.gradient(u.values, horizon / steps, axis=0, edge_order=2)
+    du_dt = np.gradient(u.values, u.step, axis=0, edge_order=2)
 
     sym = prob._symbol
     gamma = prob.order.gamma
@@ -349,8 +348,8 @@ def parabolic_coercive_report(
         meta={
             "p": p,
             "p1": p1,
-            "steps": steps,
-            "horizon": horizon,
+            "steps": f.times.size - 1,
+            "horizon": float(f.times[-1]),
             "forcing_norm": f_norm,
         },
     )

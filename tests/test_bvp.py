@@ -369,6 +369,24 @@ def test_sign_change_in_b2_or_varying_b1_takes_the_svd_and_the_lu(linalg_calls, 
     assert rep.meta["symmetrizer_cond"] is None
 
 
+@pytest.mark.parametrize("off", [1e6, 1e7])
+def test_symmetrizer_stops_where_its_condition_reaches_the_gate(linalg_calls, off):
+    """A = [[1e4, off], [1/off, 1e4]] has kappa = off.  At 1e6 it is solved in
+    the eigenbasis; at 1e7 = _SINGULAR_TOL**-0.5 the gate's bounds would clear
+    nothing, so there is no symmetrizer and the solve takes the SVD and the LU."""
+    prob = make_problem(fs.SpatialGrid(10.0, 16), gamma=2.0, mat=[[1e4, off], [1.0 / off, 1e4]])
+    f = fs.GridFunction(prob.grid, np.exp(-(prob.grid.points**2))[:, None] * np.ones(2))
+    linalg_calls.update(svd=[], solve=[])
+    rep = fs.solve_elliptic(prob, f, 1.0)
+    if off == 1e6:
+        assert prob._symmetrizer.kappa == pytest.approx(1e6, rel=1e-15)
+        assert linalg_calls == {"svd": [], "solve": []}
+    else:
+        assert prob._symmetrizer is None
+        assert linalg_calls == {"svd": [(16, 2, 2)], "solve": [(16, 2, 2)]}
+    assert rep.residual_rel < 1e-9
+
+
 def test_report_names_the_symmetrizer_condition():
     """solve_anisotropic reports kappa when the problem has a symmetrizer, else null."""
     g = fs.SpatialGrid(10.0, 32)

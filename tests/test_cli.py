@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +18,9 @@ from fracspec.bvp import BVPCoefficients
 from fracspec.cli import (
     CSV_BLOCK_ROWS,
     _parabolic_forcing,
-    _product_lead,
     _profile_weights,
     _write_csv,
     _write_solution,
-    _write_space_time_solution,
     main,
 )
 from fracspec.config import RunConfig, build_forcing, build_problem
@@ -672,7 +669,9 @@ def test_largest_half_width_with_a_finite_square_runs_clean(tmp_path, task, para
 
 # Sizes whose largest complex field exceeds the physical memory of any host
 # (n alone is 1.5 TiB; the time fields at n = 64 are about 93 TiB; the
-# bvp symbol stack at n = 64 and mesh_size = 40000 is 1.5 TiB).
+# bvp symbol stack at n = 64 and mesh_size = 40000 is 1.5 TiB; a count of
+# 10^12 samples, radii, trials or sweep angles is at least 14.5 TiB, and
+# as many probe or draw forcings at n = 64 are 931 TiB).
 _OVERSIZED = [
     (("n = 64", "n = 100000000000"), [], "[problem] n = 100000000000: "),
     (_task_edit("solve-parabolic", "nt = 100000000000"), [], "[parameters] nt = 100000000000: "),
@@ -687,6 +686,21 @@ _OVERSIZED = [
         "[parameters] levels = 4,8,100000000000: ",
     ),
     (_task_edit("bvp", "mesh_size = 40000"), [], "[parameters] mesh_size = 40000: "),
+    *[
+        (_task_edit(task, f"{key} = {10**12}{extra}"), [], f"[parameters] {key} = {10**12}: ")
+        for task, key, extra in [
+            ("verify-conditions", "samples", ""),
+            ("resolvent-sweep", "angles", "\nrefine = false"),
+            ("resolvent-sweep", "probes", ""),
+            ("separability", "trials", ""),
+            ("embedding-probe", "draws", ""),
+        ]
+    ],
+    (
+        _task_edit("resolvent-sweep", f"radii = 1:2:{10**12}\nrefine = false"),
+        [],
+        f"[parameters] radii count = {10**12}: ",
+    ),
 ]
 
 
@@ -961,6 +975,16 @@ _OVERSIZED = [
             )
             for bump in ("1e308", "-1e308")
         ],
+        (
+            _task_edit("resolvent-sweep", "refine = maybe"),
+            [],
+            "[parameters] refine must be a boolean, got 'maybe'\n",
+        ),
+        (
+            _task_edit("resolvent-sweep", "radii = 0:1:5"),
+            [],
+            "[parameters] radii must have positive endpoints and count, got '0:1:5'\n",
+        ),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):
@@ -1313,11 +1337,7 @@ def test_product_lead_solution_matches_per_row_oracle(tmp_path, layout, dim):
     shape = (outer.size, inner.size, dim)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     path = tmp_path / "solution.csv"
-    if layout == "t,x":
-        u = SimpleNamespace(times=outer, grid=SimpleNamespace(points=inner), values=values)
-        _write_space_time_solution(path, u)
-    else:
-        _write_solution(path, ["x", "y"], _product_lead(outer, inner), values)
+    _write_solution(path, dict(zip(layout.split(","), (outer, inner))), values)
     names = ["u"] if dim == 1 else [f"u_{c + 1}" for c in range(dim)]
     header = layout.split(",") + [f"{part}_{n}" for n in names for part in ("re", "im")]
     rows = [
@@ -1339,8 +1359,8 @@ def test_space_time_solution_formats_each_lead_value_once(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "_float_cells", counting)
     grid = SpatialGrid(half_width=10.0, size=size)
     values = np.random.default_rng(3).standard_normal((steps + 1, size, dim)) + 0j
-    u = SimpleNamespace(times=np.linspace(0.0, 1.0, steps + 1), grid=grid, values=values)
-    _write_space_time_solution(tmp_path / "solution.csv", u)
+    axes = {"t": np.linspace(0.0, 1.0, steps + 1), "x": grid.points}
+    _write_solution(tmp_path / "solution.csv", axes, values)
     rows = (steps + 1) * size
     assert sum(formatted) == (steps + 1) + size + rows * 2 * dim
 

@@ -1,8 +1,10 @@
 """Grids, transforms, norms, sectors."""
 
 import ast
+import builtins
 import importlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -290,6 +292,31 @@ def test_mixed_l2_of_spectra_does_not_depend_on_memory_layout():
             assert _mixed_l2_of_spectra(g, times, planar) == _mixed_l2_of_spectra(g, times, spec)
 
 
+def test_every_sample_record_runs_one_sample_rule():
+    """GridFunction, SpectralFunction and SpaceTimeFunction take their values
+    alike: complex, a missing component axis added, the leading shape (grid,
+    or time x grid) checked, every entry finite."""
+    g = fs.SpatialGrid(2.0, 8)
+    times = np.array([0.0, 0.5, 1.0])
+    records = [
+        (lambda v: fs.GridFunction(g, v), (8,), [(7,), (8, 2, 2)]),
+        (lambda v: fs.SpectralFunction(g, v), (8,), [(7,), (8, 2, 2)]),
+        (lambda v: fs.SpaceTimeFunction(g, times, v), (3, 8), [(2, 8), (3, 7), (3, 8, 2, 2)]),
+    ]
+    for make, lead, wrong in records:
+        scalar = make(np.ones(lead, dtype=int))
+        assert scalar.values.shape == (*lead, 1) and scalar.values.dtype == complex
+        assert scalar.dim == 1 and make(np.ones((*lead, 3))).dim == 3
+        for shape in wrong:
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape} does not match {lead}")):
+                make(np.ones(shape))
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            vals = np.ones((*lead, 2), dtype=complex)
+            vals[(-1,) * len(lead) + (1,)] = bad
+            with pytest.raises(ValueError, match="sample array contains non-finite entries"):
+                make(vals)
+
+
 def test_space_time_validation():
     g = fs.SpatialGrid(2.0, 8)
     with pytest.raises(ValueError):
@@ -432,6 +459,39 @@ def _private_module_names() -> set[str]:
 def test_every_private_name_has_a_caller_in_the_package():
     """A private helper that no other statement of the package reads is dead code."""
     assert sorted(_private_module_names() - _package_references()) == []
+
+
+def _literal_messages() -> dict[str, list[str]]:
+    """The source text of every literal message that an exception constructor
+    of ``src/fracspec`` is called with, to the places that build it.  A
+    literal message is a string constant, or an f-string whose literal text
+    holds a letter (``f"{label}: {exc}"`` only passes a message on)."""
+    errors = {
+        name
+        for name, obj in {**vars(builtins), **vars(fs)}.items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    seen: dict[str, list[str]] = {}
+    for path in sorted(Path(fs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            msg = node.args[0]
+            if func not in errors or not isinstance(msg, (ast.Constant, ast.JoinedStr)):
+                continue
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            text = "".join(str(p.value) for p in parts if isinstance(p, ast.Constant))
+            if re.search("[A-Za-z]", text):
+                seen.setdefault(ast.unparse(msg), []).append(f"{path.name}:{node.lineno}")
+    return seen
+
+
+def test_each_exception_message_has_one_raise_site():
+    """Two constructors that build the same literal message are one rule written twice."""
+    messages = _literal_messages()
+    assert len(messages) > 50
+    assert {msg: sites for msg, sites in messages.items() if len(sites) > 1} == {}
 
 
 def test_one_transform_for_slices_and_stacks():

@@ -282,6 +282,22 @@ def test_embedding_probe_trivial_power_is_bounded_by_one():
     assert rep.constants["max_ratio"] < 1.0
 
 
+@pytest.mark.parametrize("scale, overflows", [(1e306, False), (3e306, True)])
+def test_embedding_draw_whose_norms_overflow_is_at_fault_a(scale, overflows):
+    """With A = 100 I a unit draw scaled by 3e306 has a finite field A u whose
+    norms overflow: an OverflowError at fault ``A``; scaled by 1e306 it passes."""
+    g = fs.SpatialGrid(10.0, 64)
+    prob = make_problem(g, gamma=1.5, mat=100.0 * np.eye(2))
+    u = scale * fs.random_band_limited(g, 2, 5)
+    args = dict(alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.1, 1.0])
+    if not overflows:
+        assert math.isfinite(fs.embedding_probe(prob, [u], **args)[0].meta["lhs"])
+        return
+    with pytest.raises(OverflowError, match="^the norms of embedding draw 1 overflow$") as info:
+        fs.embedding_probe(prob, [u], **args)
+    assert info.value.arg == "A"
+
+
 def test_embedding_probe_validations():
     g = fs.SpatialGrid(10.0, 64)
     prob = make_problem(g, gamma=2.0, mat=np.diag([1.0, 4.0]))

@@ -93,6 +93,18 @@ def test_symbol_derivatives_match_the_central_difference(symbol):
     )
 
 
+def test_operator_matrices_are_square():
+    """A 0-d matrix is the 1 x 1 matrix of its value; a (2, 3) one is not square."""
+    op = fs.constant_operator(np.array(2.0))
+    assert op.dim == 1
+    np.testing.assert_array_equal(op.constant_matrix, [[2.0 + 0j]])
+    square = r"matrix must be a square matrix, got shape \(2, 3\)$"
+    with pytest.raises(ValueError, match="^operator " + square):
+        fs.constant_operator(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^perturbation " + square):
+        fs.perturbed_operator(np.eye(2), np.ones((2, 3)))
+
+
 def test_operator_symbol_validation():
     with pytest.raises(ValueError, match="singular at the reference"):
         fs.constant_operator(np.array([[0.0]]))
