@@ -267,13 +267,12 @@ def _horizon(cfg: RunConfig, steps: int) -> float:
 
 
 class _Run:
-    """Resolved invocation: config plus seed, thread count, output dir."""
+    """Resolved invocation: config plus seed and output dir."""
 
-    def __init__(self, cfg: RunConfig, out_dir: Path, seed: int, threads: int):
+    def __init__(self, cfg: RunConfig, out_dir: Path, seed: int):
         self.cfg = cfg
         self.out = out_dir
         self.seed = seed
-        self.threads = threads
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -284,7 +283,7 @@ class _Run:
             {
                 "task": self.cfg.task,
                 "seed": self.seed,
-                "threads": self.threads,
+                "threads": self.cfg.value("output", "threads"),
                 "config": self.cfg.sections,
                 "failed_checks": sorted(failed_checks),
                 "results": results,
@@ -594,38 +593,35 @@ def _keyed(cfg: RunConfig):
         raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _override(flag, env_name: str) -> str | None:
+def _override(flag: str | None, env_name: str) -> str | None:
     """The text of a command-line flag, else of environment variable ``env_name``."""
-    return str(flag) if flag is not None else os.environ.get(env_name)
+    return flag if flag is not None else os.environ.get(env_name)
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, to exit 1 as every other hard error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def main(argv=None) -> int:
+    parser = _Parser(
         prog="fracspec",
         description="Spectral runner for sectorial convolution problems on the line.",
     )
     parser.add_argument("--config", help="path to an INI run config")
     parser.add_argument("--out", help="output directory (created if missing)")
-    parser.add_argument("--seed", type=int, help="seed for random probes")
-    parser.add_argument(
-        "--threads", type=int, help="thread count recorded in report.json (0 = all cores)"
-    )
-    return parser.parse_args(argv)
-
-
-def main(argv=None) -> int:
-    args = _parse_args(argv)
+    parser.add_argument("--seed", help="seed for random probes")
     try:
+        args = parser.parse_args(argv)
         config_path = _override(args.config, "FRACSPEC_CONFIG")
         if config_path is None:
             raise ConfigError("no config given: pass --config or set FRACSPEC_CONFIG")
         cfg = RunConfig.load(config_path)
         seed = cfg.value("parameters", "seed", _override(args.seed, "FRACSPEC_SEED"))
         out_dir = Path(cfg.value("output", "directory", _override(args.out, "FRACSPEC_OUT")))
-        threads = cfg.value("output", "threads", _override(args.threads, "FRACSPEC_THREADS"))
-        if threads == 0:
-            threads = os.cpu_count() or 1
-        run = _Run(cfg, out_dir, seed, threads)
+        run = _Run(cfg, out_dir, seed)
         with _keyed(cfg):
             failed = _TASKS[cfg.task](run)
     except Exception as exc:  # noqa: BLE001 - single funnel to exit code 1

@@ -268,7 +268,7 @@ KEYS = {
     },
     "output": {
         "directory": (_DIRECTORY, "out"),
-        "threads": (_ranged(_int, lambda n: n >= 0, "be >= 0 (0 = all cores)"), "1"),
+        "threads": (_ranged(_int, lambda n: n >= 0, "be >= 0"), "1"),
     },
 }
 

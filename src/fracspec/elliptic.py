@@ -551,10 +551,10 @@ def embedding_probe(
         for k, u in enumerate(us, 1):
             u_spec = forward_transform(u)
             du = apply_multiplier(u_spec, frac)
-            image = GridFunction(u.grid, du.values @ power_t)
-            lhs = lp_norm(image, q)
-            au = GridFunction(u.grid, u.values @ a_t)
-            a_norm, b_norm = lp_norm(au, p), multiplier_norm(u_spec, bessel, p)
+            # A^theta D^alpha u and A u need not be finite: norm their values
+            lhs = float(_rectangle_norm(du.values @ power_t, u.grid.spacing, _check_exponent(q)))
+            a_norm = float(_rectangle_norm(u.values @ a_t, u.grid.spacing, _check_exponent(p)))
+            b_norm = multiplier_norm(u_spec, bessel, p)
             u_norm = lp_norm(u, p)
             if not math.isfinite(lhs + a_norm + b_norm + u_norm):
                 overflow = OverflowError(f"the norms of embedding draw {k} overflow")

@@ -140,7 +140,7 @@ def _evolve(
     -dt nu or (d, d, N) stacks of matrices, are held with the frequency axis
     innermost; the identity is built only for the matrices.  Raises
     ``OverflowError``, at fault ``dt`` and with no warning, before the first
-    step when dt * q overflows and at the first state that is not finite.
+    step when dt * q overflows and after the last when a state is not finite.
     """
     if q.ndim == 2:
         mul = np.multiply
@@ -179,11 +179,13 @@ def _evolve(
         for m in range(1, steps + 1):
             f1 = forcing(m)
             u = step(u, f0, f1)
-            if not np.isfinite(u).all():
-                raise _step_overflow(dt)
             if states is not None:
                 states[m] = u
             f0 = f1
+    # a step only scales the state and adds to it, so a component that is
+    # not finite stays so: the last state is finite when every one is
+    if not np.isfinite(u).all():
+        raise _step_overflow(dt)
     return u
 
 

@@ -365,7 +365,7 @@ def test_criterion_11_embedding_probe_stability():
 
 
 def test_criterion_12_cli_byte_determinism(tmp_path, monkeypatch):
-    for name in ("FRACSPEC_CONFIG", "FRACSPEC_OUT", "FRACSPEC_SEED", "FRACSPEC_THREADS"):
+    for name in ("FRACSPEC_CONFIG", "FRACSPEC_OUT", "FRACSPEC_SEED"):
         monkeypatch.delenv(name, raising=False)
     ini = tmp_path / "run.ini"
     ini.write_text(

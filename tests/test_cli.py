@@ -46,7 +46,7 @@ directory = {out}
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in ("FRACSPEC_CONFIG", "FRACSPEC_OUT", "FRACSPEC_SEED", "FRACSPEC_THREADS"):
+    for name in ("FRACSPEC_CONFIG", "FRACSPEC_OUT", "FRACSPEC_SEED"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -125,6 +125,13 @@ def test_env_overrides_and_flag_precedence(tmp_path, monkeypatch):
     assert _report(out_flag)["seed"] == 11
 
 
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fracspec [-h] [--config CONFIG]")
+
+
 def test_config_seed_and_threads(tmp_path):
     ini, out = _write_ini(
         tmp_path, "solve-elliptic", params="seed = 123", output_extra="threads = 0"
@@ -132,7 +139,22 @@ def test_config_seed_and_threads(tmp_path):
     assert main(["--config", str(ini)]) == 0
     rep = _report(out)
     assert rep["seed"] == 123
-    assert rep["threads"] == (os.cpu_count() or 1)
+    assert rep["threads"] == 0
+
+
+def test_threads_environment_variable_has_no_effect(tmp_path, monkeypatch):
+    """FRACSPEC_THREADS overrides nothing: a run under FRACSPEC_THREADS=abc
+    writes the bytes of one without it, its report.json included."""
+    ini, _ = _write_ini(tmp_path, "solve-elliptic", params="forcing = random")
+    plain, under_env = tmp_path / "plain", tmp_path / "env"
+    assert main(["--config", str(ini), "--out", str(plain)]) == 0
+    monkeypatch.setenv("FRACSPEC_THREADS", "abc")
+    assert main(["--config", str(ini), "--out", str(under_env)]) == 0
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in under_env.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (under_env / name).read_bytes()
+    assert _report(under_env)["threads"] == 1
 
 
 def test_verify_conditions_flags_constant_coefficient(tmp_path):
@@ -710,7 +732,7 @@ _OVERSIZED = [
         (("l = 10.0", "l = inf"), [], "[problem] l"),
         (("n = 64", "n = 63"), [], "[problem] n"),
         (("directory =", "threads = -3\ndirectory ="), [], "[output] threads"),
-        (None, ["--threads", "-3"], "[output] threads"),
+        (None, ["--threads", "-3"], "unrecognized arguments: --threads -3\n"),
         (_task_edit("solve-elliptic", "s_set = 0,y"), [], "[parameters] s_set"),
         (_task_edit("verify-conditions", "lambda_set = 1,foo"), [], "[parameters] lambda_set"),
         (_task_edit("embedding-probe", "h_set = 0.5,z"), [], "[parameters] h_set"),
@@ -985,6 +1007,10 @@ _OVERSIZED = [
             [],
             "[parameters] radii must have positive endpoints and count, got '0:1:5'\n",
         ),
+        # a bad command line is a hard error too
+        (None, ["--seed", "x"], "[parameters] seed must be an integer, got 'x'\n"),
+        (None, ["--seed"], "argument --seed: expected one argument\n"),
+        (None, ["--bogus"], "unrecognized arguments: --bogus\n"),
     ],
 )
 def test_hostile_grid_and_thread_values(tmp_path, capsys, edit, argv, key):

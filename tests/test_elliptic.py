@@ -282,12 +282,16 @@ def test_embedding_probe_trivial_power_is_bounded_by_one():
     assert rep.constants["max_ratio"] < 1.0
 
 
-@pytest.mark.parametrize("scale, overflows", [(1e306, False), (3e306, True)])
-def test_embedding_draw_whose_norms_overflow_is_at_fault_a(scale, overflows):
+@pytest.mark.parametrize(
+    "scale, overflows, a", [(1e306, False, 100.0), (3e306, True, 100.0), (1e300, True, 1e10)]
+)
+def test_embedding_draw_whose_norms_overflow_is_at_fault_a(scale, overflows, a):
     """With A = 100 I a unit draw scaled by 3e306 has a finite field A u whose
-    norms overflow: an OverflowError at fault ``A``; scaled by 1e306 it passes."""
+    norms overflow, and with A = 1e10 I one scaled by 1e300 a field A u that
+    is not finite: each an OverflowError at fault ``A``; with A = 100 I and
+    scaled by 1e306 it passes."""
     g = fs.SpatialGrid(10.0, 64)
-    prob = make_problem(g, gamma=1.5, mat=100.0 * np.eye(2))
+    prob = make_problem(g, gamma=1.5, mat=a * np.eye(2))
     u = scale * fs.random_band_limited(g, 2, 5)
     args = dict(alpha=1.0, s=2.0, p=2.0, q=2.0, mu=0.0, h_set=[0.1, 1.0])
     if not overflows:

@@ -583,6 +583,25 @@ def test_states_overflowing_after_the_pre_step_test_are_at_fault_dt(scheme):
     assert caught == []
 
 
+@pytest.mark.parametrize("scheme", parabolic.SCHEMES)
+def test_state_overflowing_midway_is_at_fault_dt(scheme):
+    """A finite forcing that peaks at 1e308 at step 4 of 8 drives the state
+    past the float range there; the later, unit forcing leaves it not
+    finite, and the loop raises after its last step with no warning."""
+    q = np.full((16, 1, 1), 1e-3 + 0j)
+    peak = np.ones((9, 1, 16), dtype=complex)
+    peak[4] = 1e308
+    states = np.zeros((9, 1, 16), dtype=complex)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="^time step 10 overflows the spectral "
+                           "solution; shorten the horizon$") as exc:
+            parabolic._evolve(q, 10.0, 8, peak.__getitem__, scheme, states)
+    assert exc.value.arg == "dt"
+    assert caught == []
+    assert np.isfinite(states[:4]).all() and not np.isfinite(states[4:]).all(axis=(1, 2)).any()
+
+
 def _normal_oracle_problems(grid, gamma):
     """The normal problems of ``_oracle_problems``, each with its negation
     -Q(xi, 0), which is normal and not dissipative: a = 2 in both forms, and
